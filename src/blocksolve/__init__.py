@@ -15,8 +15,8 @@ from .operators import (LinearOperator, ImplicitOperator, AssembledOperator,
                         NoFieldMatch, match_fields, write_matrix_market)
 from .krylov import (KSP, SolveReport, Nullspace, KrylovError,
                      DivergedMaxIts, DivergedNaN, IndefiniteOperator)
-from .precond import (Preconditioner, MissingContext, UnsupportedOperation,
-                      NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
+from .precond import (Preconditioner, MissingContext, NonePC, JacobiPC,
+                      SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
                       MassSchurPC, SchwarzPC, SchurOperator, view_ksp)
 from .options import OptionsDB, ScopedOptions, BadOptionName, BadOptionValue

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .factory import report_unused
-from .mesh import Mesh  # noqa: F401  (re-export for scripting)
 from .operators import write_matrix_market
 from .options import OptionsDB
 from .problems import (PoissonConfig, CavityConfig, ConvectionConfig,

@@ -23,45 +23,14 @@ from .elements import tabulate
 from .spaces import FunctionSpace, MixedSpace
 
 __all__ = [
-    "Form", "CellGeometry", "cell_geometry",
-    "mass_form", "stiffness_form", "convection_diffusion_form",
+    "Form", "mass_form", "stiffness_form", "convection_diffusion_form",
     "stokes_form", "ns_jacobian_form", "rb_jacobian_form",
     "pressure_mass_form", "pressure_laplacian_form", "pcd_form",
-    "assemble_matrix", "apply_bcs_matrix", "collect_bc_dofs",
+    "apply_bcs_matrix", "collect_bc_dofs",
     "ns_residual", "rb_residual", "jacobian_check",
 ]
 
 UPWARD = {2: np.array([0.0, 1.0]), 3: np.array([0.0, 0.0, 1.0])}
-
-
-class CellGeometry:
-    """Affine geometry of every cell: Jacobians, inverses, determinants."""
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        verts = mesh.vertices[mesh.cells]
-        self.x0 = verts[:, 0, :]
-        # J[c, :, e] is the edge vector v_{e+1} - v_0
-        self.J = np.transpose(verts[:, 1:, :] - verts[:, :1, :], (0, 2, 1))
-        self.detJ = np.linalg.det(self.J)
-        if np.any(self.detJ <= 1e-14):
-            raise ValueError("degenerate cell in mesh")
-        self.Jinv = np.linalg.inv(self.J)
-
-    def physical_points(self, rule):
-        # (ncells, nq, dim)
-        return self.x0[:, None, :] + np.einsum("cde,qe->cqd", self.J, rule.points)
-
-
-_geom_cache = {}
-
-
-def cell_geometry(mesh):
-    geom = _geom_cache.get(id(mesh))
-    if geom is None or geom.mesh is not mesh:
-        geom = CellGeometry(mesh)
-        _geom_cache[id(mesh)] = geom
-    return geom
 
 
 class SpaceEval:
@@ -114,6 +83,18 @@ def _component_diag(scalar_local, ncomp):
     return out
 
 
+def _interleave(blk):
+    """Place per-component blocks blk[:, k, l] of shape (ncells, kt, ks, nt,
+    ns) at stride kt in the rows and ks in the columns: (ncells, nt*kt,
+    ns*ks)."""
+    ncells, kt, ks, nt, ns = blk.shape
+    out = np.empty((ncells, nt * kt, ns * ks))
+    for k in range(kt):
+        for l in range(ks):
+            out[:, k::kt, l::ks] = blk[:, k, l]
+    return out
+
+
 class Term:
     """One kernel contribution to a block of a form."""
 
@@ -163,45 +144,26 @@ class VectorReactionTerm(Term):
         self.state_field = state_field
 
     def local(self, form, test_ev, trial_ev, wq):
-        g0 = form.state_grads(self.state_field, trial_ev)  # (ncells, nq, k, l)
-        ncomp = trial_ev.space.ncomp
-        nt = test_ev.space.element.nnodes
-        ns = trial_ev.space.element.nnodes
+        g0 = form.state_grads(self.state_field)  # (ncells, nq, k, l)
         blk = np.einsum("cq,cqkl,qi,qj->cklij", wq, g0,
                         test_ev.values, trial_ev.values)
-        out = np.empty((len(wq), nt * ncomp, ns * ncomp))
-        for k in range(ncomp):
-            for l in range(ncomp):
-                out[:, k::ncomp, l::ncomp] = blk[:, k, l]
-        return out
+        return _interleave(blk)
 
 
 class PressureGradientTerm(Term):
     """-(p, div v): vector test space, scalar trial space."""
 
     def local(self, form, test_ev, trial_ev, wq):
-        ncomp = test_ev.space.ncomp
         blk = np.einsum("cq,cqid,qj->cdij", wq, test_ev.grads, trial_ev.values)
-        nt = test_ev.space.element.nnodes
-        ns = trial_ev.space.element.nnodes
-        out = np.empty((len(wq), nt * ncomp, ns))
-        for d in range(ncomp):
-            out[:, d::ncomp, :] = -blk[:, d]
-        return out
+        return _interleave(-blk[:, :, None])
 
 
 class DivergenceTerm(Term):
     """(div u, q): scalar test space, vector trial space."""
 
     def local(self, form, test_ev, trial_ev, wq):
-        ncomp = trial_ev.space.ncomp
         blk = np.einsum("cq,qi,cqjd->cdij", wq, test_ev.values, trial_ev.grads)
-        nt = test_ev.space.element.nnodes
-        ns = trial_ev.space.element.nnodes
-        out = np.empty((len(wq), nt, ns * ncomp))
-        for d in range(ncomp):
-            out[:, :, d::ncomp] = blk[:, d]
-        return out
+        return _interleave(blk[:, None])
 
 
 class BuoyancyTerm(Term):
@@ -213,14 +175,9 @@ class BuoyancyTerm(Term):
     def local(self, form, test_ev, trial_ev, wq):
         c = form.coefficient_value(self.coef)
         zhat = UPWARD[test_ev.space.mesh.dim]
-        ncomp = test_ev.space.ncomp
         scalar = np.einsum("cq,qi,qj->cij", wq, test_ev.values, trial_ev.values)
-        nt = test_ev.space.element.nnodes
-        ns = trial_ev.space.element.nnodes
-        out = np.empty((len(wq), nt * ncomp, ns))
-        for d in range(ncomp):
-            out[:, d::ncomp, :] = c * zhat[d] * scalar
-        return out
+        blk = (c * zhat)[:, None, None, None] * scalar[:, None, None]
+        return _interleave(blk)
 
 
 class ScalarCouplingTerm(Term):
@@ -230,15 +187,9 @@ class ScalarCouplingTerm(Term):
         self.state_field = state_field
 
     def local(self, form, test_ev, trial_ev, wq):
-        g0 = form.state_scalar_grads(self.state_field)  # (ncells, nq, dim)
-        ncomp = trial_ev.space.ncomp
+        g0 = form.state_grads(self.state_field)  # (ncells, nq, dim)
         blk = np.einsum("cq,cqd,qi,qj->cdij", wq, g0, test_ev.values, trial_ev.values)
-        nt = test_ev.space.element.nnodes
-        ns = trial_ev.space.element.nnodes
-        out = np.empty((len(wq), nt, ns * ncomp))
-        for d in range(ncomp):
-            out[:, :, d::ncomp] = blk[:, d]
-        return out
+        return _interleave(blk[:, None])
 
 
 # --- the form itself ------------------------------------------------------
@@ -275,7 +226,7 @@ class Form:
             quad_degree = min(2 * k + 1, MAX_DEGREE)
         self.quad_degree = quad_degree
         self.mesh = row_space.mesh
-        self.geom = cell_geometry(self.mesh)
+        self.geom = self.mesh.geometry
         self.rule = make_quadrature(self.mesh.dim, quad_degree)
         self.wq = self.rule.weights[None, :] * self.geom.detJ[:, None]
         self._evals = {}
@@ -316,12 +267,7 @@ class Form:
         ncells, nq = self.wq.shape
         return np.broadcast_to(arr, (ncells, nq, self.mesh.dim))
 
-    def state_grads(self, field, trial_ev):
-        x = self._state_field(field)
-        space = self.state_space.fields[field]
-        return self.space_eval(space).function_grads(x)
-
-    def state_scalar_grads(self, field):
+    def state_grads(self, field):
         x = self._state_field(field)
         space = self.state_space.fields[field]
         return self.space_eval(space).function_grads(x)
@@ -344,15 +290,6 @@ class Form:
             loc = term.local(self, test_ev, trial_ev, self.wq)
             out = loc if out is None else out + loc
         return out
-
-    def element_kernel(self, cell, i=0, j=0):
-        """Local matrix of block (i, j) on one cell."""
-        loc = self.block_local_matrices(i, j)
-        if loc is None:
-            nt = self.row_space.fields[i].element.ndofs
-            ns = self.col_space.fields[j].element.ndofs
-            return np.zeros((nt, ns))
-        return loc[cell]
 
     def flops_per_apply(self):
         """Analytic flop estimate of one matrix-free application."""
@@ -402,16 +339,13 @@ class Form:
             A = apply_bcs_matrix(A, br, bc, diagonal=self.bc_diagonal)
         return A
 
-    def action(self, x, bcs=(), transpose=False, bc_rows=None, bc_cols=None):
-        """Matrix-free y = A x (or A^T x) consistent with assemble()."""
+    def action(self, x, bcs=(), bc_rows=None, bc_cols=None):
+        """Matrix-free y = A x consistent with assemble()."""
         x = np.asarray(x, dtype=float)
-        rs, cs = (self.col_space, self.row_space) if transpose \
-            else (self.row_space, self.col_space)
+        rs, cs = self.row_space, self.col_space
         if len(x) != cs.num_dofs:
             raise ValueError("input length does not match trial space")
         br, bc = self._bc_dofs(bcs, bc_rows, bc_cols)
-        if transpose:
-            br, bc = bc, br
         x0 = x
         if len(bc):
             x0 = x.copy()
@@ -421,13 +355,8 @@ class Form:
             loc = self.block_local_matrices(i, j)
             if loc is None:
                 continue
-            if transpose:
-                loc = np.transpose(loc, (0, 2, 1))
-                ti, tj = j, i
-            else:
-                ti, tj = i, j
-            rdofs = rs.fields[ti].cell_dofs + rs.offsets[ti]
-            cdofs = cs.fields[tj].cell_dofs + cs.offsets[tj]
+            rdofs = rs.fields[i].cell_dofs + rs.offsets[i]
+            cdofs = cs.fields[j].cell_dofs + cs.offsets[j]
             xloc = x0[cdofs]
             yloc = np.einsum("cij,cj->ci", loc, xloc)
             y += np.bincount(rdofs.ravel(), weights=yloc.ravel(),
@@ -482,10 +411,6 @@ def apply_bcs_matrix(A, bc_rows, bc_cols=None, diagonal=True):
         diag[bc_rows] = 1.0
         A = (A + sp.diags(diag)).tocsr()
     return A
-
-
-def assemble_matrix(form, bcs=()):
-    return form.assemble(bcs)
 
 
 # --- catalogue ------------------------------------------------------------
@@ -567,11 +492,11 @@ def pressure_laplacian_form(p_space, context=None):
                 {(0, 0): [StiffnessTerm()]}, context=context)
 
 
-def pcd_form(p_space, Re, wind, context=None):
+def pcd_form(p_space, Re, wind, context=None, state_space=None):
     """Pressure convection-diffusion operator (1/Re) K_p + advection."""
     return Form("pressure_convection_diffusion", p_space, p_space,
                 {(0, 0): [StiffnessTerm(1.0 / Re), AdvectionTerm(wind)]},
-                context=context)
+                context=context, state_space=state_space)
 
 
 def load_vector(form, f, field=0):
@@ -607,21 +532,13 @@ def _vector_test_integral(ev, wq, pointwise):
     """Integrate (pointwise, v) for a vector test space; pointwise is
     (ncells, nq, ncomp).  Returns interleaved (ncells, ndofs)."""
     blk = np.einsum("cq,cqk,qi->cki", wq, pointwise, ev.values)
-    ncells, ncomp, nn = blk.shape
-    out = np.empty((ncells, nn * ncomp))
-    for k in range(ncomp):
-        out[:, k::ncomp] = blk[:, k]
-    return out
+    return _interleave(blk[:, :, None, :, None])[..., 0]
 
 
 def _vector_test_grad_integral(ev, wq, pointwise):
     """Integrate (pointwise : grad v); pointwise is (ncells, nq, ncomp, dim)."""
     blk = np.einsum("cq,cqkd,cqid->cki", wq, pointwise, ev.grads)
-    ncells, ncomp, nn = blk.shape
-    out = np.empty((ncells, nn * ncomp))
-    for k in range(ncomp):
-        out[:, k::ncomp] = blk[:, k]
-    return out
+    return _interleave(blk[:, :, None, :, None])[..., 0]
 
 
 def _residual_bc_rows(mixed, state, bcs, r):
@@ -653,11 +570,7 @@ def ns_residual(form, state, bcs=(), forcing=None):
     # -(p, div v)
     div_v = np.einsum("cq,cqid->cqid", pq, ev_u.grads)
     blk = np.einsum("cq,cqid->cdi", wq, div_v)
-    ncells, ncomp, nn = blk.shape
-    pressure_part = np.empty((ncells, nn * ncomp))
-    for k in range(ncomp):
-        pressure_part[:, k::ncomp] = -blk[:, k]
-    mom += pressure_part
+    mom -= _interleave(blk[:, :, None, :, None])[..., 0]
     if forcing is not None:
         fq = np.apply_along_axis(lambda x: np.asarray(forcing(x)), 2,
                                  form.geom.physical_points(form.rule))
@@ -698,9 +611,7 @@ def rb_residual(form, state, bcs=()):
     mom = _vector_test_grad_integral(ev_u, wq, gu)
     mom += _vector_test_integral(ev_u, wq, conv + buoy)
     blk = np.einsum("cq,cq,cqid->cdi", wq, pq, ev_u.grads)
-    ncells, ncomp, nn = blk.shape
-    for k in range(ncomp):
-        mom[:, k::ncomp] -= blk[:, k]
+    mom -= _interleave(blk[:, :, None, :, None])[..., 0]
     _scatter(V, mixed.offsets[0], mom, r)
 
     divu = np.einsum("cqkk->cq", gu)

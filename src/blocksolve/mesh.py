@@ -9,14 +9,34 @@ integer markers keyed to the coordinate planes:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mesh", "build_unit_square", "build_unit_cube", "vertex_patch"]
+__all__ = ["Mesh", "CellGeometry", "build_unit_square", "build_unit_cube",
+           "vertex_patch"]
 
 _PLANE_TOL = 1e-12
+
+
+class CellGeometry:
+    """Affine geometry of every cell: Jacobians, inverses, determinants."""
+
+    def __init__(self, mesh):
+        verts = mesh.vertices[mesh.cells]
+        self.x0 = verts[:, 0, :]
+        # J[c, :, e] is the edge vector v_{e+1} - v_0
+        self.J = np.transpose(verts[:, 1:, :] - verts[:, :1, :], (0, 2, 1))
+        self.detJ = np.linalg.det(self.J)
+        if np.any(self.detJ <= 1e-14):
+            raise ValueError("degenerate cell in mesh")
+        self.Jinv = np.linalg.inv(self.J)
+
+    def physical_points(self, rule):
+        # (ncells, nq, dim)
+        return self.x0[:, None, :] + np.einsum("cde,qe->cqd", self.J, rule.points)
 
 
 @dataclass(frozen=True)
@@ -34,6 +54,11 @@ class Mesh:
     @property
     def num_cells(self):
         return len(self.cells)
+
+    @functools.cached_property
+    def geometry(self):
+        """Cell geometry, computed on first use and freed with the mesh."""
+        return CellGeometry(self)
 
     def cell_coordinates(self, c):
         return self.vertices[self.cells[c]]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .forms import collect_bc_values
 from .krylov import KrylovError
-from .operators import ImplicitOperator
+from .operators import ImplicitOperator, select_operators
 
 __all__ = ["NewtonSolver", "NewtonReport", "NewtonError",
            "NewtonDivergedMaxIts", "LinearSolveFailed"]
@@ -62,15 +62,10 @@ class NewtonSolver:
     returns the linear solver for one Newton step (rebuilt per step so
     state-dependent preconditioners refresh)."""
 
-    def __init__(self, residual_fn, jacobian_form, bcs=(), ksp_maker=None,
+    def __init__(self, residual_fn, jacobian_form, bcs=(), *, ksp_maker,
                  rtol=1e-8, atol=1e-50, max_it=50, mat_type="matfree",
                  pmat_type=None, nullspace=None, monitor=None,
                  error_if_not_converged=False):
-        if mat_type not in ("matfree", "aij"):
-            raise ValueError(f"unknown mat type {mat_type!r}")
-        pmat_type = mat_type if pmat_type is None else pmat_type
-        if pmat_type not in ("matfree", "aij"):
-            raise ValueError(f"unknown pmat type {pmat_type!r}")
         self.residual_fn = residual_fn
         self.jacobian_form = jacobian_form
         self.bcs = tuple(bcs)
@@ -92,16 +87,6 @@ class NewtonSolver:
             dofs, values = collect_bc_values(space, self.bcs)
             x[dofs] = values
         return x
-
-    def _operators(self):
-        implicit = ImplicitOperator(self.jacobian_form, bcs=self.bcs)
-        A = implicit if self.mat_type == "matfree" else implicit.assemble()
-        if self.pmat_type == self.mat_type:
-            Apc = A
-        else:
-            Apc = implicit if self.pmat_type == "matfree" \
-                else implicit.assemble()
-        return A, Apc
 
     def _monitor(self, it, norm):
         if self.monitor is not None:
@@ -138,14 +123,10 @@ class NewtonSolver:
             if it == self.max_it:
                 break
             form.context["state"] = x
-            A, Apc = self._operators()
-            ksp = self.ksp_maker(A, Apc) if self.ksp_maker else None
-            if ksp is None:
-                from .krylov import KSP
-                from .precond import LUPC
-                ksp = KSP("preonly",
-                          pc=LUPC().set_up(A.assemble() if self.mat_type
-                                           == "matfree" else A))
+            A, Apc = select_operators(
+                ImplicitOperator(form, bcs=self.bcs), self.mat_type,
+                self.pmat_type)
+            ksp = self.ksp_maker(A, Apc)
             if ksp.nullspace is None:
                 ksp.nullspace = self.nullspace
             rhs = -r

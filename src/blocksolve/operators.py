@@ -1,7 +1,7 @@
 """Linear operators: implicit (matrix-free, context-bearing) and assembled.
 
 Implicit operators wrap a block form plus boundary conditions and expose
-apply / apply_transpose / extract_sub / assemble.  Submatrix extraction is
+apply / extract_sub / assemble.  Submatrix extraction is
 field-based: an index set is accepted only if it is a concatenation of a
 subset of the field index sets, and the extracted operator is again
 implicit, built from the restriction of the block form to those fields.
@@ -16,7 +16,10 @@ from .forms import Form
 from .spaces import MixedSpace
 
 __all__ = ["LinearOperator", "ImplicitOperator", "AssembledOperator",
-           "NoFieldMatch", "match_fields", "write_matrix_market"]
+           "NoFieldMatch", "match_fields", "select_operators",
+           "write_matrix_market"]
+
+MAT_TYPES = ("matfree", "aij")
 
 
 class NoFieldMatch(Exception):
@@ -47,9 +50,6 @@ class LinearOperator:
     def apply(self, x):
         raise NotImplementedError
 
-    def apply_transpose(self, x):
-        raise NotImplementedError
-
     def check_shape(self, x):
         if len(x) != self.shape[1]:
             raise ValueError(f"operand length {len(x)} does not match "
@@ -78,18 +78,14 @@ class AssembledOperator(LinearOperator):
         self.check_shape(x)
         return self.A @ x
 
-    def apply_transpose(self, x):
-        return self.A.T @ x
-
     def field_index_sets(self):
         return self._fields
 
     def extract_sub(self, row_is, col_is):
-        if self._fields is None:
-            sub = self.A[np.ix_(np.asarray(row_is), np.asarray(col_is))]
-            return AssembledOperator(sub, context=self.context)
-        rf = match_fields(row_is, self._fields)
-        cf = match_fields(col_is, self._fields)
+        if self._fields is not None:
+            # raises NoFieldMatch for an index set straddling fields
+            match_fields(row_is, self._fields)
+            match_fields(col_is, self._fields)
         sub = self.A[np.ix_(np.asarray(row_is), np.asarray(col_is))]
         return AssembledOperator(sub, context=self.context)
 
@@ -101,16 +97,6 @@ class AssembledOperator(LinearOperator):
 
     def flops_per_apply(self):
         return 2 * self.A.nnz
-
-
-def _sub_bc_dofs(bcs, parent_space, field_ids, sub_space):
-    """Global Dirichlet dofs of the parent BCs within the sub mixed space."""
-    out = [np.empty(0, dtype=np.int64)]
-    for bc in bcs:
-        if bc.field in field_ids:
-            pos = field_ids.index(bc.field)
-            out.append(bc.dofs + sub_space.offsets[pos])
-    return np.unique(np.concatenate(out))
 
 
 class ImplicitOperator(LinearOperator):
@@ -136,10 +122,6 @@ class ImplicitOperator(LinearOperator):
     def apply(self, x):
         self.check_shape(x)
         return self.form.action(x, bc_rows=self.bc_rows, bc_cols=self.bc_cols)
-
-    def apply_transpose(self, x):
-        return self.form.action(x, transpose=True,
-                                bc_rows=self.bc_rows, bc_cols=self.bc_cols)
 
     def field_index_sets(self):
         cs = self.form.col_space
@@ -180,14 +162,9 @@ class ImplicitOperator(LinearOperator):
                         quad_degree=form.quad_degree,
                         bc_diagonal=(rf == cf),
                         state_space=form.state_space)
-        bc_rows = _sub_bc_dofs(self.bcs, form.row_space, rf, row_sub) \
-            if self.bcs else self._slice_bc(self.bc_rows, form.row_space, rf, row_sub)
-        bc_cols = _sub_bc_dofs(self.bcs, form.col_space, cf, col_sub) \
-            if self.bcs else self._slice_bc(self.bc_cols, form.col_space, cf, col_sub)
-        sub = ImplicitOperator(sub_form, bc_rows=bc_rows, bc_cols=bc_cols)
-        sub.parent = self
-        sub.field_ids = (tuple(rf), tuple(cf))
-        return sub
+        bc_rows = self._slice_bc(self.bc_rows, form.row_space, rf, row_sub)
+        bc_cols = self._slice_bc(self.bc_cols, form.col_space, cf, col_sub)
+        return ImplicitOperator(sub_form, bc_rows=bc_rows, bc_cols=bc_cols)
 
     @staticmethod
     def _slice_bc(bc_dofs, space, field_ids, sub_space):
@@ -216,6 +193,21 @@ class ImplicitOperator(LinearOperator):
 
     def flops_per_apply(self):
         return self.form.flops_per_apply()
+
+
+def select_operators(implicit, mat_type, pmat_type=None):
+    """The operator a Krylov method applies and the one its preconditioner
+    is built from: `matfree` keeps the implicit operator, `aij` assembles
+    it (once, when both ask for it)."""
+    pmat_type = mat_type if pmat_type is None else pmat_type
+    for kind, value in (("mat", mat_type), ("pmat", pmat_type)):
+        if value not in MAT_TYPES:
+            raise ValueError(f"unknown {kind} type {value!r}; "
+                             f"expected one of {', '.join(MAT_TYPES)}")
+    A = implicit if mat_type == "matfree" else implicit.assemble()
+    if pmat_type == mat_type:
+        return A, A
+    return A, implicit if pmat_type == "matfree" else implicit.assemble()
 
 
 def write_matrix_market(A, stream):

@@ -115,9 +115,6 @@ class OptionsDB:
             return self._values[key]
         return default
 
-    def get_str(self, key, default=None):
-        return self.get(key, default)
-
     def get_bool(self, key, default=False):
         v = self.get(key)
         if v is None:
@@ -152,10 +149,6 @@ class OptionsDB:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def mark_used(self, key):
-        if key in self._values:
-            self._used.add(key)
-
     def unused(self):
         """Options that were set but never queried, in insertion order."""
         return [k for k in self._values if k not in self._used]
@@ -184,9 +177,6 @@ class ScopedOptions:
     def get(self, key, default=None):
         return self.db.get(self.prefix + key, default)
 
-    def get_str(self, key, default=None):
-        return self.db.get_str(self.prefix + key, default)
-
     def get_bool(self, key, default=False):
         return self.db.get_bool(self.prefix + key, default)
 
@@ -195,6 +185,3 @@ class ScopedOptions:
 
     def get_float(self, key, default=None):
         return self.db.get_float(self.prefix + key, default)
-
-    def child(self, extra):
-        return ScopedOptions(self.db, self.prefix + extra)

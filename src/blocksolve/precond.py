@@ -20,15 +20,14 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import (Form, StiffnessTerm, AdvectionTerm, StateWind,
-                    apply_bcs_matrix, pressure_mass_form,
-                    pressure_laplacian_form)
+from .forms import (Form, StateWind, apply_bcs_matrix, pcd_form,
+                    pressure_mass_form, pressure_laplacian_form)
 from .krylov import KSP
 from .operators import (AssembledOperator, ImplicitOperator, LinearOperator)
 from .spaces import build_space
 from .elements import lagrange_element, tabulate
 
-__all__ = ["Preconditioner", "MissingContext", "UnsupportedOperation",
+__all__ = ["Preconditioner", "MissingContext",
            "NonePC", "JacobiPC", "SORPC", "LUPC", "ILUPC", "KSPPC",
            "AssembledPC", "TelescopePC", "FieldSplitPC", "PCDPC",
            "MassSchurPC", "SchwarzPC", "SchurOperator", "view_ksp"]
@@ -36,10 +35,6 @@ __all__ = ["Preconditioner", "MissingContext", "UnsupportedOperation",
 
 class MissingContext(Exception):
     """The preconditioner needs PDE-level context the operator lacks."""
-
-
-class UnsupportedOperation(Exception):
-    pass
 
 
 def _assembled(op, who):
@@ -73,10 +68,6 @@ class Preconditioner:
 
     def apply(self, r):
         raise NotImplementedError
-
-    def apply_transpose(self, r):
-        raise UnsupportedOperation(
-            f"pc {self.type_name} has no transpose application")
 
     def view(self, indent=0):
         pad = " " * indent
@@ -123,9 +114,6 @@ class NonePC(Preconditioner):
     def apply(self, r):
         return r.copy()
 
-    def apply_transpose(self, r):
-        return r.copy()
-
 
 class JacobiPC(Preconditioner):
     type_name = "jacobi"
@@ -138,8 +126,6 @@ class JacobiPC(Preconditioner):
 
     def apply(self, r):
         return self.invdiag * r
-
-    apply_transpose = apply
 
 
 def _triangular_factor(T):
@@ -175,29 +161,18 @@ class SORPC(Preconditioner):
         self._fwd = _triangular_factor(Dw + L)
         self._bwd = _triangular_factor(Dw + U)
 
-    def _sweep(self, r, transpose=False):
+    def _sweep(self, r):
         w = self.omega
-        first, second = (self._bwd, self._fwd) if transpose \
-            else (self._fwd, self._bwd)
         if self.symmetric:
-            y = first.solve(r)
-            return w * (2.0 - w) * second.solve((self.d / w) * y)
-        return first.solve(r)
-
-    def _iterate(self, r, transpose):
-        z = self._sweep(r, transpose)
-        A = self.A.T if transpose else self.A
-        for _ in range(self.its - 1):
-            z = z + self._sweep(r - A @ z, transpose)
-        return z
+            y = self._fwd.solve(r)
+            return w * (2.0 - w) * self._bwd.solve((self.d / w) * y)
+        return self._fwd.solve(r)
 
     def apply(self, r):
-        return self._iterate(r, False)
-
-    def apply_transpose(self, r):
-        if self.symmetric:
-            return self._iterate(r, False)
-        return self._iterate(r, True)
+        z = self._sweep(r)
+        for _ in range(self.its - 1):
+            z = z + self._sweep(r - self.A @ z)
+        return z
 
     def _view_body(self, indent):
         pad = " " * indent
@@ -213,9 +188,6 @@ class LUPC(Preconditioner):
 
     def apply(self, r):
         return self.fact.solve(r)
-
-    def apply_transpose(self, r):
-        return self.fact.solve(r, trans="T")
 
 
 class ILUPC(Preconditioner):
@@ -233,9 +205,6 @@ class ILUPC(Preconditioner):
 
     def apply(self, r):
         return self.fact.solve(r)
-
-    def apply_transpose(self, r):
-        return self.fact.solve(r, trans="T")
 
     def _view_body(self, indent):
         pad = " " * indent
@@ -292,9 +261,6 @@ class AssembledPC(Preconditioner):
     def apply(self, r):
         return self.inner.apply(r)
 
-    def apply_transpose(self, r):
-        return self.inner.apply_transpose(r)
-
     def _view_body(self, indent):
         return [self.inner.view(indent)]
 
@@ -317,9 +283,6 @@ class TelescopePC(Preconditioner):
 
     def apply(self, r):
         return self.inner.apply(r)
-
-    def apply_transpose(self, r):
-        return self.inner.apply_transpose(r)
 
     def _view_body(self, indent):
         return [self.inner.view(indent)]
@@ -506,11 +469,8 @@ class PCDPC(Preconditioner):
         pin = np.array([0], dtype=np.int64)
         Kp = apply_bcs_matrix(Kp, pin, pin, diagonal=True)
         Kp = AssembledOperator(Kp)
-        self.fp_form = Form("pressure_convection_diffusion",
-                            p_space, p_space,
-                            {(0, 0): [StiffnessTerm(1.0 / Re),
-                                      AdvectionTerm(StateWind(vf))]},
-                            context=ctx, state_space=state_space)
+        self.fp_form = pcd_form(p_space, Re, StateWind(vf), context=ctx,
+                                state_space=state_space)
         mp_maker = self.mp_maker or (lambda A: _default_sub_ksp(
             A, self.prefix + "pcd_Mp_"))
         kp_maker = self.kp_maker or (lambda A: _default_sub_ksp(
@@ -553,8 +513,6 @@ class MassSchurPC(Preconditioner):
     def apply(self, r):
         z, _ = self.mp_ksp.solve(self.mp_op, r)
         return self.scale * z
-
-    apply_transpose = apply
 
     def _view_body(self, indent):
         pad = " " * indent
@@ -671,8 +629,6 @@ class SchwarzPC(Preconditioner):
         if len(self.bc_dofs):
             z[self.bc_dofs] = r[self.bc_dofs]
         return z
-
-    apply_transpose = apply
 
     def _view_body(self, indent):
         pad = " " * indent

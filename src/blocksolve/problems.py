@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factory import build_ksp
-from .forms import (cell_geometry, SpaceEval, stiffness_form,
+from .forms import (SpaceEval, stiffness_form,
                     ns_jacobian_form, rb_jacobian_form, load_vector,
                     ns_residual, rb_residual)
 from .krylov import Nullspace
 from .mesh import build_unit_square, build_unit_cube
 from .newton import NewtonSolver
-from .operators import ImplicitOperator
+from .operators import ImplicitOperator, select_operators
 from .precond import view_ksp
 from .quadrature import make_quadrature, MAX_DEGREE
 from .spaces import (build_space, taylor_hood, MixedSpace, DirichletBC,
@@ -59,7 +59,7 @@ def l2_error(space, x, exact, quad_degree=None):
     if quad_degree is None:
         quad_degree = min(2 * space.element.degree + 2, MAX_DEGREE)
     rule = make_quadrature(mesh.dim, quad_degree)
-    geom = cell_geometry(mesh)
+    geom = mesh.geometry
     ev = SpaceEval(space, geom, rule)
     uh = ev.function_values(x)
     pts = geom.physical_points(rule)
@@ -101,12 +101,9 @@ def run_poisson(cfg, db, stdout=sys.stdout):
     b = load_vector(form, forcing)
     b[bc.dofs] = bc.values
 
-    implicit = ImplicitOperator(form, bcs=[bc])
     mat_type = db.get("mat_type", "matfree")
-    A = implicit if mat_type == "matfree" else implicit.assemble()
-    pmat_type = db.get("pmat_type", mat_type)
-    Apc = A if pmat_type == mat_type else (
-        implicit if pmat_type == "matfree" else implicit.assemble())
+    A, Apc = select_operators(ImplicitOperator(form, bcs=[bc]), mat_type,
+                              db.get("pmat_type", mat_type))
 
     ksp = build_ksp(db, "", A, Apc, default_type="cg")
     _show_view(db, ksp, stdout)

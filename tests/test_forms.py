@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,11 +22,21 @@ def _unit_right_triangle_space():
     return build_space(mesh, 1)
 
 
+def test_mesh_freed_with_its_forms():
+    mesh = build_unit_square(2)
+    form = mass_form(build_space(mesh, 1))
+    form.assemble()
+    ref = weakref.ref(mesh)
+    del mesh, form
+    gc.collect()
+    assert ref() is None
+
+
 class TestLocalKernels:
     def test_p1_mass_kernel(self):
         V = _unit_right_triangle_space()
         form = mass_form(V)
-        loc = form.element_kernel(0)
+        loc = form.block_local_matrices(0, 0)[0]
         area = 0.5
         expect = (area / 12.0) * np.array([[2.0, 1.0, 1.0],
                                            [1.0, 2.0, 1.0],
@@ -34,7 +47,7 @@ class TestLocalKernels:
 
     def test_p1_stiffness_kernel_row_sums(self):
         V = _unit_right_triangle_space()
-        loc = stiffness_form(V).element_kernel(0)
+        loc = stiffness_form(V).block_local_matrices(0, 0)[0]
         assert np.allclose(loc.sum(axis=1), 0.0, atol=1e-14)
         assert np.allclose(loc, loc.T, atol=1e-14)
         assert np.isclose(np.abs(loc).max(), 1.0, atol=1e-14)

@@ -67,14 +67,6 @@ class TestImplicitOperator:
         x = rng.standard_normal(A.shape[1])
         assert np.allclose(A.apply(x), Acsr @ x, atol=1e-12)
 
-    def test_adjoint_identity(self):
-        A, W = _ns_operator()
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(A.shape[1])
-        y = rng.standard_normal(A.shape[0])
-        assert np.isclose(np.dot(A.apply(x), y),
-                          np.dot(x, A.apply_transpose(y)), atol=1e-10)
-
     def test_extract_sub_blocks(self):
         A, W = _ns_operator()
         Acsr = A.assemble().A.toarray()
@@ -93,6 +85,16 @@ class TestImplicitOperator:
         A, W = _ns_operator()
         with pytest.raises(NoFieldMatch):
             A.extract_sub(np.arange(3), np.arange(3))
+
+    def test_assembled_extract_sub_rejects_straddle(self):
+        A, W = _ns_operator()
+        Aasm = A.assemble()
+        ip = W.field_index_set(1)
+        assert Aasm.extract_sub(ip, ip).shape == (len(ip), len(ip))
+        with pytest.raises(NoFieldMatch):
+            Aasm.extract_sub(np.arange(3), np.arange(3))
+        with pytest.raises(NoFieldMatch):
+            Aasm.extract_sub(ip, ip[1:])
 
     def test_sub_shares_context(self):
         A, W = _ns_operator()

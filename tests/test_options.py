@@ -90,7 +90,6 @@ class TestTypedAccess:
         sub = db.scoped("sub_")
         assert sub.get_float("ksp_rtol") == 1e-3
         assert "ksp_rtol" in sub
-        assert sub.child("inner_").get("x") is None
 
 
 class TestBookkeeping:

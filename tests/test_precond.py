@@ -12,8 +12,7 @@ from blocksolve.krylov import KSP, Nullspace
 from blocksolve.precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC,
                                 KSPPC, AssembledPC, TelescopePC,
                                 FieldSplitPC, PCDPC, MassSchurPC,
-                                SchwarzPC, MissingContext,
-                                UnsupportedOperation)
+                                SchwarzPC, MissingContext)
 
 
 def _poisson(n=6, degree=2):
@@ -54,12 +53,6 @@ class TestAlgebraic:
         Aasm = A.assemble()
         pc = LUPC().set_up(Aasm)
         assert np.allclose(Aasm.A @ pc.apply(b), b, atol=1e-10)
-
-    def test_lu_transpose(self):
-        A, b, _ = _poisson()
-        Aasm = A.assemble()
-        pc = LUPC().set_up(Aasm)
-        assert np.allclose(Aasm.A.T @ pc.apply_transpose(b), b, atol=1e-10)
 
     def test_each_pc_accelerates_cg(self):
         A, b, _ = _poisson(n=8, degree=2)
@@ -104,15 +97,6 @@ class TestAlgebraic:
         pc = NonePC()
         r = np.arange(4.0)
         assert np.array_equal(pc.apply(r), r)
-        assert np.array_equal(pc.apply_transpose(r), r)
-
-    def test_unsupported_transpose(self):
-        A, b, _ = _poisson()
-        pc = SchwarzPC().set_up(A)
-        # schwarz is symmetric, so transpose exists; check a pc without one
-        ksp_pc = KSPPC().set_up(A.assemble())
-        with pytest.raises(UnsupportedOperation):
-            ksp_pc.apply_transpose(b)
 
 
 class TestWrappers:

@@ -100,6 +100,11 @@ class TestCLI:
                      "--", "-ksp_rtol", "1e-14", "-ksp_max_it", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("option", ["-mat_type", "-pmat_type"])
+    def test_unknown_mat_type_rejected(self, option):
+        with pytest.raises(ValueError, match="aijj"):
+            main(["poisson", "--n", "2", "--", option, "aijj"])
+
     def test_unused_options_reported(self, capsys):
         main(["poisson", "--n", "4", "--", "-zzz_knob", "1"])
         assert "unused options" in capsys.readouterr().err
