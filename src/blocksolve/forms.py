@@ -3,9 +3,21 @@
 A Form is a block-structured bilinear form over mixed spaces.  Each block is
 a sum of terms from a small kernel vocabulary (mass, stiffness, advection,
 linearised reaction, pressure gradient/divergence, buoyancy and temperature
-coupling).  All kernels are evaluated for every cell at once with einsum,
-and the matrix-free action uses exactly the same local matrices as global
-assembly, so the two agree to rounding.
+coupling).  Every term has two definitions of the same integrand: `local`
+builds element matrices for every cell at once, which global assembly
+scatters into CSR; `pointwise` evaluates the integrand at the quadrature
+points, which the matrix-free action uses.
+
+The action works at quadrature points and never forms an element matrix.
+For each trial field it gathers the local dofs once and takes values and
+physical gradients with one product against the reference tabulation and
+one batched product with the per-cell affine `Jinv`.  The terms add their
+integrands into per-test-field accumulators, which are weighted, mapped
+back through `Jinv` transposed and the transposed tabulations, and
+scattered with one `bincount` per test field.  State coefficients (the
+Newton wind and state gradients) are evaluated from `context["state"]` on
+every apply, so nothing can go stale.  Action and assembly agree to
+rounding.
 
 Boundary conditions follow one canonical convention: assembled matrices have
 Dirichlet rows and columns zeroed with a unit diagonal, and the matrix-free
@@ -14,6 +26,8 @@ copying them through to the output.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,11 +81,77 @@ class SpaceEval:
         return loc.reshape(len(loc), -1, nc)
 
 
+class _Reference:
+    """Reference tabulation of one space at one rule, laid out for the
+    matrix-free action: values (nq, nn) and gradients with rows ordered
+    (point, reference direction), (nq*dim, nn).  Local dofs are handled
+    component-major, (ncells*ncomp, nn)."""
+
+    def __init__(self, space, rule):
+        tab = tabulate(space.element, rule.points)
+        nq, nn, dim = tab.gradients.shape
+        self.space = space
+        self.ncomp = space.ncomp
+        self.values = tab.values
+        self.grads = tab.gradients.transpose(0, 2, 1).reshape(nq * dim, nn)
+
+    def gather(self, x):
+        """Local dofs of x, component-major."""
+        dofs = self.space.cell_dofs
+        xloc = x[dofs].reshape(len(dofs), -1, self.ncomp)
+        return xloc.transpose(0, 2, 1).reshape(-1, xloc.shape[1])
+
+    def scatter(self, yloc):
+        """Sum component-major local values into a vector of the space."""
+        dofs = self.space.cell_dofs
+        yloc = yloc.reshape(len(dofs), self.ncomp, -1).transpose(0, 2, 1)
+        return np.bincount(dofs.ravel(), weights=yloc.ravel(),
+                           minlength=self.space.num_dofs)
+
+
+class _AtPoints:
+    """One field at the quadrature points of every cell: values (ncells,
+    ncomp, nq) and physical gradients (ncells, ncomp, nq, dim), each
+    computed from the gathered local dofs on first use."""
+
+    def __init__(self, ref, xloc, Jinv):
+        self.ref = ref
+        self.xloc = xloc  # (ncells*ncomp, nn)
+        self.Jinv = Jinv
+
+    @functools.cached_property
+    def values(self):
+        return (self.xloc @ self.ref.values.T).reshape(
+            len(self.Jinv), self.ref.ncomp, -1)
+
+    @functools.cached_property
+    def grads(self):
+        ncells, dim, _ = self.Jinv.shape
+        ref = (self.xloc @ self.ref.grads.T).reshape(ncells, -1, dim)
+        return (ref @ self.Jinv).reshape(ncells, self.ref.ncomp, -1, dim)
+
+
+class _StateAtPoints(dict):
+    """Fields of the form's Newton state at the quadrature points, each
+    evaluated once per action from `context["state"]`."""
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, field):
+        form = self.form
+        x = form.context["state"][form.state_space.field_slice(field)]
+        at = self[field] = form.at_points(form.state_space.fields[field], x)
+        return at
+
+
 # --- kernel vocabulary ----------------------------------------------------
 #
 # Each term computes local matrices (ncells, nt, ns) in the interleaved
-# component layout of the involved spaces.  `wq` is weights * detJ,
-# shape (ncells, nq).
+# component layout of the involved spaces, and its integrand at the
+# quadrature points in the component-major layout of `_AtPoints`.  `wq` is
+# weights * detJ, shape (ncells, nq).
 
 def _component_diag(scalar_local, ncomp):
     if ncomp == 1:
@@ -96,13 +176,32 @@ def _interleave(blk):
 
 
 class Term:
-    """One kernel contribution to a block of a form."""
+    """One kernel contribution to a block of a form, defined twice over the
+    same integrand.
+
+    `local` returns element matrices (ncells, nt, ns) for assembly.
+    `pointwise` returns the integrand of the matrix-free action at the
+    quadrature points, unweighted, as a pair (against test values, against
+    test gradients) of new arrays (ncells, kt, nq) and (ncells, kt, nq,
+    dim), either of them None.  It reads `trial` of the trial field
+    (`u.values` or `u.grads`, see `_AtPoints`) and, if `state` is a pair
+    (field, "values" | "grads"), that data of the state field.
+    """
+
+    trial = "values"
+    test = "values"
+    state = None
 
     def local(self, form, test_ev, trial_ev, wq):
         raise NotImplementedError
 
-    def flops_per_cell(self, nq, nt, ns):
-        return 2 * nq * nt * ns
+    def pointwise(self, form, u, state):
+        raise NotImplementedError
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        """Flops of `pointwise` on one cell, adding into the accumulator
+        included."""
+        raise NotImplementedError
 
 
 class MassTerm(Term):
@@ -114,8 +213,16 @@ class MassTerm(Term):
         scalar = np.einsum("cq,qi,qj->cij", wq * c, test_ev.values, trial_ev.values)
         return _component_diag(scalar, trial_ev.space.ncomp)
 
+    def pointwise(self, form, u, state):
+        return form.pointwise_coefficient(self.coef) * u.values, None
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return 2 * ks * nq
+
 
 class StiffnessTerm(Term):
+    trial = test = "grads"
+
     def __init__(self, coef=1.0):
         self.coef = coef
 
@@ -124,17 +231,38 @@ class StiffnessTerm(Term):
         scalar = np.einsum("cq,cqid,cqjd->cij", wq * c, test_ev.grads, trial_ev.grads)
         return _component_diag(scalar, trial_ev.space.ncomp)
 
+    def pointwise(self, form, u, state):
+        c = np.asarray(form.pointwise_coefficient(self.coef))
+        return None, c[..., None] * u.grads
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return 2 * ks * nq * dim
+
 
 class AdvectionTerm(Term):
     """(w . grad u, v) with the wind supplied by a coefficient."""
 
+    trial = "grads"
+
     def __init__(self, wind):
         self.wind = wind
+        if isinstance(wind, StateWind):
+            self.state = (wind.field, "values")
 
     def local(self, form, test_ev, trial_ev, wq):
         w = form.wind_at_points(self.wind)  # (ncells, nq, dim)
         scalar = np.einsum("cq,cqd,qi,cqjd->cij", wq, w, test_ev.values, trial_ev.grads)
         return _component_diag(scalar, trial_ev.space.ncomp)
+
+    def pointwise(self, form, u, state):
+        if self.state:
+            w = np.swapaxes(state[self.wind.field].values, 1, 2)
+        else:
+            w = form.wind_at_points(self.wind)  # (ncells, nq, dim)
+        return np.sum(u.grads * w[:, None], axis=3), None
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return 2 * ks * nq * dim
 
 
 class VectorReactionTerm(Term):
@@ -142,6 +270,7 @@ class VectorReactionTerm(Term):
 
     def __init__(self, state_field):
         self.state_field = state_field
+        self.state = (state_field, "grads")
 
     def local(self, form, test_ev, trial_ev, wq):
         g0 = form.state_grads(self.state_field)  # (ncells, nq, k, l)
@@ -149,21 +278,49 @@ class VectorReactionTerm(Term):
                         test_ev.values, trial_ev.values)
         return _interleave(blk)
 
+    def pointwise(self, form, u, state):
+        g0 = state[self.state_field].grads  # (ncells, k, nq, l)
+        return np.sum(g0 * np.swapaxes(u.values, 1, 2)[:, None], axis=3), None
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return 2 * kt * ks * nq
+
 
 class PressureGradientTerm(Term):
     """-(p, div v): vector test space, scalar trial space."""
+
+    test = "grads"
 
     def local(self, form, test_ev, trial_ev, wq):
         blk = np.einsum("cq,cqid,qj->cdij", wq, test_ev.grads, trial_ev.values)
         return _interleave(-blk[:, :, None])
 
+    def pointwise(self, form, u, state):
+        ncells, _, nq = u.values.shape
+        dim = form.mesh.dim
+        g = np.zeros((ncells, dim, nq, dim))
+        for k in range(dim):
+            g[:, k, :, k] = -u.values[:, 0]
+        return None, g
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return dim * nq
+
 
 class DivergenceTerm(Term):
     """(div u, q): scalar test space, vector trial space."""
 
+    trial = "grads"
+
     def local(self, form, test_ev, trial_ev, wq):
         blk = np.einsum("cq,qi,cqjd->cdij", wq, test_ev.values, trial_ev.grads)
         return _interleave(blk[:, None])
+
+    def pointwise(self, form, u, state):
+        return np.trace(u.grads, axis1=1, axis2=3)[:, None], None
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return ks * nq
 
 
 class BuoyancyTerm(Term):
@@ -179,17 +336,34 @@ class BuoyancyTerm(Term):
         blk = (c * zhat)[:, None, None, None] * scalar[:, None, None]
         return _interleave(blk)
 
+    def pointwise(self, form, u, state):
+        c = form.coefficient_value(self.coef)
+        zhat = UPWARD[form.mesh.dim]
+        return (c * zhat)[None, :, None] * u.values, None
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return 2 * kt * nq
+
 
 class ScalarCouplingTerm(Term):
     """(du . grad s0, s): scalar test space, vector trial space."""
 
     def __init__(self, state_field):
         self.state_field = state_field
+        self.state = (state_field, "grads")
 
     def local(self, form, test_ev, trial_ev, wq):
         g0 = form.state_grads(self.state_field)  # (ncells, nq, dim)
         blk = np.einsum("cq,cqd,qi,qj->cdij", wq, g0, test_ev.values, trial_ev.values)
         return _interleave(blk[:, None])
+
+    def pointwise(self, form, u, state):
+        g0 = state[self.state_field].grads[:, 0]  # (ncells, nq, dim)
+        return np.sum(u.values * np.swapaxes(g0, 1, 2), axis=1,
+                      keepdims=True), None
+
+    def flops_per_cell(self, nq, kt, ks, dim):
+        return 2 * ks * nq
 
 
 # --- the form itself ------------------------------------------------------
@@ -230,6 +404,7 @@ class Form:
         self.rule = make_quadrature(self.mesh.dim, quad_degree)
         self.wq = self.rule.weights[None, :] * self.geom.detJ[:, None]
         self._evals = {}
+        self._refs = {}
 
     # -- context helpers ---------------------------------------------------
 
@@ -244,6 +419,25 @@ class Form:
         if isinstance(coef, str):
             return self.context[coef]
         return coef
+
+    def _reference(self, space):
+        ref = self._refs.get(id(space))
+        if ref is None:
+            ref = self._refs[id(space)] = _Reference(space, self.rule)
+        return ref
+
+    def at_points(self, space, x):
+        """The function x of `space` at the quadrature points."""
+        ref = self._reference(space)
+        return _AtPoints(ref, ref.gather(x), self.geom.Jinv)
+
+    def pointwise_coefficient(self, coef):
+        """A constant coefficient as a float; a callable one at all
+        quadrature points, (ncells, 1, nq)."""
+        coef = self.coefficient_value(coef)
+        if callable(coef):
+            return self.coefficient_at_points(coef)[:, None, :]
+        return float(coef)
 
     def coefficient_at_points(self, coef):
         """Scalar coefficient at all quadrature points, (ncells, nq)."""
@@ -292,17 +486,35 @@ class Form:
         return out
 
     def flops_per_apply(self):
-        """Analytic flop estimate of one matrix-free application."""
-        ncells = self.mesh.num_cells
-        nq = len(self.rule.weights)
-        total = 0
+        """Analytic flop count of one matrix-free application: the
+        tabulation products and `Jinv` maps of every trial, state and test
+        field the terms use, and the pointwise terms."""
+        ncells, nq = self.wq.shape
+        dim = self.mesh.dim
+        fields = {"trial": self.col_space.fields, "test": self.row_space.fields,
+                  "state": self.state_space.fields}
+        maps = set()
+        per_cell = 0
         for (i, j), terms in self.blocks.items():
-            nt = self.row_space.fields[i].element.ndofs
-            ns = self.col_space.fields[j].element.ndofs
+            kt = self.row_space.fields[i].ncomp
+            ks = self.col_space.fields[j].ncomp
             for term in terms:
-                total += ncells * term.flops_per_cell(nq, nt, ns)
-            total += 2 * ncells * nt * ns  # local matvec + scatter
-        return total
+                maps.add(("trial", j, term.trial))
+                maps.add(("test", i, term.test))
+                if term.state:
+                    maps.add(("state",) + term.state)
+                per_cell += term.flops_per_cell(nq, kt, ks, dim)
+        for role, f, kind in maps:
+            space = fields[role][f]
+            nn, k = space.element.nnodes, space.ncomp
+            if kind == "values":
+                per_cell += 2 * k * nq * nn
+            else:
+                per_cell += 2 * k * nq * dim * (nn + dim)
+            if role == "test":
+                # quadrature weights, then the scatter
+                per_cell += k * nq * (1 if kind == "values" else dim) + k * nn
+        return ncells * per_cell
 
     # -- global operations -------------------------------------------------
 
@@ -340,7 +552,8 @@ class Form:
         return A
 
     def action(self, x, bcs=(), bc_rows=None, bc_cols=None):
-        """Matrix-free y = A x consistent with assemble()."""
+        """Matrix-free y = A x consistent with assemble(), evaluated at the
+        quadrature points."""
         x = np.asarray(x, dtype=float)
         rs, cs = self.row_space, self.col_space
         if len(x) != cs.num_dofs:
@@ -350,17 +563,39 @@ class Form:
         if len(bc):
             x0 = x.copy()
             x0[bc] = 0.0
-        y = np.zeros(rs.num_dofs)
-        for (i, j) in self.blocks:
-            loc = self.block_local_matrices(i, j)
-            if loc is None:
+        trial = {}
+        state = _StateAtPoints(self)
+        # test field -> [against values (c, kt, q), against grads (c, kt, q, dim)]
+        acc = {}
+        for (i, j), terms in self.blocks.items():
+            if not terms:
                 continue
-            rdofs = rs.fields[i].cell_dofs + rs.offsets[i]
-            cdofs = cs.fields[j].cell_dofs + cs.offsets[j]
-            xloc = x0[cdofs]
-            yloc = np.einsum("cij,cj->ci", loc, xloc)
-            y += np.bincount(rdofs.ravel(), weights=yloc.ravel(),
-                             minlength=rs.num_dofs)
+            u = trial.get(j)
+            if u is None:
+                u = trial[j] = self.at_points(cs.fields[j],
+                                              x0[cs.field_slice(j)])
+            yi = acc.setdefault(i, [None, None])
+            for term in terms:
+                for slot, part in enumerate(term.pointwise(self, u, state)):
+                    if part is None:
+                        continue
+                    if yi[slot] is None:
+                        yi[slot] = part
+                    else:
+                        yi[slot] += part
+        y = np.zeros(rs.num_dofs)
+        ncells, nq = self.wq.shape
+        JinvT = np.swapaxes(self.geom.Jinv, 1, 2)
+        for i, (yv, yg) in acc.items():
+            ref = self._reference(rs.fields[i])
+            yloc = 0.0
+            if yv is not None:
+                yloc = (yv * self.wq[:, None]).reshape(-1, nq) @ ref.values
+            if yg is not None:
+                yg = (yg * self.wq[:, None, :, None]).reshape(
+                    ncells, -1, self.mesh.dim) @ JinvT
+                yloc = yloc + yg.reshape(-1, nq * self.mesh.dim) @ ref.grads
+            y[rs.field_slice(i)] += ref.scatter(yloc)
         if len(br):
             if self.bc_diagonal:
                 y[br] = x[br]

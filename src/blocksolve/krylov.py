@@ -124,8 +124,11 @@ class KSP:
                 f"{self.prefix or 'ksp'}: non-finite residual at iteration {it}",
                 SolveReport(False, "diverged_nan", it, rnorm))
 
-    def _finish(self, x, converged, reason, it, rnorm, A, b):
-        true_norm = np.linalg.norm(b - A.apply(x))
+    def _finish(self, x, converged, reason, it, rnorm, A, b, true_norm=None):
+        """Report the solve; `true_norm` is ||b - A x|| when the caller
+        has it already."""
+        if true_norm is None:
+            true_norm = np.linalg.norm(b - A.apply(x))
         report = SolveReport(converged, reason, it, rnorm, true_norm)
         self.last_report = report
         if not converged and self.error_if_not_converged:
@@ -146,7 +149,10 @@ class KSP:
         x = self._apply_pc(b)
         rnorm = np.linalg.norm(b - A.apply(x))
         self._monitor(0, rnorm)
-        return self._finish(x, True, "preonly", 1, rnorm, A, b)
+        # the same expression _finish would compute: reuse it (for a
+        # Schur complement, each apply is a full inner solve)
+        return self._finish(x, True, "preonly", 1, rnorm, A, b,
+                            true_norm=rnorm)
 
     def _solve_richardson(self, A, b, x0):
         x = x0

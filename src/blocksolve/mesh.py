@@ -18,8 +18,6 @@ import numpy as np
 __all__ = ["Mesh", "CellGeometry", "build_unit_square", "build_unit_cube",
            "vertex_patch"]
 
-_PLANE_TOL = 1e-12
-
 
 class CellGeometry:
     """Affine geometry of every cell: Jacobians, inverses, determinants."""
@@ -39,7 +37,8 @@ class CellGeometry:
         return self.x0[:, None, :] + np.einsum("cde,qe->cqd", self.J, rule.points)
 
 
-@dataclass(frozen=True)
+# eq=False: identity semantics; field-wise == over numpy arrays raises
+@dataclass(frozen=True, eq=False)
 class Mesh:
     dim: int
     vertices: np.ndarray          # (nverts, dim)

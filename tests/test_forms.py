@@ -1,10 +1,11 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 
-from blocksolve.mesh import build_unit_square
+from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, interpolate)
 from blocksolve.forms import (mass_form, stiffness_form,
@@ -12,7 +13,9 @@ from blocksolve.forms import (mass_form, stiffness_form,
                               ns_jacobian_form, rb_jacobian_form,
                               pressure_mass_form, load_vector,
                               ns_residual, rb_residual, poisson_residual,
-                              jacobian_check, collect_bc_dofs)
+                              jacobian_check, collect_bc_dofs, pcd_form,
+                              StateWind)
+from blocksolve.operators import ImplicitOperator
 
 
 def _unit_right_triangle_space():
@@ -110,6 +113,101 @@ class TestAssembleActionConsistency:
         assert np.allclose(A[nu:, nu:], 0.0)
         # pressure gradient is the negative transpose of divergence
         assert np.allclose(A[:nu, nu:], -A[nu:, :nu].T, atol=1e-13)
+
+
+def _rb_operator(dim):
+    """RB Jacobian operator at a random state, Dirichlet velocity on every
+    wall and temperature on one."""
+    mesh = build_unit_square(2) if dim == 2 else build_unit_cube(1)
+    walls = tuple(range(1, 2 * dim + 1))
+    V = build_space(mesh, 2, ncomp=dim)
+    Q = build_space(mesh, 1)
+    T = build_space(mesh, 1)
+    W = MixedSpace([V, Q, T])
+    bcs = [DirichletBC(V, walls, value=[0.0] * dim, field=0),
+           DirichletBC(T, (1,), value=1.0, field=2)]
+    form = rb_jacobian_form(W, Ra=200.0, Pr=6.18)
+    form.context["state"] = np.random.default_rng(dim).standard_normal(
+        W.num_dofs)
+    return ImplicitOperator(form, bcs=bcs)
+
+
+def _action_matches_assembly(op, seed=3):
+    """||apply(x) - A x|| <= 1e-12 ||A x||; an empty block must give 0."""
+    x = np.random.default_rng(seed).standard_normal(op.shape[1])
+    ref = op.assemble().A @ x
+    return np.linalg.norm(op.apply(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestActionMatchesAssembly:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_rb_sub_operator(self, dim):
+        op = _rb_operator(dim)
+        subsets = [c for r in (1, 2, 3)
+                   for c in itertools.combinations(range(3), r)]
+        for rf, cf in itertools.product(subsets, subsets):
+            sub = op.extract_fields(rf, cf)
+            assert _action_matches_assembly(sub), (rf, cf)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pcd_fp_reads_parent_state(self, dim):
+        form = _rb_operator(dim).form
+        Fp = pcd_form(form.col_space.fields[1], 20.0, StateWind(0),
+                      context=form.context, state_space=form.col_space)
+        assert _action_matches_assembly(ImplicitOperator(Fp))
+
+    def test_vector_mass(self):
+        V = build_space(build_unit_square(2), 3, ncomp=2)
+        assert _action_matches_assembly(ImplicitOperator(mass_form(V, coef=2.0)))
+
+    def test_callable_wind_and_context_coefficient(self):
+        V = build_space(build_unit_square(3), 2)
+        form = convection_diffusion_form(
+            V, nu="nu", wind=lambda x: np.array([np.sin(x[1]), x[0] ** 2]),
+            context={"nu": 0.3})
+        bc = DirichletBC(V, (1, 3))
+        assert _action_matches_assembly(ImplicitOperator(form, bcs=[bc]))
+
+
+class _Reads:
+    """Field `field` of x at the quadrature points; records what a term
+    reads of it."""
+
+    def __init__(self, form, mixed, x, field, log, tag):
+        self.at = form.at_points(mixed.fields[field],
+                                 x[mixed.field_slice(field)])
+        self.log, self.tag = log, tag
+
+    def __getattr__(self, kind):
+        self.log.add(self.tag + (kind,))
+        return getattr(self.at, kind)
+
+
+def test_terms_declare_what_pointwise_reads():
+    # flops_per_apply counts tabulation products from these declarations
+    rb = _rb_operator(2).form
+    V = build_space(rb.mesh, 2)
+    for form in (rb, mass_form(V, coef=2.0),
+                 convection_diffusion_form(V, wind=[1.0, 0.5])):
+        x = np.random.default_rng(0).standard_normal(form.col_space.num_dofs)
+        state = form.context.get("state", x)
+        for (i, j), terms in form.blocks.items():
+            for term in terms:
+                log = set()
+                u = _Reads(form, form.col_space, x, j, log, ())
+                fields = {f: _Reads(form, form.state_space, state, f, log, (f,))
+                          for f in range(form.state_space.num_fields)}
+                yv, yg = term.pointwise(form, u, fields)
+                expect = {(term.trial,)} | ({term.state} if term.state else set())
+                assert log == expect, type(term).__name__
+                assert (yv is None, yg is None) == \
+                    (term.test != "values", term.test != "grads")
+
+
+def test_action_keeps_no_per_point_arrays():
+    op = _rb_operator(2)
+    op.apply(np.ones(op.shape[1]))
+    assert op.form._evals == {}
 
 
 class TestJacobians:

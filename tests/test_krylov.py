@@ -96,6 +96,23 @@ class TestOtherTypes:
         assert rep.converged
         assert rep.true_residual_norm < 1e-9
 
+    def test_preonly_applies_operator_once(self):
+        # the reported true residual is the one preonly computed; a Schur
+        # complement operator pays a full inner solve per apply
+        class Counting(AssembledOperator):
+            applies = 0
+
+            def apply(self, x):
+                Counting.applies += 1
+                return super().apply(x)
+
+        A = _spd(15, seed=9)
+        op = Counting(A.A)
+        b = np.random.default_rng(10).standard_normal(15)
+        x, rep = KSP("preonly", pc=LUPC().set_up(A)).solve(op, b)
+        assert Counting.applies == 1
+        assert rep.true_residual_norm == rep.residual_norm
+
     def test_richardson_with_pc(self):
         A = _spd(10, seed=11)
         pc = LUPC().set_up(A)

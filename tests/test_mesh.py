@@ -92,3 +92,9 @@ def test_export_text_counts():
     # vertex lines parse back exactly
     first = np.array([float(t) for t in lines[2].split()])
     assert np.array_equal(first, mesh.vertices[0])
+
+
+def test_meshes_compare_by_identity():
+    a, b = build_unit_square(2), build_unit_square(2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
