@@ -8,6 +8,17 @@ builds element matrices for every cell at once, which global assembly
 scatters into CSR; `pointwise` evaluates the integrand at the quadrature
 points, which the matrix-free action uses.
 
+Assembly uses the tensor representation of affine simplices (Kirby and
+Logg, "A compiler for variational forms", ACM TOMS 32(3), 2006).  Each
+term builds a per-point factor of shape (ncells, nq*a*b): weight times
+coefficient, with the per-cell `Jinv` folded in for each slot that reads
+gradients (a, b = dim there, 1 for values).  One product with the
+reference tensor R[(q, a, b), (i, j)] of the test and trial tabulations
+gives the element matrices of every cell; terms that couple components
+carry the component indices as leading axes of the factor.  No physical
+gradient array (ncells, nq, nn, dim) is formed, and state coefficients
+come from the same quadrature-point evaluation the action uses.
+
 The action works at quadrature points and never forms an element matrix.
 For each trial field it gathers the local dofs once and takes values and
 physical gradients with one product against the reference tabulation and
@@ -48,14 +59,20 @@ UPWARD = {2: np.array([0.0, 1.0]), 3: np.array([0.0, 0.0, 1.0])}
 
 
 class SpaceEval:
-    """Tabulated basis data of one space at one rule, mapped to all cells."""
+    """Tabulated basis data of one space at one rule, mapped to all cells.
+    The physical gradients are formed on first use."""
 
     def __init__(self, space, geom, rule):
         self.space = space
+        self.Jinv = geom.Jinv
         tab = tabulate(space.element, rule.points)
         self.values = tab.values                      # (nq, nn)
-        # physical gradients (ncells, nq, nn, dim)
-        self.grads = np.einsum("qne,ced->cqnd", tab.gradients, geom.Jinv)
+        self.ref_grads = tab.gradients                # (nq, nn, dim)
+
+    @functools.cached_property
+    def grads(self):
+        """Physical gradients (ncells, nq, nn, dim)."""
+        return np.einsum("qne,ced->cqnd", self.ref_grads, self.Jinv)
 
     def function_values(self, x):
         """Pointwise values of the (possibly vector) function x: scalar ->
@@ -82,10 +99,10 @@ class SpaceEval:
 
 
 class _Reference:
-    """Reference tabulation of one space at one rule, laid out for the
-    matrix-free action: values (nq, nn) and gradients with rows ordered
-    (point, reference direction), (nq*dim, nn).  Local dofs are handled
-    component-major, (ncells*ncomp, nn)."""
+    """Reference tabulation of one space at one rule, shared by the
+    matrix-free action, assembly and load vectors: values (nq, nn) and
+    gradients with rows ordered (point, reference direction), (nq*dim,
+    nn).  Local dofs are handled component-major, (ncells*ncomp, nn)."""
 
     def __init__(self, space, rule):
         tab = tabulate(space.element, rule.points)
@@ -94,6 +111,13 @@ class _Reference:
         self.ncomp = space.ncomp
         self.values = tab.values
         self.grads = tab.gradients.transpose(0, 2, 1).reshape(nq * dim, nn)
+
+    def slot(self, kind):
+        """The basis at the points for a term slot reading "values" or
+        "grads": (nq, 1, nn) or (nq, dim, nn) over reference directions."""
+        nq, nn = self.values.shape
+        table = self.values if kind == "values" else self.grads
+        return table.reshape(nq, -1, nn)
 
     def gather(self, x):
         """Local dofs of x, component-major."""
@@ -175,24 +199,36 @@ def _interleave(blk):
     return out
 
 
+def _weighted_jinv(form):
+    """wq[c, q] Jinv[c, e, d] as (ncells, d, nq*e): the factor of a term
+    whose one gradient slot has its physical direction d as the component
+    index of the vector space on the other side."""
+    JinvT = np.swapaxes(form.geom.Jinv, 1, 2)
+    f = form.wq[:, None, :, None] * JinvT[:, :, None, :]
+    return f.reshape(len(f), form.mesh.dim, -1)
+
+
 class Term:
     """One kernel contribution to a block of a form, defined twice over the
     same integrand.
 
-    `local` returns element matrices (ncells, nt, ns) for assembly.
+    `local` returns element matrices (ncells, nt, ns) for assembly, from a
+    per-point factor through `Form.element_matrices`, which reads the
+    term's `test` and `trial` slots.
     `pointwise` returns the integrand of the matrix-free action at the
     quadrature points, unweighted, as a pair (against test values, against
     test gradients) of new arrays (ncells, kt, nq) and (ncells, kt, nq,
     dim), either of them None.  It reads `trial` of the trial field
-    (`u.values` or `u.grads`, see `_AtPoints`) and, if `state` is a pair
-    (field, "values" | "grads"), that data of the state field.
+    (`u.values` or `u.grads`, see `_AtPoints`).
+    Both read, if `state` is a pair (field, "values" | "grads"), that data
+    of the Newton state field from `state[field]` (see `_StateAtPoints`).
     """
 
     trial = "values"
     test = "values"
     state = None
 
-    def local(self, form, test_ev, trial_ev, wq):
+    def local(self, form, test, trial, state):
         raise NotImplementedError
 
     def pointwise(self, form, u, state):
@@ -208,10 +244,10 @@ class MassTerm(Term):
     def __init__(self, coef=1.0):
         self.coef = coef
 
-    def local(self, form, test_ev, trial_ev, wq):
+    def local(self, form, test, trial, state):
         c = form.coefficient_at_points(self.coef)
-        scalar = np.einsum("cq,qi,qj->cij", wq * c, test_ev.values, trial_ev.values)
-        return _component_diag(scalar, trial_ev.space.ncomp)
+        scalar = form.element_matrices(self, test, trial, form.wq * c)
+        return _component_diag(scalar, trial.ncomp)
 
     def pointwise(self, form, u, state):
         return form.pointwise_coefficient(self.coef) * u.values, None
@@ -226,10 +262,14 @@ class StiffnessTerm(Term):
     def __init__(self, coef=1.0):
         self.coef = coef
 
-    def local(self, form, test_ev, trial_ev, wq):
+    def local(self, form, test, trial, state):
         c = form.coefficient_at_points(self.coef)
-        scalar = np.einsum("cq,cqid,cqjd->cij", wq * c, test_ev.grads, trial_ev.grads)
-        return _component_diag(scalar, trial_ev.space.ncomp)
+        Jinv = form.geom.Jinv
+        metric = Jinv @ np.swapaxes(Jinv, 1, 2)  # (ncells, e, f)
+        factor = (form.wq * c)[:, :, None, None] * metric[:, None]
+        scalar = form.element_matrices(self, test, trial,
+                                       factor.reshape(len(factor), -1))
+        return _component_diag(scalar, trial.ncomp)
 
     def pointwise(self, form, u, state):
         c = np.asarray(form.pointwise_coefficient(self.coef))
@@ -249,16 +289,22 @@ class AdvectionTerm(Term):
         if isinstance(wind, StateWind):
             self.state = (wind.field, "values")
 
-    def local(self, form, test_ev, trial_ev, wq):
-        w = form.wind_at_points(self.wind)  # (ncells, nq, dim)
-        scalar = np.einsum("cq,cqd,qi,cqjd->cij", wq, w, test_ev.values, trial_ev.grads)
-        return _component_diag(scalar, trial_ev.space.ncomp)
+    def _wind(self, form, state):
+        """The wind at the quadrature points, (ncells, nq, dim)."""
+        if self.state:
+            return np.swapaxes(state[self.wind.field].values, 1, 2)
+        return form.wind_at_points(self.wind)
+
+    def local(self, form, test, trial, state):
+        # w . grad psi_j = (Jinv w) . reference gradient of psi_j
+        wref = self._wind(form, state) @ np.swapaxes(form.geom.Jinv, 1, 2)
+        factor = form.wq[:, :, None] * wref
+        scalar = form.element_matrices(self, test, trial,
+                                       factor.reshape(len(factor), -1))
+        return _component_diag(scalar, trial.ncomp)
 
     def pointwise(self, form, u, state):
-        if self.state:
-            w = np.swapaxes(state[self.wind.field].values, 1, 2)
-        else:
-            w = form.wind_at_points(self.wind)  # (ncells, nq, dim)
+        w = self._wind(form, state)
         return np.sum(u.grads * w[:, None], axis=3), None
 
     def flops_per_cell(self, nq, kt, ks, dim):
@@ -272,11 +318,10 @@ class VectorReactionTerm(Term):
         self.state_field = state_field
         self.state = (state_field, "grads")
 
-    def local(self, form, test_ev, trial_ev, wq):
-        g0 = form.state_grads(self.state_field)  # (ncells, nq, k, l)
-        blk = np.einsum("cq,cqkl,qi,qj->cklij", wq, g0,
-                        test_ev.values, trial_ev.values)
-        return _interleave(blk)
+    def local(self, form, test, trial, state):
+        g0 = state[self.state_field].grads  # (ncells, k, nq, l)
+        factor = np.swapaxes(g0, 2, 3) * form.wq[:, None, None, :]
+        return _interleave(form.element_matrices(self, test, trial, factor))
 
     def pointwise(self, form, u, state):
         g0 = state[self.state_field].grads  # (ncells, k, nq, l)
@@ -291,8 +336,8 @@ class PressureGradientTerm(Term):
 
     test = "grads"
 
-    def local(self, form, test_ev, trial_ev, wq):
-        blk = np.einsum("cq,cqid,qj->cdij", wq, test_ev.grads, trial_ev.values)
+    def local(self, form, test, trial, state):
+        blk = form.element_matrices(self, test, trial, _weighted_jinv(form))
         return _interleave(-blk[:, :, None])
 
     def pointwise(self, form, u, state):
@@ -312,8 +357,8 @@ class DivergenceTerm(Term):
 
     trial = "grads"
 
-    def local(self, form, test_ev, trial_ev, wq):
-        blk = np.einsum("cq,qi,cqjd->cdij", wq, test_ev.values, trial_ev.grads)
+    def local(self, form, test, trial, state):
+        blk = form.element_matrices(self, test, trial, _weighted_jinv(form))
         return _interleave(blk[:, None])
 
     def pointwise(self, form, u, state):
@@ -329,10 +374,10 @@ class BuoyancyTerm(Term):
     def __init__(self, coef):
         self.coef = coef
 
-    def local(self, form, test_ev, trial_ev, wq):
+    def local(self, form, test, trial, state):
         c = form.coefficient_value(self.coef)
-        zhat = UPWARD[test_ev.space.mesh.dim]
-        scalar = np.einsum("cq,qi,qj->cij", wq, test_ev.values, trial_ev.values)
+        zhat = UPWARD[test.mesh.dim]
+        scalar = form.element_matrices(self, test, trial, form.wq)
         blk = (c * zhat)[:, None, None, None] * scalar[:, None, None]
         return _interleave(blk)
 
@@ -352,10 +397,11 @@ class ScalarCouplingTerm(Term):
         self.state_field = state_field
         self.state = (state_field, "grads")
 
-    def local(self, form, test_ev, trial_ev, wq):
-        g0 = form.state_grads(self.state_field)  # (ncells, nq, dim)
-        blk = np.einsum("cq,cqd,qi,qj->cdij", wq, g0, test_ev.values, trial_ev.values)
-        return _interleave(blk[:, None])
+    def local(self, form, test, trial, state):
+        g0 = state[self.state_field].grads[:, 0]  # (ncells, nq, dim)
+        factor = np.swapaxes(g0, 1, 2) * form.wq[:, None, :]
+        return _interleave(form.element_matrices(self, test, trial,
+                                                 factor)[:, None])
 
     def pointwise(self, form, u, state):
         g0 = state[self.state_field].grads[:, 0]  # (ncells, nq, dim)
@@ -448,11 +494,8 @@ class Form:
         return np.broadcast_to(float(coef), self.wq.shape)
 
     def wind_at_points(self, wind):
-        """Vector wind at all quadrature points, (ncells, nq, dim)."""
-        if isinstance(wind, StateWind):
-            space = self.state_space.fields[wind.field]
-            x = self._state_field(wind.field)
-            return self.space_eval(space).function_values(x)
+        """Vector wind coefficient at all quadrature points, (ncells, nq,
+        dim)."""
         wind = self.coefficient_value(wind)
         if callable(wind):
             pts = self.geom.physical_points(self.rule)
@@ -461,27 +504,36 @@ class Form:
         ncells, nq = self.wq.shape
         return np.broadcast_to(arr, (ncells, nq, self.mesh.dim))
 
-    def state_grads(self, field):
-        x = self._state_field(field)
-        space = self.state_space.fields[field]
-        return self.space_eval(space).function_grads(x)
-
-    def _state_field(self, field):
-        state = self.context["state"]
-        return state[self.state_space.field_slice(field)]
-
     # -- kernels -----------------------------------------------------------
+
+    def element_matrices(self, term, test, trial, factor):
+        """Element matrices of `term` between the spaces `test` and `trial`
+        from its per-point factor, in one product with the reference
+        tensor R[(q, e, f), (i, j)] = A[q, e, i] B[q, f, j], where A and B
+        are the test and trial basis in the term's slots (`_Reference.slot`:
+        e and f run over the reference directions of a "grads" slot and
+        take one value for "values", a and b values in all).  `factor` is
+        (..., nq*a*b), its last axis ordered (q, e, f); the result is (...,
+        nt, ns)."""
+        A = self._reference(test).slot(term.test)
+        B = self._reference(trial).slot(term.trial)
+        nt, ns = A.shape[2], B.shape[2]
+        R = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1,
+                                                                      nt * ns)
+        out = factor.reshape(-1, len(R)) @ R
+        return out.reshape(factor.shape[:-1] + (nt, ns))
 
     def block_local_matrices(self, i, j):
         """Sum of all kernel contributions to block (i, j), or None."""
         terms = self.blocks.get((i, j))
         if not terms:
             return None
-        test_ev = self.space_eval(self.row_space.fields[i])
-        trial_ev = self.space_eval(self.col_space.fields[j])
+        test = self.row_space.fields[i]
+        trial = self.col_space.fields[j]
+        state = _StateAtPoints(self)
         out = None
         for term in terms:
-            loc = term.local(self, test_ev, trial_ev, self.wq)
+            loc = term.local(self, test, trial, state)
             out = loc if out is None else out + loc
         return out
 
@@ -738,7 +790,6 @@ def load_vector(form, f, field=0):
     """Assemble the load functional (f, v) against field `field` of the
     form's test space.  f is a constant or callable of the coordinates."""
     space = form.row_space.fields[field]
-    ev = form.space_eval(space)
     if callable(f):
         pts = form.geom.physical_points(form.rule)
         fq = np.apply_along_axis(lambda x: np.atleast_1d(np.asarray(f(x), dtype=float)),
@@ -746,13 +797,13 @@ def load_vector(form, f, field=0):
     else:
         fq = np.broadcast_to(np.atleast_1d(np.asarray(f, dtype=float)),
                              form.wq.shape + (space.ncomp,))
-    if space.ncomp == 1:
-        loc = np.einsum("cq,cq,qi->ci", form.wq, fq[..., 0] if fq.ndim == 3 else fq,
-                        ev.values)
-    else:
-        loc = _vector_test_integral(ev, form.wq, fq)
+    # (ncells, ncomp, nq) against the tabulated test values, then laid out
+    # node-major with components fastest, as the cell dofs are
+    loc = np.swapaxes(fq * form.wq[..., None], 1, 2) @ form.space_eval(
+        space).values
     out = np.zeros(form.row_space.num_dofs)
-    _scatter(space, form.row_space.offsets[field], loc, out)
+    _scatter(space, form.row_space.offsets[field], np.swapaxes(loc, 1, 2),
+             out)
     return out
 
 

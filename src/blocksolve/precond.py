@@ -577,21 +577,18 @@ class SchwarzPC(Preconditioner):
         """Interpolation from the degree-1 space into the fine space."""
         p1 = lagrange_element(V.mesh.dim, 1)
         vals = tabulate(p1, V.element.nodes).values  # (nfine, nverts)
-        entries = {}
-        for ci in range(V.mesh.num_cells):
-            fine = V.cell_scalar_dofs[ci]
-            coarse = Vc.cell_scalar_dofs[ci]
-            for ln, fs in enumerate(fine):
-                for a, cs in enumerate(coarse):
-                    v = vals[ln, a]
-                    if abs(v) > 1e-14:
-                        entries[(fs, cs)] = v
-        rows = np.fromiter((k[0] for k in entries), dtype=np.int64,
-                           count=len(entries))
-        cols = np.fromiter((k[1] for k in entries), dtype=np.int64,
-                           count=len(entries))
-        data = np.fromiter(entries.values(), dtype=float, count=len(entries))
-        Ps = sp.csr_matrix((data, (rows, cols)),
+        shape = (V.mesh.num_cells,) + vals.shape
+        keep = np.broadcast_to(np.abs(vals) > 1e-14, shape)
+        rows = np.broadcast_to(V.cell_scalar_dofs[:, :, None], shape)[keep]
+        cols = np.broadcast_to(Vc.cell_scalar_dofs[:, None, :], shape)[keep]
+        data = np.broadcast_to(vals, shape)[keep]
+        # one entry per (fine, coarse) pair, since csr sums duplicates; the
+        # cells sharing a pair differ in the last bit, and the last cell's
+        # value is kept, as a per-cell loop overwriting a dict would
+        pair = rows * Vc.num_scalar_dofs + cols
+        _, last = np.unique(pair[::-1], return_index=True)
+        last = len(pair) - 1 - last
+        Ps = sp.csr_matrix((data[last], (rows[last], cols[last])),
                            shape=(V.num_scalar_dofs, Vc.num_scalar_dofs))
         if V.ncomp == 1:
             return Ps

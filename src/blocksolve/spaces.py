@@ -1,10 +1,12 @@
 """Global function spaces, mixed spaces, and Dirichlet boundary conditions.
 
-Scalar dofs are discovered cell-by-cell through entity keys (the mesh
-entity a node sits on plus its position along it), which makes dofs shared
-between adjacent cells coincide.  Vector spaces interleave components per
-node.  Mixed spaces concatenate their fields, so every field owns one
-contiguous index range.
+Scalar dofs are numbered with array operations over all (cell, node)
+pairs at once: each pair gets an entity key (the sorted vertices of the
+mesh entity the node sits on plus its position along it), so dofs shared
+between adjacent cells coincide, and the distinct keys are numbered in
+order of first appearance, cell by cell.  Vector spaces interleave
+components per node.  Mixed spaces concatenate their fields, so every
+field owns one contiguous index range.
 """
 
 from __future__ import annotations
@@ -28,29 +30,35 @@ class FunctionSpace:
         self.mesh = mesh
         self.element = element
 
-        degree = element.degree
-        key_to_sdof = {}
-        coords = []
-        cell_sdofs = np.empty((mesh.num_cells, element.nnodes), dtype=np.int64)
-        for ci, cell in enumerate(mesh.cells):
-            cell_verts = mesh.vertices[cell]
-            for ln, multi in enumerate(element.node_multiindex):
-                support = [a for a in range(len(multi)) if multi[a] > 0]
-                gverts = [int(cell[a]) for a in support]
-                order = np.argsort(gverts)
-                key = (tuple(gverts[i] for i in order),
-                       tuple(multi[support[i]] for i in order))
-                sdof = key_to_sdof.get(key)
-                if sdof is None:
-                    sdof = len(key_to_sdof)
-                    key_to_sdof[key] = sdof
-                    x = sum(multi[a] / degree * cell_verts[a]
-                            for a in range(len(multi)))
-                    coords.append(x)
-                cell_sdofs[ci, ln] = sdof
+        cells = mesh.cells
+        multi = np.array(element.node_multiindex)        # (nn, dim+1)
+        ncells, nn = mesh.num_cells, element.nnodes
+        # entity key of every (cell, node): the global ids of the vertices
+        # the node's multi-index is nonzero on, sorted, then those entries
+        # in the same order; vertices off the support sort first as -1
+        gverts = np.where(multi[None] > 0, cells[:, None, :], -1)
+        order = np.argsort(gverts, axis=2)
+        keys = np.concatenate(
+            [np.take_along_axis(gverts, order, axis=2),
+             np.take_along_axis(np.broadcast_to(multi, gverts.shape), order,
+                                axis=2)], axis=2).reshape(ncells * nn, -1)
+        # each key row as one opaque item: grouping equal rows needs no
+        # lexicographic order, and a byte-wise sort is several times faster
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+        _, first, inverse = np.unique(rows.ravel(), return_index=True,
+                                      return_inverse=True)
+        # number entities in order of first appearance, cell by cell
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        cell_sdofs = rank[inverse].reshape(ncells, nn)
 
-        self.num_scalar_dofs = len(key_to_sdof)
-        self.scalar_dof_coords = np.array(coords)
+        # coordinates from the first (cell, node) of each entity
+        firsts = np.sort(first)
+        weights = multi[firsts % nn] / element.degree   # (nsdofs, dim+1)
+        verts = mesh.vertices[cells[firsts // nn]]      # (nsdofs, dim+1, dim)
+
+        self.num_scalar_dofs = len(first)
+        self.scalar_dof_coords = np.einsum("sa,sad->sd", weights, verts)
         self.cell_scalar_dofs = cell_sdofs
 
         nc = element.ncomp
@@ -147,22 +155,25 @@ class DirichletBC:
         sdofs = self.space.boundary_scalar_dofs(self.markers)
         nc = self.space.ncomp
         self.dofs = (sdofs[:, None] * nc + np.arange(nc)[None, :]).ravel()
-        vals = np.empty((len(sdofs), nc))
-        for i, s in enumerate(sdofs):
-            x = self.space.scalar_dof_coords[s]
-            g = self.value(x) if callable(self.value) else self.value
-            vals[i, :] = g
-        self.values = vals.ravel()
+        self.values = _nodal_values(self.space.scalar_dof_coords[sdofs],
+                                    self.value, nc).ravel()
         order = np.argsort(self.dofs)
         self.dofs = self.dofs[order]
         self.values = self.values[order]
 
 
-def interpolate(space, fn):
-    """Nodal interpolation of fn(x) into the space."""
-    out = np.empty(space.num_dofs)
-    nc = space.ncomp
-    for s, x in enumerate(space.scalar_dof_coords):
-        g = fn(x) if callable(fn) else fn
-        out[s * nc:(s + 1) * nc] = g
+def _nodal_values(coords, value, ncomp):
+    """(len(coords), ncomp) values at the nodes: a constant or per-component
+    constant broadcast, a callable called once per node coordinate."""
+    if not callable(value):
+        return np.broadcast_to(np.asarray(value, dtype=float),
+                               (len(coords), ncomp)).copy()
+    out = np.empty((len(coords), ncomp))
+    for i, x in enumerate(coords):
+        out[i] = value(x)
     return out
+
+
+def interpolate(space, fn):
+    """Nodal interpolation of fn(x), or of a constant, into the space."""
+    return _nodal_values(space.scalar_dof_coords, fn, space.ncomp).ravel()

@@ -8,13 +8,14 @@ import pytest
 from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, interpolate)
-from blocksolve.forms import (mass_form, stiffness_form,
+from blocksolve.elements import tabulate
+from blocksolve.forms import (Form, mass_form, stiffness_form,
                               convection_diffusion_form, stokes_form,
                               ns_jacobian_form, rb_jacobian_form,
                               pressure_mass_form, load_vector,
                               ns_residual, rb_residual, poisson_residual,
                               jacobian_check, collect_bc_dofs, pcd_form,
-                              StateWind)
+                              StateWind, UPWARD, _component_diag, _interleave)
 from blocksolve.operators import ImplicitOperator
 
 
@@ -208,6 +209,149 @@ def test_action_keeps_no_per_point_arrays():
     op = _rb_operator(2)
     op.apply(np.ones(op.shape[1]))
     assert op.form._evals == {}
+
+
+def _largest_array(obj, seen=None):
+    """Entries of the largest numpy array reachable from obj through
+    attributes, dictionaries, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = getattr(obj, "__dict__", {}).values()
+    return max((_largest_array(x, seen) for x in items), default=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: stiffness_form(build_space(build_unit_cube(2), 2)),
+    lambda: _rb_operator(2).form,
+])
+def test_assembly_keeps_no_per_point_gradients(make):
+    form = make()
+    form.assemble()
+    load_vector(form, 1.0)
+    ncells, nq = form.wq.shape
+    nn = min(f.element.nnodes
+             for f in form.row_space.fields + form.col_space.fields)
+    # a physical-gradient array of any field would hold ncells*nq*nn*dim
+    assert _largest_array(form) < ncells * nq * nn * form.mesh.dim
+
+
+def _parent_tables(form, space):
+    """Basis values (nq, nn) and physical gradients (ncells, nq, nn, dim)."""
+    tab = tabulate(space.element, form.rule.points)
+    return tab.values, np.einsum("qne,ced->cqnd", tab.gradients,
+                                 form.geom.Jinv)
+
+
+def _parent_state(form, field):
+    """State field values (ncells, nq, k) and gradients (ncells, nq, k,
+    dim) through the physical-gradient arrays."""
+    space = form.state_space.fields[field]
+    x = form.context["state"][form.state_space.field_slice(field)]
+    xloc = x[space.cell_dofs].reshape(form.mesh.num_cells, -1, space.ncomp)
+    vals, grads = _parent_tables(form, space)
+    return (np.einsum("qn,cnk->cqk", vals, xloc),
+            np.einsum("cqnd,cnk->cqkd", grads, xloc))
+
+
+def _parent_local(form, term, i, j):
+    """Element matrices of one term by the einsums over physical gradient
+    arrays that assembly used before reference tensors: the reference."""
+    test, trial = form.row_space.fields[i], form.col_space.fields[j]
+    tv, tg = _parent_tables(form, test)
+    sv, sg = _parent_tables(form, trial)
+    wq = form.wq
+    name = type(term).__name__
+    if name == "MassTerm":
+        c = form.coefficient_at_points(term.coef)
+        return _component_diag(np.einsum("cq,qi,qj->cij", wq * c, tv, sv),
+                               trial.ncomp)
+    if name == "StiffnessTerm":
+        c = form.coefficient_at_points(term.coef)
+        return _component_diag(np.einsum("cq,cqid,cqjd->cij", wq * c, tg, sg),
+                               trial.ncomp)
+    if name == "AdvectionTerm":
+        if isinstance(term.wind, StateWind):
+            w = _parent_state(form, term.wind.field)[0]
+        else:
+            w = form.wind_at_points(term.wind)
+        return _component_diag(
+            np.einsum("cq,cqd,qi,cqjd->cij", wq, w, tv, sg), trial.ncomp)
+    if name == "VectorReactionTerm":
+        g0 = _parent_state(form, term.state_field)[1]
+        return _interleave(np.einsum("cq,cqkl,qi,qj->cklij", wq, g0, tv, sv))
+    if name == "PressureGradientTerm":
+        blk = np.einsum("cq,cqid,qj->cdij", wq, tg, sv)
+        return _interleave(-blk[:, :, None])
+    if name == "DivergenceTerm":
+        return _interleave(np.einsum("cq,qi,cqjd->cdij", wq, tv, sg)[:, None])
+    if name == "BuoyancyTerm":
+        c = form.coefficient_value(term.coef)
+        scalar = np.einsum("cq,qi,qj->cij", wq, tv, sv)
+        zhat = UPWARD[form.mesh.dim]
+        return _interleave((c * zhat)[:, None, None, None]
+                           * scalar[:, None, None])
+    if name == "ScalarCouplingTerm":
+        g0 = _parent_state(form, term.state_field)[1][:, :, 0]
+        blk = np.einsum("cq,cqd,qi,qj->cdij", wq, g0, tv, sv)
+        return _interleave(blk[:, None])
+    raise AssertionError(f"no reference for {name}")
+
+
+def _coef(x):
+    return 1.0 + x[0] * x[-1]
+
+
+def _ns_form(dim):
+    W = taylor_hood(build_unit_square(2) if dim == 2 else build_unit_cube(1))
+    form = ns_jacobian_form(W, Re=30.0)
+    form.context["state"] = np.random.default_rng(5).standard_normal(
+        W.num_dofs)
+    return form
+
+
+def _pcd(dim):
+    form = _rb_operator(dim).form
+    return pcd_form(form.col_space.fields[1], 20.0, StateWind(0),
+                    context=form.context, state_space=form.col_space)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mass_form(build_space(build_unit_square(3), 3), coef=_coef),
+    lambda: mass_form(build_space(build_unit_cube(2), 2, ncomp=3), coef=_coef),
+    lambda: stiffness_form(build_space(build_unit_square(3), 3), kappa=_coef),
+    lambda: stiffness_form(build_space(build_unit_cube(2), 2), kappa=_coef),
+    lambda: convection_diffusion_form(
+        build_space(build_unit_square(3), 2), nu=0.1,
+        wind=lambda x: np.array([np.sin(x[1]), x[0] ** 2])),
+    lambda: convection_diffusion_form(
+        build_space(build_unit_cube(2), 2), nu=0.1,
+        wind=lambda x: np.array([x[1], -x[0], x[2] ** 2])),
+    lambda: _ns_form(2), lambda: _ns_form(3),
+    lambda: _rb_operator(2).form, lambda: _rb_operator(3).form,
+    lambda: _pcd(2), lambda: _pcd(3),
+])
+def test_element_matrices_match_physical_gradient_einsums(make):
+    form = make()
+    for (i, j), terms in form.blocks.items():
+        for term in terms:
+            single = Form(form.kind, form.row_space, form.col_space,
+                          {(i, j): [term]}, context=form.context,
+                          quad_degree=form.quad_degree,
+                          state_space=form.state_space)
+            got = single.block_local_matrices(i, j)
+            expect = _parent_local(form, term, i, j)
+            assert got.shape == expect.shape
+            err = np.abs(got - expect).max() / np.abs(expect).max()
+            assert err <= 1e-13, (type(term).__name__, (i, j), err)
 
 
 class TestJacobians:

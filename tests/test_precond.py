@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from blocksolve.mesh import build_unit_square
+from blocksolve.elements import lagrange_element, tabulate
+from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC)
 from blocksolve.forms import (stiffness_form, stokes_form,
@@ -273,6 +275,31 @@ class TestSchwarz:
         r = np.random.default_rng(6).standard_normal(A.shape[0])
         z = SchwarzPC().set_up(A).apply(r)
         assert np.allclose(z[bc.dofs], r[bc.dofs])
+
+    @pytest.mark.parametrize("dim, degree, ncomp", [
+        (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 1), (2, 3, 2)])
+    def test_prolongation_matches_cell_loop(self, dim, degree, ncomp):
+        mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+        V = build_space(mesh, degree, ncomp=ncomp)
+        Vc = build_space(mesh, 1, ncomp=ncomp)
+        # reference: every cell writes its (fine, coarse) entries into a
+        # dictionary, so a pair shared by several cells is entered once
+        vals = tabulate(lagrange_element(dim, 1), V.element.nodes).values
+        entries = {}
+        for fine, coarse in zip(V.cell_scalar_dofs, Vc.cell_scalar_dofs):
+            for ln, fs in enumerate(fine):
+                for a, cs in enumerate(coarse):
+                    if abs(vals[ln, a]) > 1e-14:
+                        entries[(fs, cs)] = vals[ln, a]
+        rows, cols = np.array(list(entries)).T
+        Ps = sp.csr_matrix((list(entries.values()), (rows, cols)),
+                           shape=(V.num_scalar_dofs, Vc.num_scalar_dofs))
+        expect = sp.kron(Ps, sp.eye(ncomp), format="csr")
+        P = SchwarzPC._prolongation(V, Vc)
+        assert P.shape == expect.shape
+        assert (P != expect).nnz == 0
+        # interpolation reproduces constants
+        assert np.allclose(P @ np.ones(P.shape[1]), 1.0, atol=1e-14)
 
 
 def test_view_contains_types_and_prefixes():

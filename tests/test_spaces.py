@@ -111,6 +111,61 @@ class TestDirichletBC:
         assert np.all(np.diff(bc.dofs) > 0)
 
 
+def _loop_numbering(mesh, element):
+    """Dof numbering and coordinates as a per-cell dictionary loop finds
+    them: the reference for the array version."""
+    key_to_sdof, coords = {}, []
+    cell_sdofs = np.empty((mesh.num_cells, element.nnodes), dtype=np.int64)
+    for ci, cell in enumerate(mesh.cells):
+        cell_verts = mesh.vertices[cell]
+        for ln, multi in enumerate(element.node_multiindex):
+            support = [a for a in range(len(multi)) if multi[a] > 0]
+            gverts = [int(cell[a]) for a in support]
+            order = np.argsort(gverts)
+            key = (tuple(gverts[i] for i in order),
+                   tuple(multi[support[i]] for i in order))
+            sdof = key_to_sdof.get(key)
+            if sdof is None:
+                sdof = key_to_sdof[key] = len(key_to_sdof)
+                coords.append(sum(multi[a] / element.degree * cell_verts[a]
+                                  for a in range(len(multi))))
+            cell_sdofs[ci, ln] = sdof
+    return cell_sdofs, np.array(coords)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_numbering_matches_cell_loop(dim, degree):
+    mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+    for ncomp in (1, dim):
+        V = build_space(mesh, degree, ncomp=ncomp)
+        cell_sdofs, coords = _loop_numbering(mesh, V.element)
+        assert np.array_equal(V.cell_scalar_dofs, cell_sdofs)
+        assert np.array_equal(V.scalar_dof_coords, coords)
+        assert V.num_dofs == ncomp * len(coords)
+        assert np.array_equal(V.cell_dofs.reshape(mesh.num_cells, -1, ncomp),
+                              cell_sdofs[:, :, None] * ncomp
+                              + np.arange(ncomp))
+
+
+@pytest.mark.parametrize("ncomp, value", [
+    (1, 1.5), (2, 1.5), (2, [1.0, -2.0]),
+    (1, lambda x: x[0] - x[1]), (2, lambda x: [x[0], x[1] ** 2])])
+def test_nodal_values_match_per_node_loop(ncomp, value):
+    # constants are broadcast, callables called once per node; both must
+    # give what assigning value or value(x) node by node gives
+    V = build_space(build_unit_square(3), 2, ncomp=ncomp)
+    expect = np.empty((V.num_scalar_dofs, ncomp))
+    for s, x in enumerate(V.scalar_dof_coords):
+        expect[s] = value(x) if callable(value) else value
+    assert np.array_equal(interpolate(V, value), expect.ravel())
+    bc = DirichletBC(V, (1, 4), value=value)
+    sdofs = V.boundary_scalar_dofs((1, 4))
+    assert np.array_equal(bc.dofs,
+                          (sdofs[:, None] * ncomp + np.arange(ncomp)).ravel())
+    assert np.array_equal(bc.values, expect[sdofs].ravel())
+
+
 def test_interpolate():
     mesh = build_unit_square(4)
     V = build_space(mesh, 2)
