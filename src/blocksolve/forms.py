@@ -1,34 +1,31 @@
-"""Weak-form catalogue: element kernels, global assembly, matrix-free action.
+"""Weak-form catalogue: one coefficient per term, from which assembly, the
+matrix-free action and the Newton residuals are derived.
 
 A Form is a block-structured bilinear form over mixed spaces.  Each block is
-a sum of terms from a small kernel vocabulary (mass, stiffness, advection,
-linearised reaction, pressure gradient/divergence, buoyancy and temperature
-coupling).  Every term has two definitions of the same integrand: `local`
-builds element matrices for every cell at once, which global assembly
-scatters into CSR; `pointwise` evaluates the integrand at the quadrature
-points, which the matrix-free action uses.
+a sum of terms from a small vocabulary (mass, stiffness, advection,
+linearised reaction, pressure gradient/divergence, buoyancy).  A term is
+written once, as the quadrature-point operator B_test^T D B_trial of
+Kronbichler and Kormann ("A generic interface for parallel cell-based
+finite element operator application", Computers & Fluids 63, 2012).  Its
+`test` and `trial` slots say whether B reads basis values or reference
+gradients, and `Term.coefficient` returns the weighted coefficient D at
+the quadrature points of every cell, with the quadrature weight, detJ and
+the per-cell affine Jinv folded in.  Everything else is derived from D:
 
-Assembly uses the tensor representation of affine simplices (Kirby and
-Logg, "A compiler for variational forms", ACM TOMS 32(3), 2006).  Each
-term builds a per-point factor of shape (ncells, nq*a*b): weight times
-coefficient, with the per-cell `Jinv` folded in for each slot that reads
-gradients (a, b = dim there, 1 for values).  One product with the
-reference tensor R[(q, a, b), (i, j)] of the test and trial tabulations
-gives the element matrices of every cell; terms that couple components
-carry the component indices as leading axes of the factor.  No physical
-gradient array (ncells, nq, nn, dim) is formed, and state coefficients
-come from the same quadrature-point evaluation the action uses.
+* assembly contracts D with the reference tensor of the test and trial
+  tabulations in one product per term, the tensor representation of affine
+  simplices (Kirby and Logg, "A compiler for variational forms", ACM TOMS
+  32(3), 2006), so no physical gradient array is formed;
+* the action gathers the local dofs of each trial field, applies the
+  reference tabulation, contracts with D, applies the transposed test
+  tabulation and scatters with one `bincount` per test field, so no element
+  matrix is formed;
+* the Newton residuals are the action, at the state, of the Picard form:
+  the Jacobian's blocks without the terms that linearise in the state.
 
-The action works at quadrature points and never forms an element matrix.
-For each trial field it gathers the local dofs once and takes values and
-physical gradients with one product against the reference tabulation and
-one batched product with the per-cell affine `Jinv`.  The terms add their
-integrands into per-test-field accumulators, which are weighted, mapped
-back through `Jinv` transposed and the transposed tabulations, and
-scattered with one `bincount` per test field.  State coefficients (the
-Newton wind and state gradients) are evaluated from `context["state"]` on
-every apply, so nothing can go stale.  Action and assembly agree to
-rounding.
+State coefficients (the Newton wind and state gradients) are evaluated from
+`context["state"]` whenever D is built, so nothing can go stale.  Action
+and assembly agree to rounding.
 
 Boundary conditions follow one canonical convention: assembled matrices have
 Dirichlet rows and columns zeroed with a unit diagonal, and the matrix-free
@@ -57,67 +54,26 @@ __all__ = [
 
 UPWARD = {2: np.array([0.0, 1.0]), 3: np.array([0.0, 0.0, 1.0])}
 
+# cells per product of assembly (see `Form.element_matrices`)
+_CELL_CHUNK = 128
+
 
 class SpaceEval:
-    """Tabulated basis data of one space at one rule, mapped to all cells.
-    The physical gradients are formed on first use."""
-
-    def __init__(self, space, geom, rule):
-        self.space = space
-        self.Jinv = geom.Jinv
-        tab = tabulate(space.element, rule.points)
-        self.values = tab.values                      # (nq, nn)
-        self.ref_grads = tab.gradients                # (nq, nn, dim)
-
-    @functools.cached_property
-    def grads(self):
-        """Physical gradients (ncells, nq, nn, dim)."""
-        return np.einsum("qne,ced->cqnd", self.ref_grads, self.Jinv)
-
-    def function_values(self, x):
-        """Pointwise values of the (possibly vector) function x: scalar ->
-        (ncells, nq); vector -> (ncells, nq, ncomp)."""
-        xloc = self._local(x)
-        if self.space.ncomp == 1:
-            return np.einsum("qn,cn->cq", self.values, xloc)
-        return np.einsum("qn,cnk->cqk", self.values, xloc)
-
-    def function_grads(self, x):
-        """Pointwise gradients: scalar -> (ncells, nq, dim); vector ->
-        (ncells, nq, ncomp, dim)."""
-        xloc = self._local(x)
-        if self.space.ncomp == 1:
-            return np.einsum("cqnd,cn->cqd", self.grads, xloc)
-        return np.einsum("cqnd,cnk->cqkd", self.grads, xloc)
-
-    def _local(self, x):
-        nc = self.space.ncomp
-        loc = x[self.space.cell_dofs]
-        if nc == 1:
-            return loc
-        return loc.reshape(len(loc), -1, nc)
-
-
-class _Reference:
-    """Reference tabulation of one space at one rule, shared by the
-    matrix-free action, assembly and load vectors: values (nq, nn) and
-    gradients with rows ordered (point, reference direction), (nq*dim,
-    nn).  Local dofs are handled component-major, (ncells*ncomp, nn)."""
+    """Tabulation of one space at one quadrature rule, shared by assembly,
+    the matrix-free action, load vectors and error norms.  `slot(kind)` is
+    the basis B of a term slot as (a, nq, nn): values (1, nq, nn) or
+    gradients over the reference directions (dim, nq, nn).  Local dofs are
+    handled component-major, (ncells*ncomp, nn)."""
 
     def __init__(self, space, rule):
         tab = tabulate(space.element, rule.points)
-        nq, nn, dim = tab.gradients.shape
         self.space = space
         self.ncomp = space.ncomp
-        self.values = tab.values
-        self.grads = tab.gradients.transpose(0, 2, 1).reshape(nq * dim, nn)
+        self.values = tab.values                                  # (nq, nn)
+        self.grads = np.ascontiguousarray(np.moveaxis(tab.gradients, 2, 0))
 
     def slot(self, kind):
-        """The basis at the points for a term slot reading "values" or
-        "grads": (nq, 1, nn) or (nq, dim, nn) over reference directions."""
-        nq, nn = self.values.shape
-        table = self.values if kind == "values" else self.grads
-        return table.reshape(nq, -1, nn)
+        return self.values[None] if kind == "values" else self.grads
 
     def gather(self, x):
         """Local dofs of x, component-major."""
@@ -125,8 +81,18 @@ class _Reference:
         xloc = x[dofs].reshape(len(dofs), -1, self.ncomp)
         return xloc.transpose(0, 2, 1).reshape(-1, xloc.shape[1])
 
-    def scatter(self, yloc):
-        """Sum component-major local values into a vector of the space."""
+    def to_points(self, xloc, kind):
+        """B x: gathered local dofs at the points, (ncells, ncomp, a, nq)."""
+        B = self.slot(kind)
+        a, nq, nn = B.shape
+        return (xloc @ B.reshape(-1, nn).T).reshape(-1, self.ncomp, a, nq)
+
+    def from_points(self, yq, kind):
+        """B^T y: (ncells, ncomp, a, nq) at the points against the basis,
+        summed into a vector of the space."""
+        B = self.slot(kind)
+        yloc = yq.reshape(-1, B.shape[0] * B.shape[1]) @ B.reshape(
+            -1, B.shape[2])
         dofs = self.space.cell_dofs
         yloc = yloc.reshape(len(dofs), self.ncomp, -1).transpose(0, 2, 1)
         return np.bincount(dofs.ravel(), weights=yloc.ravel(),
@@ -134,30 +100,35 @@ class _Reference:
 
 
 class _AtPoints:
-    """One field at the quadrature points of every cell: values (ncells,
-    ncomp, nq) and physical gradients (ncells, ncomp, nq, dim), each
-    computed from the gathered local dofs on first use."""
+    """One field at the quadrature points of every cell, from its gathered
+    local dofs: `slot(kind)` (ncells, ncomp, a, nq) in reference
+    directions, `values` (ncells, ncomp, nq) and physical `grads` (ncells,
+    ncomp, dim, nq), each computed on first use."""
 
-    def __init__(self, ref, xloc, Jinv):
-        self.ref = ref
-        self.xloc = xloc  # (ncells*ncomp, nn)
+    def __init__(self, ev, x, Jinv):
+        self.ev = ev
+        self.xloc = ev.gather(x)
         self.Jinv = Jinv
+        self._slots = {}
 
-    @functools.cached_property
+    def slot(self, kind):
+        out = self._slots.get(kind)
+        if out is None:
+            out = self._slots[kind] = self.ev.to_points(self.xloc, kind)
+        return out
+
+    @property
     def values(self):
-        return (self.xloc @ self.ref.values.T).reshape(
-            len(self.Jinv), self.ref.ncomp, -1)
+        return self.slot("values")[:, :, 0]
 
     @functools.cached_property
     def grads(self):
-        ncells, dim, _ = self.Jinv.shape
-        ref = (self.xloc @ self.ref.grads.T).reshape(ncells, -1, dim)
-        return (ref @ self.Jinv).reshape(ncells, self.ref.ncomp, -1, dim)
+        return np.swapaxes(self.Jinv, 1, 2)[:, None] @ self.slot("grads")
 
 
 class _StateAtPoints(dict):
     """Fields of the form's Newton state at the quadrature points, each
-    evaluated once per action from `context["state"]`."""
+    evaluated once per use of the form from `context["state"]`."""
 
     def __init__(self, form):
         super().__init__()
@@ -170,73 +141,56 @@ class _StateAtPoints(dict):
         return at
 
 
-# --- kernel vocabulary ----------------------------------------------------
-#
-# Each term computes local matrices (ncells, nt, ns) in the interleaved
-# component layout of the involved spaces, and its integrand at the
-# quadrature points in the component-major layout of `_AtPoints`.  `wq` is
-# weights * detJ, shape (ncells, nq).
-
-def _component_diag(scalar_local, ncomp):
-    if ncomp == 1:
-        return scalar_local
-    nc, ni, nj = scalar_local.shape
-    out = np.zeros((nc, ni * ncomp, nj * ncomp))
-    for k in range(ncomp):
-        out[:, k::ncomp, k::ncomp] = scalar_local
-    return out
+def _contract(D, u):
+    """D applied to a trial slot u (ncells, ks, b, nq): y[c, k, e, q] = sum
+    over l and f of D[c, k, l, e, f, q] u[c, l, f, q], as (ncells, kt, a,
+    nq).  A D with one component pair acts on every component of u."""
+    if D.shape[1:3] == (1, 1):
+        return np.einsum("cefq,ckfq->ckeq", D[:, 0, 0], u)
+    return np.einsum("cklefq,clfq->ckeq", D, u)
 
 
-def _interleave(blk):
-    """Place per-component blocks blk[:, k, l] of shape (ncells, kt, ks, nt,
+def _interleave(blk, kt, ks):
+    """Place per-component blocks blk[:, k, l] of shape (ncells, KT, KS, nt,
     ns) at stride kt in the rows and ks in the columns: (ncells, nt*kt,
-    ns*ks)."""
-    ncells, kt, ks, nt, ns = blk.shape
-    out = np.empty((ncells, nt * kt, ns * ks))
+    ns*ks).  A blk with one component pair fills every diagonal block."""
+    diagonal = blk.shape[1:3] == (1, 1)
+    if kt == ks == 1:
+        return blk[:, 0, 0]
+    ncells, _, _, nt, ns = blk.shape
+    out = np.zeros((ncells, nt * kt, ns * ks))
     for k in range(kt):
         for l in range(ks):
-            out[:, k::kt, l::ks] = blk[:, k, l]
+            if not diagonal:
+                out[:, k::kt, l::ks] = blk[:, k, l]
+            elif k == l:
+                out[:, k::kt, l::ks] = blk[:, 0, 0]
     return out
 
 
-def _weighted_jinv(form):
-    """wq[c, q] Jinv[c, e, d] as (ncells, d, nq*e): the factor of a term
-    whose one gradient slot has its physical direction d as the component
-    index of the vector space on the other side."""
-    JinvT = np.swapaxes(form.geom.Jinv, 1, 2)
-    f = form.wq[:, None, :, None] * JinvT[:, :, None, :]
-    return f.reshape(len(f), form.mesh.dim, -1)
-
+# --- term vocabulary ------------------------------------------------------
 
 class Term:
-    """One kernel contribution to a block of a form, defined twice over the
-    same integrand.
+    """One weak-form term of a block, written once as its weighted
+    quadrature-point coefficient D in B_test^T D B_trial.
 
-    `local` returns element matrices (ncells, nt, ns) for assembly, from a
-    per-point factor through `Form.element_matrices`, which reads the
-    term's `test` and `trial` slots.
-    `pointwise` returns the integrand of the matrix-free action at the
-    quadrature points, unweighted, as a pair (against test values, against
-    test gradients) of new arrays (ncells, kt, nq) and (ncells, kt, nq,
-    dim), either of them None.  It reads `trial` of the trial field
-    (`u.values` or `u.grads`, see `_AtPoints`).
-    Both read, if `state` is a pair (field, "values" | "grads"), that data
-    of the Newton state field from `state[field]` (see `_StateAtPoints`).
+    `test` and `trial` say what B reads of each basis: "values" (a or b =
+    1) or "grads" (a or b = dim, over reference directions).
+    `coefficient(form, state)` returns D as (ncells, KT, KS, a, b, nq),
+    points fastest, with the quadrature weight, detJ and, for each "grads"
+    slot, the per-cell Jinv folded in.  If `couples` is False, KT = KS = 1
+    and D acts on every component alike; otherwise KT and KS are the test
+    and trial component counts.  If `state` is a pair (field, "values" |
+    "grads"), D reads that data of the Newton state field from
+    `state[field]` (see `_StateAtPoints`).
     """
 
     trial = "values"
     test = "values"
     state = None
+    couples = False
 
-    def local(self, form, test, trial, state):
-        raise NotImplementedError
-
-    def pointwise(self, form, u, state):
-        raise NotImplementedError
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        """Flops of `pointwise` on one cell, adding into the accumulator
-        included."""
+    def coefficient(self, form, state):
         raise NotImplementedError
 
 
@@ -244,16 +198,9 @@ class MassTerm(Term):
     def __init__(self, coef=1.0):
         self.coef = coef
 
-    def local(self, form, test, trial, state):
-        c = form.coefficient_at_points(self.coef)
-        scalar = form.element_matrices(self, test, trial, form.wq * c)
-        return _component_diag(scalar, trial.ncomp)
-
-    def pointwise(self, form, u, state):
-        return form.pointwise_coefficient(self.coef) * u.values, None
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return 2 * ks * nq
+    def coefficient(self, form, state):
+        c = form.wq * form.coefficient_at_points(self.coef)
+        return c[:, None, None, None, None]
 
 
 class StiffnessTerm(Term):
@@ -262,21 +209,10 @@ class StiffnessTerm(Term):
     def __init__(self, coef=1.0):
         self.coef = coef
 
-    def local(self, form, test, trial, state):
-        c = form.coefficient_at_points(self.coef)
-        Jinv = form.geom.Jinv
-        metric = Jinv @ np.swapaxes(Jinv, 1, 2)  # (ncells, e, f)
-        factor = (form.wq * c)[:, :, None, None] * metric[:, None]
-        scalar = form.element_matrices(self, test, trial,
-                                       factor.reshape(len(factor), -1))
-        return _component_diag(scalar, trial.ncomp)
-
-    def pointwise(self, form, u, state):
-        c = np.asarray(form.pointwise_coefficient(self.coef))
-        return None, c[..., None] * u.grads
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return 2 * ks * nq * dim
+    def coefficient(self, form, state):
+        c = form.wq * form.coefficient_at_points(self.coef)
+        return (form.geom.metric[:, :, :, None]
+                * c[:, None, None])[:, None, None]
 
 
 class AdvectionTerm(Term):
@@ -289,127 +225,67 @@ class AdvectionTerm(Term):
         if isinstance(wind, StateWind):
             self.state = (wind.field, "values")
 
-    def _wind(self, form, state):
-        """The wind at the quadrature points, (ncells, nq, dim)."""
+    def coefficient(self, form, state):
         if self.state:
-            return np.swapaxes(state[self.wind.field].values, 1, 2)
-        return form.wind_at_points(self.wind)
-
-    def local(self, form, test, trial, state):
-        # w . grad psi_j = (Jinv w) . reference gradient of psi_j
-        wref = self._wind(form, state) @ np.swapaxes(form.geom.Jinv, 1, 2)
-        factor = form.wq[:, :, None] * wref
-        scalar = form.element_matrices(self, test, trial,
-                                       factor.reshape(len(factor), -1))
-        return _component_diag(scalar, trial.ncomp)
-
-    def pointwise(self, form, u, state):
-        w = self._wind(form, state)
-        return np.sum(u.grads * w[:, None], axis=3), None
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return 2 * ks * nq * dim
+            w = state[self.wind.field].values  # (ncells, dim, nq)
+        else:
+            w = np.swapaxes(form.wind_at_points(self.wind), 1, 2)
+        # w . grad psi = (Jinv w) . reference gradient of psi
+        return (form.geom.Jinv @ w * form.wq[:, None])[:, None, None, None]
 
 
 class VectorReactionTerm(Term):
-    """Newton linearisation term (du . grad u0, v); couples components."""
+    """Newton linearisation (du . grad w0, v) in a state field w0: the
+    velocity (vector test space) or the temperature (scalar test space)."""
+
+    couples = True
 
     def __init__(self, state_field):
         self.state_field = state_field
         self.state = (state_field, "grads")
 
-    def local(self, form, test, trial, state):
-        g0 = state[self.state_field].grads  # (ncells, k, nq, l)
-        factor = np.swapaxes(g0, 2, 3) * form.wq[:, None, None, :]
-        return _interleave(form.element_matrices(self, test, trial, factor))
-
-    def pointwise(self, form, u, state):
-        g0 = state[self.state_field].grads  # (ncells, k, nq, l)
-        return np.sum(g0 * np.swapaxes(u.values, 1, 2)[:, None], axis=3), None
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return 2 * kt * ks * nq
+    def coefficient(self, form, state):
+        g0 = state[self.state_field].grads  # (ncells, k, l, nq)
+        return (g0 * form.wq[:, None, None])[:, :, :, None, None]
 
 
 class PressureGradientTerm(Term):
     """-(p, div v): vector test space, scalar trial space."""
 
     test = "grads"
+    couples = True
 
-    def local(self, form, test, trial, state):
-        blk = form.element_matrices(self, test, trial, _weighted_jinv(form))
-        return _interleave(-blk[:, :, None])
-
-    def pointwise(self, form, u, state):
-        ncells, _, nq = u.values.shape
-        dim = form.mesh.dim
-        g = np.zeros((ncells, dim, nq, dim))
-        for k in range(dim):
-            g[:, k, :, k] = -u.values[:, 0]
-        return None, g
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return dim * nq
+    def coefficient(self, form, state):
+        # div v = sum over k and e of Jinv[e, k] (reference d_e) v_k
+        JinvT = np.swapaxes(form.geom.Jinv, 1, 2)  # (ncells, k, e)
+        return -(JinvT[:, :, None, :, None, None]
+                 * form.wq[:, None, None, None, None])
 
 
 class DivergenceTerm(Term):
     """(div u, q): scalar test space, vector trial space."""
 
     trial = "grads"
+    couples = True
 
-    def local(self, form, test, trial, state):
-        blk = form.element_matrices(self, test, trial, _weighted_jinv(form))
-        return _interleave(blk[:, None])
-
-    def pointwise(self, form, u, state):
-        return np.trace(u.grads, axis1=1, axis2=3)[:, None], None
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return ks * nq
+    def coefficient(self, form, state):
+        JinvT = np.swapaxes(form.geom.Jinv, 1, 2)  # (ncells, l, f)
+        return (JinvT[:, None, :, None, :, None]
+                * form.wq[:, None, None, None, None])
 
 
 class BuoyancyTerm(Term):
     """(c dT zhat, v): vector test space, scalar trial space."""
 
+    couples = True
+
     def __init__(self, coef):
         self.coef = coef
 
-    def local(self, form, test, trial, state):
-        c = form.coefficient_value(self.coef)
-        zhat = UPWARD[test.mesh.dim]
-        scalar = form.element_matrices(self, test, trial, form.wq)
-        blk = (c * zhat)[:, None, None, None] * scalar[:, None, None]
-        return _interleave(blk)
-
-    def pointwise(self, form, u, state):
-        c = form.coefficient_value(self.coef)
-        zhat = UPWARD[form.mesh.dim]
-        return (c * zhat)[None, :, None] * u.values, None
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return 2 * kt * nq
-
-
-class ScalarCouplingTerm(Term):
-    """(du . grad s0, s): scalar test space, vector trial space."""
-
-    def __init__(self, state_field):
-        self.state_field = state_field
-        self.state = (state_field, "grads")
-
-    def local(self, form, test, trial, state):
-        g0 = state[self.state_field].grads[:, 0]  # (ncells, nq, dim)
-        factor = np.swapaxes(g0, 1, 2) * form.wq[:, None, :]
-        return _interleave(form.element_matrices(self, test, trial,
-                                                 factor)[:, None])
-
-    def pointwise(self, form, u, state):
-        g0 = state[self.state_field].grads[:, 0]  # (ncells, nq, dim)
-        return np.sum(u.values * np.swapaxes(g0, 1, 2), axis=1,
-                      keepdims=True), None
-
-    def flops_per_cell(self, nq, kt, ks, dim):
-        return 2 * ks * nq
+    def coefficient(self, form, state):
+        cz = form.coefficient_value(self.coef) * UPWARD[form.mesh.dim]
+        return (cz[None, :, None, None, None, None]
+                * form.wq[:, None, None, None, None])
 
 
 # --- the form itself ------------------------------------------------------
@@ -449,48 +325,31 @@ class Form:
         self.geom = self.mesh.geometry
         self.rule = make_quadrature(self.mesh.dim, quad_degree)
         self.wq = self.rule.weights[None, :] * self.geom.detJ[:, None]
-        self._evals = {}
-        self._refs = {}
+        self._tables = {}
 
     # -- context helpers ---------------------------------------------------
-
-    def space_eval(self, space):
-        ev = self._evals.get(id(space))
-        if ev is None:
-            ev = SpaceEval(space, self.geom, self.rule)
-            self._evals[id(space)] = ev
-        return ev
 
     def coefficient_value(self, coef):
         if isinstance(coef, str):
             return self.context[coef]
         return coef
 
-    def _reference(self, space):
-        ref = self._refs.get(id(space))
-        if ref is None:
-            ref = self._refs[id(space)] = _Reference(space, self.rule)
-        return ref
+    def tabulation(self, space):
+        """The `SpaceEval` of `space` at the form's rule, made once."""
+        ev = self._tables.get(id(space))
+        if ev is None:
+            ev = self._tables[id(space)] = SpaceEval(space, self.rule)
+        return ev
 
     def at_points(self, space, x):
         """The function x of `space` at the quadrature points."""
-        ref = self._reference(space)
-        return _AtPoints(ref, ref.gather(x), self.geom.Jinv)
-
-    def pointwise_coefficient(self, coef):
-        """A constant coefficient as a float; a callable one at all
-        quadrature points, (ncells, 1, nq)."""
-        coef = self.coefficient_value(coef)
-        if callable(coef):
-            return self.coefficient_at_points(coef)[:, None, :]
-        return float(coef)
+        return _AtPoints(self.tabulation(space), x, self.geom.Jinv)
 
     def coefficient_at_points(self, coef):
         """Scalar coefficient at all quadrature points, (ncells, nq)."""
         coef = self.coefficient_value(coef)
         if callable(coef):
-            pts = self.geom.physical_points(self.rule)
-            return np.apply_along_axis(coef, 2, pts)
+            return self.geom.evaluate(coef, self.rule)
         return np.broadcast_to(float(coef), self.wq.shape)
 
     def wind_at_points(self, wind):
@@ -498,30 +357,34 @@ class Form:
         dim)."""
         wind = self.coefficient_value(wind)
         if callable(wind):
-            pts = self.geom.physical_points(self.rule)
-            return np.apply_along_axis(lambda x: np.asarray(wind(x)), 2, pts)
+            return self.geom.evaluate(wind, self.rule)
         arr = np.asarray(wind, dtype=float)
         ncells, nq = self.wq.shape
         return np.broadcast_to(arr, (ncells, nq, self.mesh.dim))
 
     # -- kernels -----------------------------------------------------------
 
-    def element_matrices(self, term, test, trial, factor):
-        """Element matrices of `term` between the spaces `test` and `trial`
-        from its per-point factor, in one product with the reference
-        tensor R[(q, e, f), (i, j)] = A[q, e, i] B[q, f, j], where A and B
-        are the test and trial basis in the term's slots (`_Reference.slot`:
-        e and f run over the reference directions of a "grads" slot and
-        take one value for "values", a and b values in all).  `factor` is
-        (..., nq*a*b), its last axis ordered (q, e, f); the result is (...,
-        nt, ns)."""
-        A = self._reference(test).slot(term.test)
-        B = self._reference(trial).slot(term.trial)
+    def element_matrices(self, term, test, trial, D):
+        """Element matrices (ncells, nt*kt, ns*ks) of `term` between the
+        spaces `test` and `trial`, in one product of its coefficient D with
+        the reference tensor R[(q, e, f), (i, j)] = A[e, q, i] B[f, q, j],
+        where A and B are the test and trial basis in the term's slots
+        (`SpaceEval.slot`).  The sum runs with the points outermost, which
+        decides how analytically zero entries round and so which of them
+        the CSR matrix stores; D is reordered for it a chunk of cells at a
+        time, so the copy stays small."""
+        A = np.swapaxes(self.tabulation(test).slot(term.test), 0, 1)
+        B = np.swapaxes(self.tabulation(trial).slot(term.trial), 0, 1)
         nt, ns = A.shape[2], B.shape[2]
-        R = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1,
-                                                                      nt * ns)
-        out = factor.reshape(-1, len(R)) @ R
-        return out.reshape(factor.shape[:-1] + (nt, ns))
+        R = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+            -1, nt * ns)
+        D = np.moveaxis(D, 5, 3)
+        blk = np.empty(D.shape[:3] + (nt, ns))
+        for c in range(0, len(D), _CELL_CHUNK):
+            part = D[c:c + _CELL_CHUNK]
+            blk[c:c + _CELL_CHUNK] = (part.reshape(-1, len(R)) @ R).reshape(
+                part.shape[:3] + (nt, ns))
+        return _interleave(blk, test.ncomp, trial.ncomp)
 
     def block_local_matrices(self, i, j):
         """Sum of all kernel contributions to block (i, j), or None."""
@@ -533,16 +396,19 @@ class Form:
         state = _StateAtPoints(self)
         out = None
         for term in terms:
-            loc = term.local(self, test, trial, state)
+            loc = self.element_matrices(term, test, trial,
+                                        term.coefficient(self, state))
             out = loc if out is None else out + loc
         return out
 
     def flops_per_apply(self):
         """Analytic flop count of one matrix-free application: the
-        tabulation products and `Jinv` maps of every trial, state and test
-        field the terms use, and the pointwise terms."""
+        tabulation products of every trial, state and test slot the terms
+        use, the `Jinv` map of state gradients, the contractions with each
+        term's D and the scatter."""
         ncells, nq = self.wq.shape
         dim = self.mesh.dim
+        width = {"values": 1, "grads": dim}
         fields = {"trial": self.col_space.fields, "test": self.row_space.fields,
                   "state": self.state_space.fields}
         maps = set()
@@ -555,17 +421,17 @@ class Form:
                 maps.add(("test", i, term.test))
                 if term.state:
                     maps.add(("state",) + term.state)
-                per_cell += term.flops_per_cell(nq, kt, ks, dim)
+                pairs = kt * ks if term.couples else ks
+                per_cell += (2 * pairs * width[term.test] * width[term.trial]
+                             * nq)
         for role, f, kind in maps:
             space = fields[role][f]
             nn, k = space.element.nnodes, space.ncomp
-            if kind == "values":
-                per_cell += 2 * k * nq * nn
-            else:
-                per_cell += 2 * k * nq * dim * (nn + dim)
+            per_cell += 2 * k * width[kind] * nq * nn
+            if role == "state" and kind == "grads":
+                per_cell += 2 * k * dim * dim * nq
             if role == "test":
-                # quadrature weights, then the scatter
-                per_cell += k * nq * (1 if kind == "values" else dim) + k * nn
+                per_cell += k * nn
         return ncells * per_cell
 
     # -- global operations -------------------------------------------------
@@ -617,37 +483,24 @@ class Form:
             x0[bc] = 0.0
         trial = {}
         state = _StateAtPoints(self)
-        # test field -> [against values (c, kt, q), against grads (c, kt, q, dim)]
-        acc = {}
+        acc = {}  # (test field, slot) -> (ncells, kt, a, nq)
         for (i, j), terms in self.blocks.items():
-            if not terms:
-                continue
-            u = trial.get(j)
-            if u is None:
-                u = trial[j] = self.at_points(cs.fields[j],
-                                              x0[cs.field_slice(j)])
-            yi = acc.setdefault(i, [None, None])
             for term in terms:
-                for slot, part in enumerate(term.pointwise(self, u, state)):
-                    if part is None:
-                        continue
-                    if yi[slot] is None:
-                        yi[slot] = part
-                    else:
-                        yi[slot] += part
+                u = trial.get(j)
+                if u is None:
+                    u = trial[j] = self.at_points(cs.fields[j],
+                                                  x0[cs.field_slice(j)])
+                yq = _contract(term.coefficient(self, state),
+                               u.slot(term.trial))
+                key = (i, term.test)
+                if key in acc:
+                    acc[key] += yq
+                else:
+                    acc[key] = yq
         y = np.zeros(rs.num_dofs)
-        ncells, nq = self.wq.shape
-        JinvT = np.swapaxes(self.geom.Jinv, 1, 2)
-        for i, (yv, yg) in acc.items():
-            ref = self._reference(rs.fields[i])
-            yloc = 0.0
-            if yv is not None:
-                yloc = (yv * self.wq[:, None]).reshape(-1, nq) @ ref.values
-            if yg is not None:
-                yg = (yg * self.wq[:, None, :, None]).reshape(
-                    ncells, -1, self.mesh.dim) @ JinvT
-                yloc = yloc + yg.reshape(-1, nq * self.mesh.dim) @ ref.grads
-            y[rs.field_slice(i)] += ref.scatter(yloc)
+        for (i, kind), yq in acc.items():
+            y[rs.field_slice(i)] += self.tabulation(
+                rs.fields[i]).from_points(yq, kind)
         if len(br):
             if self.bc_diagonal:
                 y[br] = x[br]
@@ -763,7 +616,7 @@ def rb_jacobian_form(mixed, Ra, Pr, context=None):
         (0, 1): [PressureGradientTerm()],
         (1, 0): [DivergenceTerm()],
         (0, 2): [BuoyancyTerm(Ra / Pr)],
-        (2, 0): [ScalarCouplingTerm(2)],
+        (2, 0): [VectorReactionTerm(2)],
         (2, 2): [StiffnessTerm(Pr), AdvectionTerm(StateWind(0))],
     }
     return Form("rb_jacobian", mixed, mixed, blocks, context=context)
@@ -786,46 +639,27 @@ def pcd_form(p_space, Re, wind, context=None, state_space=None):
                 context=context, state_space=state_space)
 
 
+
+
 def load_vector(form, f, field=0):
     """Assemble the load functional (f, v) against field `field` of the
-    form's test space.  f is a constant or callable of the coordinates."""
+    form's test space.  f is a constant (scalar or per component) or a
+    callable of the coordinates."""
     space = form.row_space.fields[field]
+    ncells, nq = form.wq.shape
     if callable(f):
-        pts = form.geom.physical_points(form.rule)
-        fq = np.apply_along_axis(lambda x: np.atleast_1d(np.asarray(f(x), dtype=float)),
-                                 2, pts)
+        fq = np.swapaxes(form.geom.evaluate(f, form.rule).reshape(
+            ncells, nq, -1), 1, 2)
     else:
-        fq = np.broadcast_to(np.atleast_1d(np.asarray(f, dtype=float)),
-                             form.wq.shape + (space.ncomp,))
-    # (ncells, ncomp, nq) against the tabulated test values, then laid out
-    # node-major with components fastest, as the cell dofs are
-    loc = np.swapaxes(fq * form.wq[..., None], 1, 2) @ form.space_eval(
-        space).values
+        fq = np.asarray(f, dtype=float).reshape(-1, 1)
+    yq = np.broadcast_to(fq * form.wq[:, None], (ncells, space.ncomp, nq))
     out = np.zeros(form.row_space.num_dofs)
-    _scatter(space, form.row_space.offsets[field], np.swapaxes(loc, 1, 2),
-             out)
+    out[form.row_space.field_slice(field)] = form.tabulation(
+        space).from_points(yq[:, :, None], "values")
     return out
 
 
 # --- residuals ------------------------------------------------------------
-
-def _scatter(space, offset, yloc, out):
-    dofs = space.cell_dofs + offset
-    out += np.bincount(dofs.ravel(), weights=yloc.ravel(), minlength=len(out))
-
-
-def _vector_test_integral(ev, wq, pointwise):
-    """Integrate (pointwise, v) for a vector test space; pointwise is
-    (ncells, nq, ncomp).  Returns interleaved (ncells, ndofs)."""
-    blk = np.einsum("cq,cqk,qi->cki", wq, pointwise, ev.values)
-    return _interleave(blk[:, :, None, :, None])[..., 0]
-
-
-def _vector_test_grad_integral(ev, wq, pointwise):
-    """Integrate (pointwise : grad v); pointwise is (ncells, nq, ncomp, dim)."""
-    blk = np.einsum("cq,cqkd,cqid->cki", wq, pointwise, ev.grads)
-    return _interleave(blk[:, :, None, :, None])[..., 0]
-
 
 def _residual_bc_rows(mixed, state, bcs, r):
     dofs, vals = collect_bc_values(mixed, bcs)
@@ -833,83 +667,29 @@ def _residual_bc_rows(mixed, state, bcs, r):
     return r
 
 
-def ns_residual(form, state, bcs=(), forcing=None):
-    """Residual of steady Navier-Stokes at the given state.  Dirichlet
-    entries hold state - boundary value so Newton enforces the BCs."""
-    mixed = form.col_space
-    V, W = mixed.fields[0], mixed.fields[1]
-    Re = form.coefficient_value(form.context.get("Re", 1.0))
-    ev_u = form.space_eval(V)
-    ev_p = form.space_eval(W)
-    u = state[mixed.field_slice(0)]
-    p = state[mixed.field_slice(1)]
-    wq = form.wq
+def _picard_residual(form, state, bcs):
+    """F(x) = A(x) x, with A(x) the Picard form of the Newton Jacobian
+    `form` at x: its blocks without the terms that linearise in the state.
+    Dirichlet entries hold state - boundary value so Newton enforces the
+    BCs."""
+    blocks = {ij: [t for t in terms if not isinstance(t, VectorReactionTerm)]
+              for ij, terms in form.blocks.items()}
+    picard = Form(form.kind + "_picard", form.row_space, form.col_space,
+                  blocks, context=dict(form.context, state=state),
+                  quad_degree=form.quad_degree)
+    return _residual_bc_rows(form.col_space, state, bcs, picard.action(state))
 
-    uq = ev_u.function_values(u)       # (c, q, k)
-    gu = ev_u.function_grads(u)        # (c, q, k, d)
-    pq = ev_p.function_values(p)       # (c, q)
 
-    r = np.zeros(mixed.num_dofs)
-    conv = np.einsum("cqd,cqkd->cqk", uq, gu)
-    mom = _vector_test_grad_integral(ev_u, wq / Re, gu)
-    mom += _vector_test_integral(ev_u, wq, conv)
-    # -(p, div v)
-    div_v = np.einsum("cq,cqid->cqid", pq, ev_u.grads)
-    blk = np.einsum("cq,cqid->cdi", wq, div_v)
-    mom -= _interleave(blk[:, :, None, :, None])[..., 0]
-    if forcing is not None:
-        fq = np.apply_along_axis(lambda x: np.asarray(forcing(x)), 2,
-                                 form.geom.physical_points(form.rule))
-        mom -= _vector_test_integral(ev_u, wq, fq)
-    _scatter(V, mixed.offsets[0], mom, r)
-
-    divu = np.einsum("cqkk->cq", gu)
-    cont = np.einsum("cq,cq,qi->ci", wq, divu, ev_p.values)
-    _scatter(W, mixed.offsets[1], cont, r)
-
-    return _residual_bc_rows(mixed, state, bcs, r)
+def ns_residual(form, state, bcs=()):
+    """Residual of steady Navier-Stokes at the state, from the Jacobian
+    `form` of `ns_jacobian_form`."""
+    return _picard_residual(form, state, bcs)
 
 
 def rb_residual(form, state, bcs=()):
-    """Residual of stationary Rayleigh-Benard convection at the state."""
-    mixed = form.col_space
-    V, W, Q = mixed.fields
-    Ra = form.coefficient_value(form.context["Ra"])
-    Pr = form.coefficient_value(form.context["Pr"])
-    ev_u = form.space_eval(V)
-    ev_p = form.space_eval(W)
-    ev_t = form.space_eval(Q)
-    u = state[mixed.field_slice(0)]
-    p = state[mixed.field_slice(1)]
-    T = state[mixed.field_slice(2)]
-    wq = form.wq
-    zhat = UPWARD[form.mesh.dim]
-
-    uq = ev_u.function_values(u)
-    gu = ev_u.function_grads(u)
-    pq = ev_p.function_values(p)
-    Tq = ev_t.function_values(T)
-    gT = ev_t.function_grads(T)
-
-    r = np.zeros(mixed.num_dofs)
-    conv = np.einsum("cqd,cqkd->cqk", uq, gu)
-    buoy = (Ra / Pr) * np.einsum("cq,k->cqk", Tq, zhat)
-    mom = _vector_test_grad_integral(ev_u, wq, gu)
-    mom += _vector_test_integral(ev_u, wq, conv + buoy)
-    blk = np.einsum("cq,cq,cqid->cdi", wq, pq, ev_u.grads)
-    mom -= _interleave(blk[:, :, None, :, None])[..., 0]
-    _scatter(V, mixed.offsets[0], mom, r)
-
-    divu = np.einsum("cqkk->cq", gu)
-    cont = np.einsum("cq,cq,qi->ci", wq, divu, ev_p.values)
-    _scatter(W, mixed.offsets[1], cont, r)
-
-    tconv = np.einsum("cqd,cqd->cq", uq, gT)
-    temp = np.einsum("cq,cqd,cqid->ci", wq * Pr, gT, ev_t.grads)
-    temp += np.einsum("cq,cq,qi->ci", wq, tconv, ev_t.values)
-    _scatter(Q, mixed.offsets[2], temp, r)
-
-    return _residual_bc_rows(mixed, state, bcs, r)
+    """Residual of stationary Rayleigh-Benard convection at the state, from
+    the Jacobian `form` of `rb_jacobian_form`."""
+    return _picard_residual(form, state, bcs)
 
 
 def poisson_residual(form, state, bcs=(), rhs=None):

@@ -32,9 +32,21 @@ class CellGeometry:
             raise ValueError("degenerate cell in mesh")
         self.Jinv = np.linalg.inv(self.J)
 
+    @functools.cached_property
+    def metric(self):
+        """Jinv Jinv^T per cell, (ncells, dim, dim): the reference-direction
+        form of grad u . grad v."""
+        return self.Jinv @ np.swapaxes(self.Jinv, 1, 2)
+
     def physical_points(self, rule):
         # (ncells, nq, dim)
         return self.x0[:, None, :] + np.einsum("cde,qe->cqd", self.J, rule.points)
+
+    def evaluate(self, f, rule):
+        """A callable of the coordinates at the points of `rule` in every
+        cell, called once per point: (ncells, nq) + the shape of f(x)."""
+        return np.apply_along_axis(lambda x: np.asarray(f(x), dtype=float),
+                                   2, self.physical_points(rule))
 
 
 # eq=False: identity semantics; field-wise == over numpy arrays raises
@@ -92,11 +104,13 @@ class Mesh:
 
 
 def _adjacency(nverts, cells):
-    adj = [[] for _ in range(nverts)]
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            adj[v].append(ci)
-    return tuple(tuple(sorted(a)) for a in adj)
+    """Vertex id -> sorted tuple of the ids of the cells that contain it."""
+    flat = cells.ravel()
+    owner = np.repeat(np.arange(len(cells)), cells.shape[1])
+    # a stable sort keeps each vertex's cells in ascending order
+    ids = owner[np.argsort(flat, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(flat, minlength=nverts)).tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def build_unit_square(n):
@@ -130,9 +144,21 @@ def build_unit_square(n):
     return Mesh(2, verts, cells, tuple(facets), _adjacency(len(verts), cells))
 
 
-# Kuhn (Freudenthal) split: six tetrahedra per cube, one per permutation of
-# the axis order along the path from the low corner to the high corner.
-_KUHN_PERMS = tuple(itertools.permutations(range(3)))
+def _kuhn_template():
+    """The six Kuhn tetrahedra of the unit cube as corner offsets (6, 4, 3),
+    one per permutation of the axis order along the path from the low to
+    the high corner, each oriented positively by swapping its last two
+    vertices if needed.  A tet's orientation depends only on its axis
+    permutation, so every cube of a grid reuses these."""
+    tets = []
+    for perm in itertools.permutations(range(3)):
+        path = [np.zeros(3, dtype=np.int64)]
+        for axis in perm:
+            path.append(path[-1] + np.eye(3, dtype=np.int64)[axis])
+        if np.linalg.det(np.array(path[1:]) - path[0]) < 0:
+            path[2], path[3] = path[3], path[2]
+        tets.append(path)
+    return np.array(tets)
 
 
 def build_unit_cube(n):
@@ -140,49 +166,30 @@ def build_unit_cube(n):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([(x, y, z) for z in xs for y in xs for x in xs])
+    z, y, x = np.meshgrid(xs, xs, xs, indexing="ij")
+    verts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
 
-    def vid(i, j, k):
-        return (k * (n + 1) + j) * (n + 1) + i
-
-    cells = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                corner = np.array((i, j, k))
-                for perm in _KUHN_PERMS:
-                    path = [corner.copy()]
-                    for axis in perm:
-                        nxt = path[-1].copy()
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    tet = [vid(*p) for p in path]
-                    # orient positively: swap last two if needed
-                    e = verts[tet[1:]] - verts[tet[0]]
-                    if np.linalg.det(e) < 0:
-                        tet[2], tet[3] = tet[3], tet[2]
-                    cells.append(tuple(tet))
-    cells = np.array(cells, dtype=np.int64)
+    # vertex (i, j, k) has id i + (n+1) j + (n+1)^2 k
+    stride = (n + 1) ** np.arange(3)
+    low = np.arange(n)
+    k, j, i = np.meshgrid(low, low, low, indexing="ij")
+    corners = (np.stack([i, j, k], axis=-1) @ stride).ravel()
+    cells = (corners[:, None, None] + _kuhn_template() @ stride).reshape(-1, 4)
 
     facets = []
     for axis in range(3):
+        rest = [ax for ax in range(3) if ax != axis]
+        s0, s1 = stride[rest]
+        a, b = (g.ravel() for g in np.meshgrid(low, low, indexing="ij"))
         for side, plane in ((0, 1), (n, 2)):
             marker = 2 * axis + plane
-            for a in range(n):
-                for b in range(n):
-                    # two triangles per boundary quad; the diagonal runs from
-                    # the low to the high corner, matching the Kuhn tet facets
-                    def fvid(da, db):
-                        idx = [0, 0, 0]
-                        idx[axis] = side
-                        rest = [ax for ax in range(3) if ax != axis]
-                        idx[rest[0]] = a + da
-                        idx[rest[1]] = b + db
-                        return vid(*idx)
-
-                    v00, v10, v01, v11 = fvid(0, 0), fvid(1, 0), fvid(0, 1), fvid(1, 1)
-                    facets.append(((v00, v10, v11), marker))
-                    facets.append(((v00, v11, v01), marker))
+            # two triangles per boundary quad; the diagonal runs from the
+            # low to the high corner, matching the Kuhn tet facets
+            v00 = side * stride[axis] + a * s0 + b * s1
+            v10, v01, v11 = v00 + s0, v00 + s1, v00 + s0 + s1
+            tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+            facets.extend((tuple(t), marker)
+                          for t in tris.reshape(-1, 3).tolist())
 
     return Mesh(3, verts, cells, tuple(facets), _adjacency(len(verts), cells))
 

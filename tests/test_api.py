@@ -1,5 +1,6 @@
-"""The public names of the package resolve: each module's `__all__` and
-every name `blocksolve/__init__.py` imports."""
+"""The public names of the package resolve: each module's `__all__`, every
+name `blocksolve/__init__.py` imports, and every entry point the benchmark's
+tracer (`perfbench/tracer.py`) wraps."""
 
 import ast
 import importlib
@@ -26,3 +27,33 @@ def test_package_imports_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names
     assert [n for n in names if not hasattr(blocksolve, n)] == []
+
+
+# the functions and methods `perfbench/tracer.py` replaces by timing
+# wrappers; a rename would silently drop its spans under `--trace 1`
+TRACED = [
+    "mesh.build_unit_square", "mesh.build_unit_cube",
+    "spaces.FunctionSpace.__init__",
+    "forms.SpaceEval.__init__", "forms.Form.block_local_matrices",
+    "forms.Form.action", "forms.Form.assemble", "forms.Form.flops_per_apply",
+    "forms.load_vector", "forms.ns_residual", "forms.rb_residual",
+    "forms.poisson_residual",
+    "operators.ImplicitOperator.apply", "operators.AssembledOperator.apply",
+    "operators.ImplicitOperator.extract_sub",
+    "operators.AssembledOperator.extract_sub",
+    "krylov.KSP.solve",
+    "precond.Preconditioner.set_up", "precond.SchurOperator.apply",
+    "factory.build_ksp", "factory.build_pc",
+    "newton.NewtonSolver.solve",
+    "problems.run_poisson", "problems.run_cavity", "problems.run_convection",
+    "problems.l2_error",
+]
+
+
+@pytest.mark.parametrize("path", TRACED)
+def test_traced_entry_points_resolve(path):
+    module, *attrs = path.split(".")
+    obj = importlib.import_module(f"blocksolve.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)

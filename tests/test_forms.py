@@ -15,7 +15,7 @@ from blocksolve.forms import (Form, mass_form, stiffness_form,
                               pressure_mass_form, load_vector,
                               ns_residual, rb_residual, poisson_residual,
                               jacobian_check, collect_bc_dofs, pcd_form,
-                              StateWind, UPWARD, _component_diag, _interleave)
+                              StateWind, UPWARD, collect_bc_values)
 from blocksolve.operators import ImplicitOperator
 
 
@@ -184,31 +184,30 @@ class _Reads:
         return getattr(self.at, kind)
 
 
-def test_terms_declare_what_pointwise_reads():
-    # flops_per_apply counts tabulation products from these declarations
+def test_terms_declare_what_coefficient_reads():
+    # flops_per_apply counts tabulation products and contractions from
+    # these declarations, and the action and assembly read D through them
     rb = _rb_operator(2).form
     V = build_space(rb.mesh, 2)
-    for form in (rb, mass_form(V, coef=2.0),
+    for form in (rb, _ns_form(3), _pcd(2), mass_form(V, coef=_coef),
                  convection_diffusion_form(V, wind=[1.0, 0.5])):
-        x = np.random.default_rng(0).standard_normal(form.col_space.num_dofs)
-        state = form.context.get("state", x)
+        ncells, nq = form.wq.shape
+        width = {"values": 1, "grads": form.mesh.dim}
+        state = form.context.get("state", np.random.default_rng(0)
+                                 .standard_normal(form.col_space.num_dofs))
         for (i, j), terms in form.blocks.items():
+            kt = form.row_space.fields[i].ncomp
+            ks = form.col_space.fields[j].ncomp
             for term in terms:
                 log = set()
-                u = _Reads(form, form.col_space, x, j, log, ())
                 fields = {f: _Reads(form, form.state_space, state, f, log, (f,))
                           for f in range(form.state_space.num_fields)}
-                yv, yg = term.pointwise(form, u, fields)
-                expect = {(term.trial,)} | ({term.state} if term.state else set())
-                assert log == expect, type(term).__name__
-                assert (yv is None, yg is None) == \
-                    (term.test != "values", term.test != "grads")
-
-
-def test_action_keeps_no_per_point_arrays():
-    op = _rb_operator(2)
-    op.apply(np.ones(op.shape[1]))
-    assert op.form._evals == {}
+                D = term.coefficient(form, fields)
+                name = type(term).__name__
+                assert log == ({term.state} if term.state else set()), name
+                comps = (kt, ks) if term.couples else (1, 1)
+                assert D.shape == ((ncells,) + comps + (
+                    width[term.test], width[term.trial], nq)), name
 
 
 def _largest_array(obj, seen=None):
@@ -232,16 +231,46 @@ def _largest_array(obj, seen=None):
 @pytest.mark.parametrize("make", [
     lambda: stiffness_form(build_space(build_unit_cube(2), 2)),
     lambda: _rb_operator(2).form,
+    lambda: _ns_form(2),
 ])
 def test_assembly_keeps_no_per_point_gradients(make):
+    # assembly, load vectors, the matrix-free action and the residuals
     form = make()
     form.assemble()
     load_vector(form, 1.0)
+    x = np.ones(form.col_space.num_dofs)
+    ImplicitOperator(form).apply(x)
+    residual = {"ns_jacobian": ns_residual,
+                "rb_jacobian": rb_residual}.get(form.kind)
+    if residual is not None:
+        residual(form, x)
     ncells, nq = form.wq.shape
     nn = min(f.element.nnodes
              for f in form.row_space.fields + form.col_space.fields)
     # a physical-gradient array of any field would hold ncells*nq*nn*dim
     assert _largest_array(form) < ncells * nq * nn * form.mesh.dim
+
+
+def _component_diag(scalar_local, ncomp):
+    if ncomp == 1:
+        return scalar_local
+    nc, ni, nj = scalar_local.shape
+    out = np.zeros((nc, ni * ncomp, nj * ncomp))
+    for k in range(ncomp):
+        out[:, k::ncomp, k::ncomp] = scalar_local
+    return out
+
+
+def _interleave(blk):
+    """Place per-component blocks blk[:, k, l] of shape (ncells, kt, ks, nt,
+    ns) at stride kt in the rows and ks in the columns: (ncells, nt*kt,
+    ns*ks)."""
+    ncells, kt, ks, nt, ns = blk.shape
+    out = np.empty((ncells, nt * kt, ns * ks))
+    for k in range(kt):
+        for l in range(ks):
+            out[:, k::kt, l::ks] = blk[:, k, l]
+    return out
 
 
 def _parent_tables(form, space):
@@ -352,6 +381,67 @@ def test_element_matrices_match_physical_gradient_einsums(make):
             assert got.shape == expect.shape
             err = np.abs(got - expect).max() / np.abs(expect).max()
             assert err <= 1e-13, (type(term).__name__, (i, j), err)
+
+
+def _parent_residual(form, state, bcs):
+    """The NS or RB residual by the einsums over physical gradient arrays
+    that `ns_residual`/`rb_residual` used before the Picard action: the
+    reference."""
+    mixed, wq = form.col_space, form.wq
+
+    def field(f):
+        space = mixed.fields[f]
+        xloc = state[mixed.field_slice(f)][space.cell_dofs].reshape(
+            len(wq), -1, space.ncomp)
+        vals, grads = _parent_tables(form, space)
+        return (vals, grads, np.einsum("qn,cnk->cqk", vals, xloc),
+                np.einsum("cqnd,cnk->cqkd", grads, xloc))
+
+    rb = form.kind == "rb_jacobian"
+    tv, tg, u, gu = field(0)
+    pv, _, p, _ = field(1)
+    nu = 1.0 if rb else 1.0 / form.context["Re"]
+    force = np.einsum("cqd,cqkd->cqk", u, gu)
+    if rb:
+        sv, sg, T, gT = field(2)
+        force = force + (form.context["Ra"] / form.context["Pr"]
+                         * T * UPWARD[form.mesh.dim])
+    parts = [np.einsum("cq,cqkd,cqid->cik", nu * wq, gu, tg)
+             + np.einsum("cq,cqk,qi->cik", wq, force, tv)
+             - np.einsum("cq,cq,cqik->cik", wq, p[..., 0], tg),
+             np.einsum("cq,cqkk,qi->ci", wq, gu, pv)]
+    if rb:
+        gT = gT[:, :, 0]
+        parts.append(np.einsum("cq,cqd,cqid->ci", wq * form.context["Pr"],
+                               gT, sg)
+                     + np.einsum("cq,cqd,cqd,qi->ci", wq, u, gT, sv))
+    r = np.zeros(mixed.num_dofs)
+    for f, loc in enumerate(parts):
+        dofs = mixed.fields[f].cell_dofs + mixed.offsets[f]
+        r += np.bincount(dofs.ravel(), weights=loc.ravel(), minlength=len(r))
+    d, v = collect_bc_values(mixed, bcs)
+    r[d] = state[d] - v
+    return r
+
+
+def _lid(x):
+    return [1.0] + [0.0] * (len(x) - 1) if abs(x[-1] - 1.0) < 1e-12 \
+        else [0.0] * len(x)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_residuals_match_physical_gradient_einsums(dim):
+    ns = _ns_form(dim)
+    walls = tuple(range(1, 2 * dim + 1))
+    ns_bcs = [DirichletBC(ns.col_space.fields[0], walls, value=_lid, field=0)]
+    rb_op = _rb_operator(dim)
+    for form, bcs, residual in ((ns, ns_bcs, ns_residual),
+                                (rb_op.form, rb_op.bcs, rb_residual)):
+        state = form.context["state"]
+        got = residual(form, state, bcs)
+        expect = _parent_residual(form, state, bcs)
+        err = np.abs(got - expect).max() / np.abs(expect).max()
+        assert err <= 1e-13, (form.kind, err)
 
 
 class TestJacobians:

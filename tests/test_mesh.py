@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,3 +100,71 @@ def test_meshes_compare_by_identity():
     a, b = build_unit_square(2), build_unit_square(2)
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+def _loop_cube(n):
+    """build_unit_cube's vertices, cells, facets and vertex -> cells map by
+    per-tet and per-cell Python loops with one determinant per tet: the
+    reference."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = np.array([(x, y, z) for z in xs for y in xs for x in xs])
+
+    def vid(i, j, k):
+        return (k * (n + 1) + j) * (n + 1) + i
+
+    cells = []
+    for k, j, i in itertools.product(range(n), repeat=3):
+        corner = np.array((i, j, k))
+        for perm in itertools.permutations(range(3)):
+            path = [corner.copy()]
+            for axis in perm:
+                nxt = path[-1].copy()
+                nxt[axis] += 1
+                path.append(nxt)
+            tet = [vid(*p) for p in path]
+            e = verts[tet[1:]] - verts[tet[0]]
+            if np.linalg.det(e) < 0:
+                tet[2], tet[3] = tet[3], tet[2]
+            cells.append(tuple(tet))
+    cells = np.array(cells, dtype=np.int64)
+
+    facets = []
+    for axis in range(3):
+        rest = [ax for ax in range(3) if ax != axis]
+        for side, plane in ((0, 1), (n, 2)):
+            for a, b in itertools.product(range(n), repeat=2):
+                def fvid(da, db):
+                    idx = [0, 0, 0]
+                    idx[axis] = side
+                    idx[rest[0]] = a + da
+                    idx[rest[1]] = b + db
+                    return vid(*idx)
+
+                v00, v10, v01, v11 = (fvid(0, 0), fvid(1, 0), fvid(0, 1),
+                                      fvid(1, 1))
+                facets.append(((v00, v10, v11), 2 * axis + plane))
+                facets.append(((v00, v11, v01), 2 * axis + plane))
+
+    return verts, cells, tuple(facets), _loop_adjacency(len(verts), cells)
+
+
+def _loop_adjacency(nverts, cells):
+    adj = [[] for _ in range(nverts)]
+    for ci, cell in enumerate(cells):
+        for v in cell:
+            adj[v].append(ci)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_meshes_match_loop_construction(n):
+    mesh = build_unit_cube(n)
+    verts, cells, facets, adj = _loop_cube(n)
+    for got, expect in ((mesh.vertices, verts), (mesh.cells, cells)):
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+    assert mesh.boundary_facets == facets
+    assert mesh.vertex_to_cells == adj
+    square = build_unit_square(n)
+    assert square.vertex_to_cells == _loop_adjacency(square.num_vertices,
+                                                     square.cells)
