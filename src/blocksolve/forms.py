@@ -644,7 +644,9 @@ def pcd_form(p_space, Re, wind, context=None, state_space=None):
 def load_vector(form, f, field=0):
     """Assemble the load functional (f, v) against field `field` of the
     form's test space.  f is a constant (scalar or per component) or a
-    callable of the coordinates."""
+    callable of the coordinates, called once on all quadrature points: it
+    takes x of shape (dim, ncells, nq) and returns (ncells, nq) for a
+    scalar or (ncomp, ncells, nq) for a vector (`CellGeometry.evaluate`)."""
     space = form.row_space.fields[field]
     ncells, nq = form.wq.shape
     if callable(f):

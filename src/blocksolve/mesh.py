@@ -16,7 +16,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Mesh", "CellGeometry", "build_unit_square", "build_unit_cube",
-           "vertex_patch"]
+           "vertex_patch", "call_on_points"]
+
+_CONVENTION = ("callables of the coordinates take x of shape (dim, ...) and "
+               "return shape (...) for a scalar or (ncomp, ...) for a vector")
+
+
+def call_on_points(f, points):
+    """f called once on all of `points` (..., dim).  f follows the
+    coordinate-first convention: it receives x of shape (dim, ...), so
+    x[0] is the first coordinate of every point, and returns shape (...)
+    for a scalar or (ncomp, ...) for a vector.  The result has the value
+    axis last: (...) or (..., ncomp).  Any other result shape, such as a
+    0-d constant, raises ValueError rather than being broadcast."""
+    pshape = points.shape[:-1]
+    try:
+        val = np.asarray(f(np.moveaxis(points, -1, 0)), dtype=float)
+    except ValueError as exc:
+        # typically a Python `if` on an array of points
+        raise ValueError(f"{_CONVENTION}; calling {f!r} failed: {exc}") \
+            from exc
+    extra = val.ndim - len(pshape)
+    if extra not in (0, 1) or val.shape[extra:] != pshape:
+        raise ValueError(f"{_CONVENTION}; {f!r} returned shape {val.shape} "
+                         f"for points of shape {pshape}")
+    return np.moveaxis(val, 0, -1) if extra else val
 
 
 class CellGeometry:
@@ -44,9 +68,10 @@ class CellGeometry:
 
     def evaluate(self, f, rule):
         """A callable of the coordinates at the points of `rule` in every
-        cell, called once per point: (ncells, nq) + the shape of f(x)."""
-        return np.apply_along_axis(lambda x: np.asarray(f(x), dtype=float),
-                                   2, self.physical_points(rule))
+        cell, called once on all of them (`call_on_points`): f receives x
+        of shape (dim, ncells, nq) and returns (ncells, nq) or (ncomp,
+        ncells, nq); the result is (ncells, nq) or (ncells, nq, ncomp)."""
+        return call_on_points(f, self.physical_points(rule))
 
 
 # eq=False: identity semantics; field-wise == over numpy arrays raises
@@ -70,9 +95,6 @@ class Mesh:
     def geometry(self):
         """Cell geometry, computed on first use and freed with the mesh."""
         return CellGeometry(self)
-
-    def cell_coordinates(self, c):
-        return self.vertices[self.cells[c]]
 
     def cell_volumes(self):
         """Signed volumes of all cells (positive by construction)."""

@@ -16,7 +16,6 @@ KSP (or preconditioner) for it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -521,11 +520,50 @@ class MassSchurPC(Preconditioner):
 
 # --- two-level additive Schwarz -------------------------------------------
 
+# matrix entries per chunk of patch blocks extracted, inverted or solved at
+# once: bounds the transient arrays (about 8 bytes per entry each)
+_PATCH_CHUNK = 2 ** 13
+
+
+def _csr_keys(A):
+    """row * ncols + col of every entry of a canonical CSR matrix, in
+    storage order, so ascending."""
+    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    keys *= A.shape[1]
+    keys += A.indices
+    return keys
+
+
+def _dense_blocks(A, keys, dofs):
+    """The dense blocks A[d][:, d] for every row d of `dofs` (k, m), as
+    (k, m, m): each entry is looked up in the sorted `keys` of A."""
+    q = dofs[:, :, None] * A.shape[1] + dofs[:, None, :]
+    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[pos] == q, A.data[pos], 0.0)
+
+
+def _chunks(dofs):
+    """Slices of the rows of a patch group (k, m) that cover _PATCH_CHUNK
+    entries of its blocks at a time."""
+    k, m = dofs.shape
+    step = max(1, _PATCH_CHUNK // (m * m))
+    return [slice(s, s + step) for s in range(0, k, step)]
+
+
 class SchwarzPC(Preconditioner):
     """Two-level additive Schwarz: vertex-patch solves on the fine space
     plus an exact coarse solve on the piecewise-linear space on the same
     mesh, combined additively.  Patch dofs are those whose supporting
-    cells all lie in the vertex star; Dirichlet dofs act as identity."""
+    cells all lie in the vertex star; Dirichlet dofs act as identity.
+
+    Patches are grouped by size; a group of k patches of m dofs is a dof
+    array (k, m).  Their blocks of the assembled matrix are extracted for
+    a chunk of patches at once.  With stored operators each group keeps
+    the dense inverses (k, m, m) of its blocks, the same bytes as LU
+    factors, and an apply is one gather, batched product and scatter
+    (`np.bincount`) per group, as PCPATCH's dense-inverse mode applies
+    patches.  Without, every apply extracts the blocks again and solves
+    them a chunk at a time."""
 
     type_name = "schwarz"
 
@@ -546,6 +584,7 @@ class SchwarzPC(Preconditioner):
         mesh = V.mesh
         nc = V.ncomp
         self.A = impl.assemble().A
+        self.A.sum_duplicates()   # canonical: sorted, unique entries
         self.bc_dofs = np.asarray(impl.bc_rows, dtype=np.int64)
 
         # coarse level: same form on the degree-1 space, same markers
@@ -565,12 +604,20 @@ class SchwarzPC(Preconditioner):
         self.coarse_fact = spla.splu(sp.csc_matrix(Ac))
         self.P = self._prolongation(V, Vc)
 
-        # vertex patches
-        self.patch_dofs = self._build_patches(V, mesh, nc)
+        # vertex patches, grouped by size
+        ptr, dofs = self._build_patches(V, self.bc_dofs)
+        sizes = np.diff(ptr)
+        self.patch_groups = [dofs[ptr[:-1][sizes == m][:, None] + np.arange(m)]
+                             for m in np.unique(sizes)]
+        self.patch_invs = None
         if self.store_operators:
-            self.patch_facts = [
-                dla.lu_factor(self.A[np.ix_(pd, pd)].toarray())
-                for pd in self.patch_dofs]
+            keys = _csr_keys(self.A)
+            self.patch_invs = []
+            for group in self.patch_groups:
+                inv = np.empty(group.shape + group.shape[1:])
+                for c in _chunks(group):
+                    inv[c] = np.linalg.inv(_dense_blocks(self.A, keys, group[c]))
+                self.patch_invs.append(inv)
 
     @staticmethod
     def _prolongation(V, Vc):
@@ -594,43 +641,55 @@ class SchwarzPC(Preconditioner):
             return Ps
         return sp.kron(Ps, sp.eye(V.ncomp), format="csr")
 
-    def _build_patches(self, V, mesh, nc):
-        dof_cells = [set() for _ in range(V.num_scalar_dofs)]
-        for ci, sdofs in enumerate(V.cell_scalar_dofs):
-            for s in sdofs:
-                dof_cells[s].add(ci)
-        bc = set(int(d) for d in self.bc_dofs)
-        patches = []
-        for v in range(mesh.num_vertices):
-            cells = set(int(c) for c in mesh.vertex_to_cells[v])
-            cands = np.unique(V.cell_scalar_dofs[sorted(cells)])
-            keep = [s for s in cands if dof_cells[s] <= cells]
-            dofs = [s * nc + k for s in keep for k in range(nc)
-                    if s * nc + k not in bc]
-            if dofs:
-                patches.append(np.array(dofs, dtype=np.int64))
-        return patches
+    @staticmethod
+    def _build_patches(V, bc_dofs):
+        """Vertex patches as (ptr, dofs): patch i, in vertex order, is
+        dofs[ptr[i]:ptr[i+1]], ascending, without the dofs in `bc_dofs`;
+        empty patches are left out.  A scalar dof belongs to the patch of
+        vertex v when every cell that supports it contains v, that is when
+        the number of its cells containing v equals its number of cells."""
+        mesh, nc = V.mesh, V.ncomp
+        cell_sdofs = V.cell_scalar_dofs
+        ncells = np.bincount(cell_sdofs.ravel(), minlength=V.num_scalar_dofs)
+        # one (vertex, dof) pair per cell containing both, keyed vertex-major
+        pairs = (mesh.cells[:, None, :] * V.num_scalar_dofs
+                 + cell_sdofs[:, :, None])
+        keys, count = np.unique(pairs, return_counts=True)
+        verts, sdofs = np.divmod(keys, V.num_scalar_dofs)
+        keep = count == ncells[sdofs]
+        verts, sdofs = verts[keep], sdofs[keep]
+        dofs = (sdofs[:, None] * nc + np.arange(nc)).ravel()
+        verts = np.repeat(verts, nc)
+        free = ~np.isin(dofs, bc_dofs)
+        dofs, verts = dofs[free], verts[free]
+        sizes = np.bincount(verts, minlength=mesh.num_vertices)
+        ptr = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+        return ptr, dofs
 
     def apply(self, r):
         rc = self.P.T @ r
         rc[self.coarse_bc] = 0.0
         zc = self.coarse_fact.solve(rc)
         z = self.P @ zc
-        if self.store_operators:
-            for pd, fact in zip(self.patch_dofs, self.patch_facts):
-                z[pd] += dla.lu_solve(fact, r[pd])
-        else:
-            for pd in self.patch_dofs:
-                Ap = self.A[np.ix_(pd, pd)].toarray()
-                z[pd] += np.linalg.solve(Ap, r[pd])
+        keys = None if self.store_operators else _csr_keys(self.A)
+        for i, dofs in enumerate(self.patch_groups):
+            rp = r[dofs][..., None]
+            if self.store_operators:
+                y = self.patch_invs[i] @ rp
+            else:
+                y = np.empty_like(rp)
+                for c in _chunks(dofs):
+                    y[c] = np.linalg.solve(
+                        _dense_blocks(self.A, keys, dofs[c]), rp[c])
+            z += np.bincount(dofs.ravel(), y.ravel(), minlength=len(r))
         if len(self.bc_dofs):
             z[self.bc_dofs] = r[self.bc_dofs]
         return z
 
     def _view_body(self, indent):
         pad = " " * indent
-        np_ = len(self.patch_dofs)
-        sizes = [len(p) for p in self.patch_dofs]
-        return [f"{pad}patches={np_}, max_patch={max(sizes) if sizes else 0}, "
+        np_ = sum(len(g) for g in self.patch_groups)
+        max_patch = max((g.shape[1] for g in self.patch_groups), default=0)
+        return [f"{pad}patches={np_}, max_patch={max_patch}, "
                 f"coarse_dofs={self.P.shape[1]}, "
                 f"store_operators={self.store_operators}"]

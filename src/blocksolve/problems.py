@@ -68,9 +68,10 @@ def l2_error(space, x, exact, quad_degree=None):
 
 
 def poisson_mms(dim, kappa=1.0):
-    """Manufactured solution prod(sin(pi x_i)) with its forcing."""
+    """Manufactured solution prod(sin(pi x_i)) with its forcing, as
+    callables of coordinates x of shape (dim, ...)."""
     def exact(x):
-        return float(np.prod(np.sin(np.pi * np.asarray(x))))
+        return np.prod(np.sin(np.pi * np.asarray(x)), axis=0)
 
     def forcing(x):
         return kappa * dim * np.pi ** 2 * exact(x)
@@ -156,7 +157,8 @@ def run_cavity(cfg, db, stdout=sys.stdout):
     W = taylor_hood(mesh, cfg.degree)
 
     def lid(x):
-        return [1.0, 0.0] if abs(x[1] - 1.0) < 1e-12 else [0.0, 0.0]
+        return [np.where(np.abs(x[1] - 1.0) < 1e-12, 1.0, 0.0),
+                np.zeros_like(x[1])]
 
     bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
     form = ns_jacobian_form(W, Re=cfg.re)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .elements import lagrange_element
+from .mesh import call_on_points
 
 __all__ = ["FunctionSpace", "MixedSpace", "DirichletBC", "build_space",
            "taylor_hood", "interpolate"]
@@ -70,10 +71,6 @@ class FunctionSpace:
     @property
     def ncomp(self):
         return self.element.ncomp
-
-    def dof_coords(self):
-        """Coordinates per (possibly vector) global dof."""
-        return np.repeat(self.scalar_dof_coords, self.ncomp, axis=0)
 
     def boundary_scalar_dofs(self, markers):
         on = np.zeros(self.num_scalar_dofs, dtype=bool)
@@ -139,8 +136,10 @@ class DirichletBC:
     """Dirichlet data on a set of boundary markers.
 
     `value` is a constant, a sequence of per-component constants, or a
-    callable of the node coordinates.  `field` names the field when the BC
-    lives inside a mixed space.
+    callable of the node coordinates, called once on all boundary nodes
+    with x of shape (dim, nnodes) and returning (nnodes,) for a scalar
+    space or (ncomp, nnodes) for a vector one (`mesh.call_on_points`).
+    `field` names the field when the BC lives inside a mixed space.
     """
 
     space: FunctionSpace
@@ -164,16 +163,21 @@ class DirichletBC:
 
 def _nodal_values(coords, value, ncomp):
     """(len(coords), ncomp) values at the nodes: a constant or per-component
-    constant broadcast, a callable called once per node coordinate."""
+    constant broadcast, or a callable called once on all nodes, with x =
+    coords.T of shape (dim, nnodes), returning (nnodes,) if ncomp is 1 and
+    (ncomp, nnodes) otherwise."""
+    shape = (len(coords), ncomp)
     if not callable(value):
-        return np.broadcast_to(np.asarray(value, dtype=float),
-                               (len(coords), ncomp)).copy()
-    out = np.empty((len(coords), ncomp))
-    for i, x in enumerate(coords):
-        out[i] = value(x)
-    return out
+        return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
+    out = call_on_points(value, coords)
+    if out.size != len(coords) * ncomp:
+        raise ValueError(f"{value!r} returned {out.shape[1:] or 'a scalar'} "
+                         f"per node, but the space has {ncomp} components")
+    return out.reshape(shape)
 
 
 def interpolate(space, fn):
-    """Nodal interpolation of fn(x), or of a constant, into the space."""
+    """Nodal interpolation of fn(x), or of a constant, into the space.  A
+    callable fn takes x of shape (dim, nnodes) and returns (nnodes,) or
+    (ncomp, nnodes), as for `DirichletBC`."""
     return _nodal_values(space.scalar_dof_coords, fn, space.ncomp).ravel()

@@ -62,7 +62,8 @@ def _poisson_op(dim, n, degree):
 def _ns_problem(n=4, Re=10.0, seed=0):
     mesh = build_unit_square(n)
     W = taylor_hood(mesh)
-    lid = lambda x: [1.0, 0.0] if x[1] > 1.0 - 1e-12 else [0.0, 0.0]
+    lid = lambda x: [np.where(x[1] > 1.0 - 1e-12, 1.0, 0.0),
+                     np.zeros_like(x[1])]
     bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
     form = ns_jacobian_form(W, Re=Re)
     rng = np.random.default_rng(seed)

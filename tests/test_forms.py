@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from blocksolve.mesh import build_unit_square, build_unit_cube
+from blocksolve.mesh import build_unit_square, build_unit_cube, CellGeometry
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, interpolate)
 from blocksolve.elements import tabulate
@@ -17,6 +17,7 @@ from blocksolve.forms import (Form, mass_form, stiffness_form,
                               jacobian_check, collect_bc_dofs, pcd_form,
                               StateWind, UPWARD, collect_bc_values)
 from blocksolve.operators import ImplicitOperator
+from blocksolve.problems import l2_error, poisson_mms
 
 
 def _unit_right_triangle_space():
@@ -425,8 +426,8 @@ def _parent_residual(form, state, bcs):
 
 
 def _lid(x):
-    return [1.0] + [0.0] * (len(x) - 1) if abs(x[-1] - 1.0) < 1e-12 \
-        else [0.0] * len(x)
+    top = np.where(np.abs(x[-1] - 1.0) < 1e-12, 1.0, 0.0)
+    return [top] + [np.zeros_like(top)] * (len(x) - 1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -499,8 +500,8 @@ class TestResiduals:
     def test_residual_dirichlet_rows_hold_defect(self):
         mesh = build_unit_square(2)
         W = taylor_hood(mesh)
-        lid = lambda x: [1.0, 0.0] if abs(x[1] - 1.0) < 1e-12 \
-            else [0.0, 0.0]
+        lid = lambda x: [np.where(np.abs(x[1] - 1.0) < 1e-12, 1.0, 0.0),
+                         np.zeros_like(x[1])]
         bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
         form = ns_jacobian_form(W, Re=1.0)
         r = ns_residual(form, np.zeros(W.num_dofs), bcs)
@@ -526,3 +527,82 @@ def test_quadrature_degree_override():
     V = build_space(mesh, 1)
     f1 = mass_form(V)
     assert f1.quad_degree == 3
+
+
+# --- callables of the coordinates -------------------------------------------
+
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def _per_point_evaluate(geom, f, rule):
+    """Callables evaluated one point at a time, as before the
+    coordinate-first convention: the reference for one call per point set."""
+    return np.apply_along_axis(lambda x: np.asarray(f(x), dtype=float),
+                               2, geom.physical_points(rule))
+
+
+def _per_point_mms(dim, kappa=1.0):
+    def exact(x):
+        return float(np.prod(np.sin(np.pi * np.asarray(x))))
+
+    def forcing(x):
+        return kappa * dim * np.pi ** 2 * exact(x)
+
+    return exact, forcing
+
+
+def test_callables_called_once_per_use():
+    V = build_space(build_unit_square(3), 3)
+    coef = _Counted(lambda x: 1.0 + x[0] * x[1])
+    wind = _Counted(lambda x: [x[1], -x[0]])
+    f = _Counted(lambda x: np.sin(x[0]) * x[1])
+    mass = mass_form(V, coef=coef)
+    cd = convection_diffusion_form(V, nu=0.1, wind=wind)
+    x = np.random.default_rng(0).standard_normal(V.num_dofs)
+    uses = [(coef, mass.assemble), (coef, lambda: mass.action(x)),
+            (wind, cd.assemble), (wind, lambda: cd.action(x)),
+            (f, lambda: load_vector(mass, f)),
+            (f, lambda: l2_error(V, x, f)),
+            (f, lambda: mass.geom.evaluate(f, mass.rule))]
+    for counted, use in uses:
+        before = counted.calls
+        use()
+        assert counted.calls == before + 1
+
+
+@pytest.mark.parametrize("dim, degree", [(2, 4), (3, 3)])
+def test_mms_load_and_error_match_per_point_calls(dim, degree, monkeypatch):
+    mesh = build_unit_square(4) if dim == 2 else build_unit_cube(2)
+    V = build_space(mesh, degree)
+    form = stiffness_form(V, kappa=1.5)
+    x = np.random.default_rng(3).standard_normal(V.num_dofs)
+    exact, forcing = poisson_mms(dim, 1.5)
+    got = load_vector(form, forcing), l2_error(V, x, exact)
+    ref_exact, ref_forcing = _per_point_mms(dim, 1.5)
+    monkeypatch.setattr(CellGeometry, "evaluate", _per_point_evaluate)
+    ref = load_vector(form, ref_forcing), l2_error(V, x, ref_exact)
+    assert np.linalg.norm(got[0] - ref[0]) <= 1e-14 * np.linalg.norm(ref[0])
+    assert abs(got[1] - ref[1]) <= 1e-14 * ref[1]
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0 if x[0] > 0.5 else 0.0,            # a Python branch
+    lambda x: float(np.prod(np.sin(np.pi * x))),     # one value for all
+    lambda x: 2.0,                                   # 0-d constant
+    lambda x: [x[0], 0.0],                           # ragged components
+    lambda x: x[0][:, :1],                           # wrong point shape
+])
+def test_callables_off_the_convention_raise(f):
+    form = mass_form(build_space(build_unit_square(2), 2))
+    with pytest.raises(ValueError, match=r"x of shape \(dim, \.\.\.\)"):
+        load_vector(form, f)
+    with pytest.raises(ValueError, match=r"x of shape \(dim, \.\.\.\)"):
+        mass_form(form.row_space.fields[0], coef=f).assemble()

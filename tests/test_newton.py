@@ -14,7 +14,8 @@ from blocksolve.newton import (NewtonSolver, NewtonDivergedMaxIts,
 def _cavity(n=4, Re=50.0):
     mesh = build_unit_square(n)
     W = taylor_hood(mesh)
-    lid = lambda x: [1.0, 0.0] if x[1] > 1.0 - 1e-12 else [0.0, 0.0]
+    lid = lambda x: [np.where(x[1] > 1.0 - 1e-12, 1.0, 0.0),
+                     np.zeros_like(x[1])]
     bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
     form = ns_jacobian_form(W, Re=Re)
     residual = lambda x: ns_residual(form, x, bcs=bcs)

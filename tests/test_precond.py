@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse as sp
 
 from blocksolve.elements import lagrange_element, tabulate
@@ -243,6 +244,57 @@ class TestSchurApproximations:
                            spla.spsolve(Mp.tocsc(), r) / 8.0, atol=1e-8)
 
 
+_SCHWARZ_CASES = [(2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 1),
+                  (2, 3, 2)]
+
+
+def _walls(dim):
+    return tuple(range(1, 2 * dim + 1))
+
+
+def _schwarz_operator(dim, n, degree, ncomp):
+    mesh = build_unit_square(n) if dim == 2 else build_unit_cube(n)
+    V = build_space(mesh, degree, ncomp=ncomp)
+    bcs = [DirichletBC(V, _walls(dim), value=[0.0] * ncomp)]
+    return ImplicitOperator(stiffness_form(V), bcs=bcs)
+
+
+def _set_loop_patches(V, bc_dofs):
+    """Vertex patches as a loop over Python sets finds them: the dofs
+    whose supporting cells all contain the vertex, without `bc_dofs`,
+    empty patches left out.  The reference for the array version."""
+    nc = V.ncomp
+    dof_cells = [set() for _ in range(V.num_scalar_dofs)]
+    for ci, sdofs in enumerate(V.cell_scalar_dofs):
+        for s in sdofs:
+            dof_cells[s].add(ci)
+    bc = set(int(d) for d in bc_dofs)
+    patches = []
+    for v in range(V.mesh.num_vertices):
+        cells = set(int(c) for c in V.mesh.vertex_to_cells[v])
+        cands = np.unique(V.cell_scalar_dofs[sorted(cells)])
+        keep = [s for s in cands if dof_cells[s] <= cells]
+        dofs = [s * nc + k for s in keep for k in range(nc)
+                if s * nc + k not in bc]
+        if dofs:
+            patches.append(np.array(dofs, dtype=np.int64))
+    return patches
+
+
+def _lu_loop_apply(pc, V, r):
+    """A two-level Schwarz apply with one LU factorisation and solve per
+    patch: the reference for the batched dense inverses."""
+    rc = pc.P.T @ r
+    rc[pc.coarse_bc] = 0.0
+    z = pc.P @ pc.coarse_fact.solve(rc)
+    A = pc.A.tocsr()
+    for pd in _set_loop_patches(V, pc.bc_dofs):
+        z[pd] += dla.lu_solve(dla.lu_factor(A[np.ix_(pd, pd)].toarray()),
+                              r[pd])
+    z[pc.bc_dofs] = r[pc.bc_dofs]
+    return z
+
+
 class TestSchwarz:
     def test_mesh_robustness(self):
         its = []
@@ -276,8 +328,41 @@ class TestSchwarz:
         z = SchwarzPC().set_up(A).apply(r)
         assert np.allclose(z[bc.dofs], r[bc.dofs])
 
-    @pytest.mark.parametrize("dim, degree, ncomp", [
-        (2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 2, 1), (3, 3, 1), (2, 3, 2)])
+    @pytest.mark.parametrize("dim, degree, ncomp", _SCHWARZ_CASES)
+    def test_patches_match_set_loop(self, dim, degree, ncomp):
+        mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+        V = build_space(mesh, degree, ncomp=ncomp)
+        for markers in ((), (1, 3), _walls(dim)):
+            bc_dofs = V.boundary_dofs(markers)
+            ptr, dofs = SchwarzPC._build_patches(V, bc_dofs)
+            got = np.split(dofs, ptr[1:-1])
+            expect = _set_loop_patches(V, bc_dofs)
+            assert len(got) == len(expect)
+            for a, b in zip(got, expect):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim, degree, ncomp", _SCHWARZ_CASES)
+    def test_batched_apply_matches_lu_loop(self, dim, degree, ncomp):
+        op = _schwarz_operator(dim, 3 if dim == 2 else 2, degree, ncomp)
+        r = np.random.default_rng(7).standard_normal(op.shape[0])
+        stored = SchwarzPC(store_operators=True).set_up(op)
+        z = stored.apply(r)
+        ref = _lu_loop_apply(stored, op.form.col_space.fields[0], r)
+        assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+        z2 = SchwarzPC(store_operators=False).set_up(op).apply(r)
+        assert np.linalg.norm(z2 - z) <= 1e-12 * np.linalg.norm(z)
+
+    def test_stored_inverses_no_larger_than_lu_factors(self):
+        op = _schwarz_operator(2, 16, 4, 1)
+        pc = SchwarzPC().set_up(op)
+        A = pc.A.tocsr()
+        lu_bytes = 0
+        for pd in _set_loop_patches(op.form.col_space.fields[0], pc.bc_dofs):
+            lu, piv = dla.lu_factor(A[np.ix_(pd, pd)].toarray())
+            lu_bytes += lu.nbytes + piv.nbytes
+        assert sum(inv.nbytes for inv in pc.patch_invs) <= lu_bytes
+
+    @pytest.mark.parametrize("dim, degree, ncomp", _SCHWARZ_CASES)
     def test_prolongation_matches_cell_loop(self, dim, degree, ncomp):
         mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
         V = build_space(mesh, degree, ncomp=ncomp)

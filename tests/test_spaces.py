@@ -152,8 +152,8 @@ def test_numbering_matches_cell_loop(dim, degree):
     (1, 1.5), (2, 1.5), (2, [1.0, -2.0]),
     (1, lambda x: x[0] - x[1]), (2, lambda x: [x[0], x[1] ** 2])])
 def test_nodal_values_match_per_node_loop(ncomp, value):
-    # constants are broadcast, callables called once per node; both must
-    # give what assigning value or value(x) node by node gives
+    # constants are broadcast, callables called once on all nodes; both
+    # must give what assigning value or value(x) node by node gives
     V = build_space(build_unit_square(3), 2, ncomp=ncomp)
     expect = np.empty((V.num_scalar_dofs, ncomp))
     for s, x in enumerate(V.scalar_dof_coords):
@@ -178,3 +178,33 @@ def test_cube_space():
     mesh = build_unit_cube(2)
     V = build_space(mesh, 2)
     assert V.num_dofs == (2 * 2 + 1) ** 3
+
+
+def test_nodal_callable_called_once():
+    V = build_space(build_unit_square(3), 2, ncomp=2)
+    calls = []
+
+    def value(x):
+        calls.append(x.shape)
+        return [x[0], x[1] ** 2]
+
+    interpolate(V, value)
+    DirichletBC(V, (1, 4), value=value)
+    assert calls == [(2, V.num_scalar_dofs),
+                     (2, len(V.boundary_scalar_dofs((1, 4))))]
+
+
+@pytest.mark.parametrize("ncomp, value", [
+    (1, lambda x: 1.0 if x[0] > 0.5 else 0.0),      # a Python branch
+    (1, lambda x: float(np.sum(x[0]))),              # 0-d result
+    (2, lambda x: [1.0, 0.0]),                       # constants per call
+    (2, lambda x: x[0]),                             # one component of two
+])
+def test_nodal_callables_off_the_convention_raise(ncomp, value):
+    V = build_space(build_unit_square(3), 2, ncomp=ncomp)
+    with pytest.raises(ValueError, match=r"x of shape \(dim, \.\.\.\)|"
+                                         r"2 components"):
+        interpolate(V, value)
+    with pytest.raises(ValueError, match=r"x of shape \(dim, \.\.\.\)|"
+                                         r"2 components"):
+        DirichletBC(V, (1,), value=value)
