@@ -27,10 +27,8 @@ State coefficients (the Newton wind and state gradients) are evaluated from
 `context["state"]` whenever D is built, so nothing can go stale.  Action
 and assembly agree to rounding.
 
-Boundary conditions follow one canonical convention: assembled matrices have
-Dirichlet rows and columns zeroed with a unit diagonal, and the matrix-free
-action reproduces that matrix by zeroing Dirichlet entries of the input and
-copying them through to the output.
+A form carries no boundary conditions: `ImplicitOperator` holds the form
+with its Dirichlet rows and columns and applies them.
 """
 
 from __future__ import annotations
@@ -42,13 +40,14 @@ import scipy.sparse as sp
 
 from .quadrature import make_quadrature, MAX_DEGREE
 from .elements import tabulate
-from .spaces import FunctionSpace, MixedSpace
+from .mesh import _CONVENTION
+from .spaces import (FunctionSpace, MixedSpace, collect_bc_dofs,
+                     collect_bc_values)
 
 __all__ = [
     "Form", "mass_form", "stiffness_form", "convection_diffusion_form",
     "stokes_form", "ns_jacobian_form", "rb_jacobian_form",
     "pressure_mass_form", "pressure_laplacian_form", "pcd_form",
-    "apply_bcs_matrix", "collect_bc_dofs",
     "ns_residual", "rb_residual", "jacobian_check",
 ]
 
@@ -296,7 +295,7 @@ class Form:
     the preconditioners acting on it can read)."""
 
     def __init__(self, kind, row_space, col_space, blocks, context=None,
-                 quad_degree=None, bc_diagonal=None, state_space=None):
+                 quad_degree=None, state_space=None):
         same = row_space is col_space
         if isinstance(row_space, FunctionSpace):
             row_space = MixedSpace([row_space])
@@ -304,10 +303,6 @@ class Form:
             col_space = row_space if same else MixedSpace([col_space])
         if row_space.mesh is not col_space.mesh:
             raise ValueError("test and trial spaces live on different meshes")
-        # whether Dirichlet dofs get a unit diagonal (square form over the
-        # same fields) or plain zero rows/columns (off-diagonal block)
-        self.bc_diagonal = (row_space is col_space if bc_diagonal is None
-                            else bc_diagonal)
         self.kind = kind
         self.row_space = row_space
         self.col_space = col_space
@@ -347,20 +342,31 @@ class Form:
 
     def coefficient_at_points(self, coef):
         """Scalar coefficient at all quadrature points, (ncells, nq)."""
-        coef = self.coefficient_value(coef)
-        if callable(coef):
-            return self.geom.evaluate(coef, self.rule)
-        return np.broadcast_to(float(coef), self.wq.shape)
+        return self._at_points(coef, (), "coefficient")
 
     def wind_at_points(self, wind):
         """Vector wind coefficient at all quadrature points, (ncells, nq,
         dim)."""
-        wind = self.coefficient_value(wind)
-        if callable(wind):
-            return self.geom.evaluate(wind, self.rule)
-        arr = np.asarray(wind, dtype=float)
-        ncells, nq = self.wq.shape
-        return np.broadcast_to(arr, (ncells, nq, self.mesh.dim))
+        return self._at_points(wind, (self.mesh.dim,), "wind")
+
+    def _at_points(self, coef, value_shape, what):
+        """A constant of `value_shape` broadcast to every quadrature point,
+        or a callable evaluated on them; any other value shape raises."""
+        coef = self.coefficient_value(coef)
+        shape = self.wq.shape + value_shape
+        if callable(coef):
+            out = self.geom.evaluate(coef, self.rule)
+            if out.shape != shape:
+                raise ValueError(f"{what} {coef!r} gives shape {out.shape} "
+                                 f"at the quadrature points, expected "
+                                 f"{shape}; {_CONVENTION}")
+            return out
+        arr = np.asarray(coef, dtype=float)
+        if arr.shape != value_shape:
+            raise ValueError(f"constant {what} {coef!r} has shape "
+                             f"{arr.shape}, expected {value_shape}; "
+                             f"{_CONVENTION}")
+        return np.broadcast_to(arr, shape)
 
     # -- kernels -----------------------------------------------------------
 
@@ -436,16 +442,8 @@ class Form:
 
     # -- global operations -------------------------------------------------
 
-    def _bc_dofs(self, bcs, bc_rows, bc_cols):
-        if bcs:
-            d = collect_bc_dofs(self.row_space, bcs)
-            return d, d
-        none = np.empty(0, dtype=np.int64)
-        return (none if bc_rows is None else np.asarray(bc_rows),
-                none if bc_cols is None else np.asarray(bc_cols))
-
-    def assemble(self, bcs=(), bc_rows=None, bc_cols=None):
-        """Global CSR matrix with symmetric Dirichlet treatment."""
+    def assemble(self):
+        """Global CSR matrix of the form."""
         rows, cols, vals = [], [], []
         for (i, j) in self.blocks:
             loc = self.block_local_matrices(i, j)
@@ -464,23 +462,15 @@ class Form:
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=shape).tocsr()
         A.sum_duplicates()
-        br, bc = self._bc_dofs(bcs, bc_rows, bc_cols)
-        if len(br) or len(bc):
-            A = apply_bcs_matrix(A, br, bc, diagonal=self.bc_diagonal)
         return A
 
-    def action(self, x, bcs=(), bc_rows=None, bc_cols=None):
+    def action(self, x):
         """Matrix-free y = A x consistent with assemble(), evaluated at the
         quadrature points."""
         x = np.asarray(x, dtype=float)
         rs, cs = self.row_space, self.col_space
         if len(x) != cs.num_dofs:
             raise ValueError("input length does not match trial space")
-        br, bc = self._bc_dofs(bcs, bc_rows, bc_cols)
-        x0 = x
-        if len(bc):
-            x0 = x.copy()
-            x0[bc] = 0.0
         trial = {}
         state = _StateAtPoints(self)
         acc = {}  # (test field, slot) -> (ncells, kt, a, nq)
@@ -489,7 +479,7 @@ class Form:
                 u = trial.get(j)
                 if u is None:
                     u = trial[j] = self.at_points(cs.fields[j],
-                                                  x0[cs.field_slice(j)])
+                                                  x[cs.field_slice(j)])
                 yq = _contract(term.coefficient(self, state),
                                u.slot(term.trial))
                 key = (i, term.test)
@@ -501,11 +491,6 @@ class Form:
         for (i, kind), yq in acc.items():
             y[rs.field_slice(i)] += self.tabulation(
                 rs.fields[i]).from_points(yq, kind)
-        if len(br):
-            if self.bc_diagonal:
-                y[br] = x[br]
-            else:
-                y[br] = 0.0
         return y
 
 
@@ -514,43 +499,6 @@ class StateWind:
 
     def __init__(self, field=0):
         self.field = field
-
-
-def collect_bc_dofs(mixed, bcs):
-    """Global Dirichlet dofs of a list of DirichletBCs within a mixed space."""
-    dofs = [np.empty(0, dtype=np.int64)]
-    for bc in bcs:
-        dofs.append(bc.dofs + mixed.offsets[bc.field])
-    return np.unique(np.concatenate(dofs))
-
-
-def collect_bc_values(mixed, bcs):
-    """(dofs, values) with mixed-space offsets applied."""
-    dofs, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for bc in bcs:
-        dofs.append(bc.dofs + mixed.offsets[bc.field])
-        vals.append(bc.values)
-    d = np.concatenate(dofs)
-    v = np.concatenate(vals)
-    order = np.argsort(d)
-    return d[order], v[order]
-
-
-def apply_bcs_matrix(A, bc_rows, bc_cols=None, diagonal=True):
-    """Zero Dirichlet rows and columns; unit diagonal for square forms."""
-    if bc_cols is None:
-        bc_cols = bc_rows
-    n, m = A.shape
-    keep_r = np.ones(n)
-    keep_r[bc_rows] = 0.0
-    keep_c = np.ones(m)
-    keep_c[bc_cols] = 0.0
-    A = (sp.diags(keep_r) @ A @ sp.diags(keep_c)).tocsr()
-    if diagonal and n == m:
-        diag = np.zeros(n)
-        diag[bc_rows] = 1.0
-        A = (A + sp.diags(diag)).tocsr()
-    return A
 
 
 # --- catalogue ------------------------------------------------------------
@@ -639,8 +587,6 @@ def pcd_form(p_space, Re, wind, context=None, state_space=None):
                 context=context, state_space=state_space)
 
 
-
-
 def load_vector(form, f, field=0):
     """Assemble the load functional (f, v) against field `field` of the
     form's test space.  f is a constant (scalar or per component) or a
@@ -695,18 +641,15 @@ def rb_residual(form, state, bcs=()):
 
 
 def poisson_residual(form, state, bcs=(), rhs=None):
-    """Residual of the assembled linear system A x - b (affine problem)."""
-    r = form.action(state, bcs=bcs)
+    """Residual A x - b of the affine problem, with the Dirichlet entries of
+    the state zeroed before the action; Dirichlet entries hold state -
+    boundary value."""
+    x = np.array(state, dtype=float)
+    x[collect_bc_dofs(form.col_space, bcs)] = 0.0
+    r = form.action(x)
     if rhs is not None:
-        mixed = form.col_space
-        bc_dofs = collect_bc_dofs(mixed, bcs) if bcs else None
-        b = rhs.copy()
-        if bcs:
-            b[bc_dofs] = 0.0
-        r = r - b
-    if bcs:
-        _residual_bc_rows(form.col_space, state, bcs, r)
-    return r
+        r -= rhs
+    return _residual_bc_rows(form.col_space, state, bcs, r)
 
 
 def jacobian_check(residual_fn, jac_form, state, bcs=(), ndirs=3, h=1e-6,
@@ -714,14 +657,15 @@ def jacobian_check(residual_fn, jac_form, state, bcs=(), ndirs=3, h=1e-6,
     """Max relative discrepancy between central finite differences of the
     residual and the Jacobian action over random directions."""
     rng = np.random.default_rng(rng)
-    bc_dofs = collect_bc_dofs(jac_form.col_space, bcs) if bcs else []
+    bc_dofs = collect_bc_dofs(jac_form.col_space, bcs)
     worst = 0.0
     for _ in range(ndirs):
         d = rng.standard_normal(len(state))
         # Newton corrections carry homogeneous BCs; probe the same subspace
         d[bc_dofs] = 0.0
         jac_form.context["state"] = state
-        jd = jac_form.action(d, bcs=bcs)
+        jd = jac_form.action(d)
+        jd[bc_dofs] = 0.0
         rp = residual_fn(state + h * d)
         rm = residual_fn(state - h * d)
         fd = (rp - rm) / (2 * h)

@@ -95,7 +95,6 @@ class KSP:
         self.monitor = monitor
         self.prefix = prefix
         self.error_if_not_converged = error_if_not_converged
-        self.last_report = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -130,7 +129,6 @@ class KSP:
         if true_norm is None:
             true_norm = np.linalg.norm(b - A.apply(x))
         report = SolveReport(converged, reason, it, rnorm, true_norm)
-        self.last_report = report
         if not converged and self.error_if_not_converged:
             raise DivergedMaxIts(
                 f"{self.prefix or 'ksp'}: {reason} after {it} iterations "

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import collect_bc_values
 from .krylov import KrylovError
 from .operators import ImplicitOperator, select_operators
+from .spaces import collect_bc_values
 
 __all__ = ["NewtonSolver", "NewtonReport", "NewtonError",
            "NewtonDivergedMaxIts", "LinearSolveFailed"]
@@ -78,7 +78,6 @@ class NewtonSolver:
         self.nullspace = nullspace
         self.monitor = monitor
         self.error_if_not_converged = error_if_not_converged
-        self.last_report = None
 
     def lift_bcs(self, x):
         """Impose the Dirichlet data on an iterate, in place."""
@@ -94,7 +93,6 @@ class NewtonSolver:
 
     def _finish(self, x, converged, reason, it, linear_its, norms):
         report = NewtonReport(converged, reason, it, linear_its, norms)
-        self.last_report = report
         if not converged and self.error_if_not_converged:
             raise NewtonDivergedMaxIts(
                 f"newton: {reason} after {it} iterations "
@@ -106,6 +104,9 @@ class NewtonSolver:
         n = form.col_space.num_dofs
         x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
         self.lift_bcs(x)
+        # the operator reads the state from the form's context, so one
+        # serves every step
+        implicit = ImplicitOperator(form, bcs=self.bcs)
         norms = []
         linear_its = 0
         for it in range(self.max_it + 1):
@@ -123,9 +124,8 @@ class NewtonSolver:
             if it == self.max_it:
                 break
             form.context["state"] = x
-            A, Apc = select_operators(
-                ImplicitOperator(form, bcs=self.bcs), self.mat_type,
-                self.pmat_type)
+            A, Apc = select_operators(implicit, self.mat_type,
+                                      self.pmat_type)
             ksp = self.ksp_maker(A, Apc)
             if ksp.nullspace is None:
                 ksp.nullspace = self.nullspace

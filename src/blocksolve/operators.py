@@ -5,6 +5,14 @@ apply / extract_sub / assemble.  Submatrix extraction is
 field-based: an index set is accepted only if it is a concatenation of a
 subset of the field index sets, and the extracted operator is again
 implicit, built from the restriction of the block form to those fields.
+
+Boundary conditions are applied here and nowhere else, by one convention:
+the Dirichlet columns are zeroed, and the Dirichlet rows are zeroed with a
+unit diagonal when the operator is square over the same fields (its form's
+row space is its column space) and left zero otherwise, as in an
+off-diagonal block.  The matrix-free apply reproduces that matrix by
+zeroing the Dirichlet entries of its input and setting the Dirichlet rows
+of its output; assembly applies the same rule to the CSR matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forms import Form
-from .spaces import MixedSpace
+from .spaces import MixedSpace, collect_bc_dofs
 
 __all__ = ["LinearOperator", "ImplicitOperator", "AssembledOperator",
            "NoFieldMatch", "match_fields", "select_operators",
@@ -99,20 +107,38 @@ class AssembledOperator(LinearOperator):
         return 2 * self.A.nnz
 
 
+def _apply_bcs(A, bc_rows, bc_cols, diagonal):
+    """A with the Dirichlet rows and columns zeroed, and a unit diagonal on
+    the Dirichlet rows if `diagonal`."""
+    n, m = A.shape
+    keep_r = np.ones(n)
+    keep_r[bc_rows] = 0.0
+    keep_c = np.ones(m)
+    keep_c[bc_cols] = 0.0
+    A = (sp.diags(keep_r) @ A @ sp.diags(keep_c)).tocsr()
+    if diagonal:
+        diag = np.zeros(n)
+        diag[bc_rows] = 1.0
+        A = (A + sp.diags(diag)).tocsr()
+    return A
+
+
 class ImplicitOperator(LinearOperator):
-    """Matrix-free operator carrying the PDE-level problem description."""
+    """Matrix-free operator carrying the PDE-level problem description: a
+    form with its Dirichlet rows and columns (see the module docstring)."""
 
     def __init__(self, form, bcs=(), bc_rows=None, bc_cols=None):
         self.form = form
         self.bcs = tuple(bcs)
         if bcs:
-            from .forms import collect_bc_dofs
             bc_rows = collect_bc_dofs(form.row_space, bcs)
             bc_cols = collect_bc_dofs(form.col_space, bcs)
         none = np.empty(0, dtype=np.int64)
         self.bc_rows = none if bc_rows is None else np.asarray(bc_rows)
         self.bc_cols = none if bc_cols is None else np.asarray(bc_cols)
         self.shape = (form.row_space.num_dofs, form.col_space.num_dofs)
+        # Dirichlet rows are identity on a diagonal block, zero elsewhere
+        self._identity_rows = form.row_space is form.col_space
         self._match_cache = {}
 
     @property
@@ -121,7 +147,15 @@ class ImplicitOperator(LinearOperator):
 
     def apply(self, x):
         self.check_shape(x)
-        return self.form.action(x, bc_rows=self.bc_rows, bc_cols=self.bc_cols)
+        x = np.asarray(x, dtype=float)
+        x0 = x
+        if len(self.bc_cols):
+            x0 = x.copy()
+            x0[self.bc_cols] = 0.0
+        y = self.form.action(x0)
+        if len(self.bc_rows):
+            y[self.bc_rows] = x[self.bc_rows] if self._identity_rows else 0.0
+        return y
 
     def field_index_sets(self):
         cs = self.form.col_space
@@ -141,9 +175,15 @@ class ImplicitOperator(LinearOperator):
         return self.extract_fields(rf, cf)
 
     def extract_fields(self, rf, cf):
-        """Implicit sub-operator over the given row/column field ids."""
+        """Implicit sub-operator over the given row/column field ids, which
+        are equal or disjoint: a block that shares some fields between its
+        rows and columns has no place for their Dirichlet unit diagonal."""
         form = self.form
         rf, cf = list(rf), list(cf)
+        if rf != cf and set(rf) & set(cf):
+            raise ValueError(f"row fields {rf} and column fields {cf} "
+                             f"overlap but differ; extract equal or "
+                             f"disjoint field sets")
         if rf == list(range(form.row_space.num_fields)) and rf == cf:
             return self
         col_sub = MixedSpace([form.col_space.fields[i] for i in cf])
@@ -160,7 +200,6 @@ class ImplicitOperator(LinearOperator):
                         row_sub, col_sub, blocks,
                         context=form.context,
                         quad_degree=form.quad_degree,
-                        bc_diagonal=(rf == cf),
                         state_space=form.state_space)
         bc_rows = self._slice_bc(self.bc_rows, form.row_space, rf, row_sub)
         bc_cols = self._slice_bc(self.bc_cols, form.col_space, cf, col_sub)
@@ -177,7 +216,9 @@ class ImplicitOperator(LinearOperator):
 
     def assemble(self):
         """Force assembly of the underlying form, with the stored BCs."""
-        A = self.form.assemble(bc_rows=self.bc_rows, bc_cols=self.bc_cols)
+        A = self.form.assemble()
+        if len(self.bc_rows) or len(self.bc_cols):
+            A = _apply_bcs(A, self.bc_rows, self.bc_cols, self._identity_rows)
         return AssembledOperator(A, fields=self.field_index_sets(),
                                  context=self.form.context)
 

@@ -10,7 +10,9 @@ operators and raise MissingContext when it is not there.
 Nested solvers are supplied as maker callables so that option-driven
 construction (the solver factory) and direct library use share one code
 path: a maker receives the sub-operator and returns a fully configured
-KSP (or preconditioner) for it.
+KSP (or preconditioner) for it.  Every composite preconditioner requires
+its makers; the defaults of its nested solvers and their option prefixes
+come from `factory.build_pc` alone.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import (Form, StateWind, apply_bcs_matrix, pcd_form,
-                    pressure_mass_form, pressure_laplacian_form)
-from .krylov import KSP
+from .forms import (Form, StateWind, pcd_form, pressure_mass_form,
+                    pressure_laplacian_form)
 from .operators import (AssembledOperator, ImplicitOperator, LinearOperator)
 from .spaces import build_space
 from .elements import lagrange_element, tabulate
@@ -95,14 +96,6 @@ def view_ksp(ksp, indent=0):
     else:
         lines.append(f"{pad}  PC (-) type: none")
     return "\n".join(lines)
-
-
-def _default_sub_ksp(op, prefix=""):
-    """Fallback nested solver: direct where possible, tight GMRES else."""
-    if isinstance(op, AssembledOperator) or isinstance(op, ImplicitOperator):
-        pc = LUPC(prefix=prefix).set_up(op.assemble())
-        return KSP("preonly", pc=pc, prefix=prefix)
-    return KSP("gmres", rtol=1e-10, max_it=500, prefix=prefix)
 
 
 # --- algebraic -------------------------------------------------------------
@@ -220,14 +213,12 @@ class KSPPC(Preconditioner):
 
     type_name = "ksp"
 
-    def __init__(self, ksp_maker=None, prefix=""):
+    def __init__(self, *, ksp_maker, prefix=""):
         super().__init__(prefix)
         self.ksp_maker = ksp_maker
 
     def _set_up(self, op):
-        maker = self.ksp_maker or (lambda A: _default_sub_ksp(
-            A, self.prefix + "ksp_"))
-        self.ksp = maker(op)
+        self.ksp = self.ksp_maker(op)
 
     def apply(self, r):
         x, _ = self.ksp.solve(self.op, r)
@@ -243,7 +234,7 @@ class AssembledPC(Preconditioner):
 
     type_name = "assembled"
 
-    def __init__(self, inner_maker=None, prefix=""):
+    def __init__(self, *, inner_maker, prefix=""):
         super().__init__(prefix)
         self.inner_maker = inner_maker
 
@@ -253,9 +244,7 @@ class AssembledPC(Preconditioner):
         else:
             target = _implicit(op, "pc assembled").assemble()
         self.assembled_op = target
-        maker = self.inner_maker or (lambda A: LUPC(
-            prefix=self.prefix + "assembled_").set_up(A))
-        self.inner = maker(target)
+        self.inner = self.inner_maker(target)
 
     def apply(self, r):
         return self.inner.apply(r)
@@ -271,14 +260,12 @@ class TelescopePC(Preconditioner):
 
     type_name = "telescope"
 
-    def __init__(self, inner_maker=None, prefix=""):
+    def __init__(self, *, inner_maker, prefix=""):
         super().__init__(prefix)
         self.inner_maker = inner_maker
 
     def _set_up(self, op):
-        maker = self.inner_maker or (lambda A: LUPC(
-            prefix=self.prefix + "telescope_").set_up(A.assemble()))
-        self.inner = maker(op)
+        self.inner = self.inner_maker(op)
 
     def apply(self, r):
         return self.inner.apply(r)
@@ -323,8 +310,8 @@ class FieldSplitPC(Preconditioner):
 
     type_name = "fieldsplit"
 
-    def __init__(self, splits=None, fs_type="additive", fact_type="full",
-                 sub_ksp_maker=None, prefix=""):
+    def __init__(self, splits=None, fs_type="additive", fact_type="full", *,
+                 sub_ksp_maker, prefix=""):
         super().__init__(prefix)
         if fs_type not in ("additive", "multiplicative", "schur"):
             raise ValueError(f"unknown fieldsplit type {fs_type!r}")
@@ -349,8 +336,7 @@ class FieldSplitPC(Preconditioner):
     def _set_up(self, op):
         iss = self._index_sets(op)
         ns = len(iss)
-        maker = self.sub_ksp_maker or (lambda i, sub: _default_sub_ksp(
-            sub, f"{self.prefix}fieldsplit_{i}_"))
+        maker = self.sub_ksp_maker
         self.diag_ops = [op.extract_sub(iss[i], iss[i]) for i in range(ns)]
         self.index_sets = iss
         if self.fs_type == "schur":
@@ -450,7 +436,7 @@ class PCDPC(Preconditioner):
 
     type_name = "pcd"
 
-    def __init__(self, mp_maker=None, kp_maker=None, prefix=""):
+    def __init__(self, *, mp_maker, kp_maker, prefix=""):
         super().__init__(prefix)
         self.mp_maker = mp_maker
         self.kp_maker = kp_maker
@@ -464,19 +450,14 @@ class PCDPC(Preconditioner):
         Re = float(ctx.get("Re", 1.0))
         vf = int(ctx.get("velocity_field", 0))
         Mp = AssembledOperator(pressure_mass_form(p_space).assemble())
-        Kp = pressure_laplacian_form(p_space).assemble()
         pin = np.array([0], dtype=np.int64)
-        Kp = apply_bcs_matrix(Kp, pin, pin, diagonal=True)
-        Kp = AssembledOperator(Kp)
+        Kp = ImplicitOperator(pressure_laplacian_form(p_space), bc_rows=pin,
+                              bc_cols=pin).assemble()
         self.fp_form = pcd_form(p_space, Re, StateWind(vf), context=ctx,
                                 state_space=state_space)
-        mp_maker = self.mp_maker or (lambda A: _default_sub_ksp(
-            A, self.prefix + "pcd_Mp_"))
-        kp_maker = self.kp_maker or (lambda A: _default_sub_ksp(
-            A, self.prefix + "pcd_Kp_"))
         self.mp_op, self.kp_op = Mp, Kp
-        self.mp_ksp = mp_maker(Mp)
-        self.kp_ksp = kp_maker(Kp)
+        self.mp_ksp = self.mp_maker(Mp)
+        self.kp_ksp = self.kp_maker(Kp)
 
     def apply(self, r):
         y, _ = self.mp_ksp.solve(self.mp_op, r)
@@ -497,7 +478,7 @@ class MassSchurPC(Preconditioner):
 
     type_name = "mass"
 
-    def __init__(self, mp_maker=None, prefix=""):
+    def __init__(self, *, mp_maker, prefix=""):
         super().__init__(prefix)
         self.mp_maker = mp_maker
 
@@ -505,9 +486,7 @@ class MassSchurPC(Preconditioner):
         p_space, ctx, _ = _pressure_setup(op, "pc mass")
         self.scale = 1.0 / float(ctx.get("Re", 1.0))
         self.mp_op = AssembledOperator(pressure_mass_form(p_space).assemble())
-        maker = self.mp_maker or (lambda A: _default_sub_ksp(
-            A, self.prefix + "mass_"))
-        self.mp_ksp = maker(self.mp_op)
+        self.mp_ksp = self.mp_maker(self.mp_op)
 
     def apply(self, r):
         z, _ = self.mp_ksp.solve(self.mp_op, r)
@@ -600,8 +579,8 @@ class SchwarzPC(Preconditioner):
                                  "coarse level")
         cbc = np.unique(np.concatenate(cdofs))
         self.coarse_bc = cbc
-        Ac = coarse_form.assemble(bc_rows=cbc, bc_cols=cbc)
-        self.coarse_fact = spla.splu(sp.csc_matrix(Ac))
+        Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()
+        self.coarse_fact = spla.splu(sp.csc_matrix(Ac.A))
         self.P = self._prolongation(V, Vc)
 
         # vertex patches, grouped by size

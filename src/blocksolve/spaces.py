@@ -18,8 +18,8 @@ import numpy as np
 from .elements import lagrange_element
 from .mesh import call_on_points
 
-__all__ = ["FunctionSpace", "MixedSpace", "DirichletBC", "build_space",
-           "taylor_hood", "interpolate"]
+__all__ = ["FunctionSpace", "MixedSpace", "DirichletBC", "collect_bc_dofs",
+           "collect_bc_values", "build_space", "taylor_hood", "interpolate"]
 
 _PLANE_TOL = 1e-12
 
@@ -159,6 +159,26 @@ class DirichletBC:
         order = np.argsort(self.dofs)
         self.dofs = self.dofs[order]
         self.values = self.values[order]
+
+
+def collect_bc_dofs(mixed, bcs):
+    """Global Dirichlet dofs of a list of DirichletBCs within a mixed space."""
+    dofs = [np.empty(0, dtype=np.int64)]
+    for bc in bcs:
+        dofs.append(bc.dofs + mixed.offsets[bc.field])
+    return np.unique(np.concatenate(dofs))
+
+
+def collect_bc_values(mixed, bcs):
+    """(dofs, values) with mixed-space offsets applied."""
+    dofs, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for bc in bcs:
+        dofs.append(bc.dofs + mixed.offsets[bc.field])
+        vals.append(bc.values)
+    d = np.concatenate(dofs)
+    v = np.concatenate(vals)
+    order = np.argsort(d)
+    return d[order], v[order]
 
 
 def _nodal_values(coords, value, ncomp):

@@ -1,6 +1,7 @@
 """The public names of the package resolve: each module's `__all__`, every
 name `blocksolve/__init__.py` imports, and every entry point the benchmark's
-tracer (`perfbench/tracer.py`) wraps."""
+tracer (`perfbench/tracer.py`) wraps.  No module imports inside a
+function."""
 
 import ast
 import importlib
@@ -19,6 +20,17 @@ def test_module_all_resolves(name):
     mod = importlib.import_module(f"blocksolve.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"blocksolve.{name}.__all__ names missing {missing}"
+
+
+def test_no_function_level_imports():
+    # an import inside a function hides a module dependency, often a cycle
+    found = set()
+    for path in sorted(Path(blocksolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(f"{path.name}:{n.lineno}" for n in ast.walk(node)
+                             if isinstance(n, (ast.Import, ast.ImportFrom)))
+    assert sorted(found) == []
 
 
 def test_package_imports_resolve():

@@ -7,15 +7,15 @@ import pytest
 
 from blocksolve.mesh import build_unit_square, build_unit_cube, CellGeometry
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
-                               DirichletBC, interpolate)
+                               DirichletBC, interpolate, collect_bc_dofs,
+                               collect_bc_values)
 from blocksolve.elements import tabulate
 from blocksolve.forms import (Form, mass_form, stiffness_form,
                               convection_diffusion_form, stokes_form,
                               ns_jacobian_form, rb_jacobian_form,
                               pressure_mass_form, load_vector,
                               ns_residual, rb_residual, poisson_residual,
-                              jacobian_check, collect_bc_dofs, pcd_form,
-                              StateWind, UPWARD, collect_bc_values)
+                              jacobian_check, pcd_form, StateWind, UPWARD)
 from blocksolve.operators import ImplicitOperator
 from blocksolve.problems import l2_error, poisson_mms
 
@@ -98,11 +98,11 @@ class TestAssembleActionConsistency:
         mesh = build_unit_square(3)
         V = build_space(mesh, 2)
         bc = DirichletBC(V, (1, 2, 3, 4))
-        form = stiffness_form(V)
-        A = form.assemble(bcs=[bc])
+        op = ImplicitOperator(stiffness_form(V), bcs=[bc])
+        A = op.assemble().A
         rng = np.random.default_rng(8)
         x = rng.standard_normal(V.num_dofs)
-        assert np.allclose(form.action(x, bcs=[bc]), A @ x, atol=1e-12)
+        assert np.allclose(op.apply(x), A @ x, atol=1e-12)
         # Dirichlet rows act as identity
         assert np.allclose((A @ x)[bc.dofs], x[bc.dofs])
 
@@ -148,6 +148,11 @@ class TestActionMatchesAssembly:
         subsets = [c for r in (1, 2, 3)
                    for c in itertools.combinations(range(3), r)]
         for rf, cf in itertools.product(subsets, subsets):
+            if rf != cf and set(rf) & set(cf):
+                # overlapping but unequal field sets are refused
+                with pytest.raises(ValueError):
+                    op.extract_fields(rf, cf)
+                continue
             sub = op.extract_fields(rf, cf)
             assert _action_matches_assembly(sub), (rf, cf)
 
@@ -490,7 +495,7 @@ class TestResiduals:
         form = stiffness_form(V)
         rhs = load_vector(form, 1.0)
         import scipy.sparse.linalg as spla
-        A = form.assemble(bcs=[bc]).tocsc()
+        A = ImplicitOperator(form, bcs=[bc]).assemble().A.tocsc()
         b = rhs.copy()
         b[bc.dofs] = 0.0
         x = spla.spsolve(A, b)
@@ -506,7 +511,6 @@ class TestResiduals:
         form = ns_jacobian_form(W, Re=1.0)
         r = ns_residual(form, np.zeros(W.num_dofs), bcs)
         dofs = collect_bc_dofs(W, bcs)
-        from blocksolve.forms import collect_bc_values
         d, v = collect_bc_values(W, bcs)
         # zero state minus boundary data
         assert np.allclose(r[d], -v, atol=1e-14)
@@ -591,6 +595,30 @@ def test_mms_load_and_error_match_per_point_calls(dim, degree, monkeypatch):
     ref = load_vector(form, ref_forcing), l2_error(V, x, ref_exact)
     assert np.linalg.norm(got[0] - ref[0]) <= 1e-14 * np.linalg.norm(ref[0])
     assert abs(got[1] - ref[1]) <= 1e-14 * ref[1]
+
+
+@pytest.mark.parametrize("make, use", [
+    # a scalar wind
+    (lambda V: convection_diffusion_form(V, wind=lambda x: x[0]), "assemble"),
+    # a wind with 3 components on a 2D mesh
+    (lambda V: convection_diffusion_form(
+        V, wind=lambda x: [x[0], x[1], x[0]]), "assemble"),
+    # a vector coefficient
+    (lambda V: mass_form(V, coef=lambda x: [x[0], x[1]]), "assemble"),
+    (lambda V: mass_form(V, coef=lambda x: [x[0], x[1]]), "action"),
+    # a constant wind with 3 entries on a 2D mesh
+    (lambda V: convection_diffusion_form(V, wind=[1.0, 0.5, 0.2]),
+     "assemble"),
+], ids=["scalar-wind", "3-wind-2d", "vector-coef-assemble",
+        "vector-coef-action", "3-constant-wind-2d"])
+def test_coefficient_value_shapes_off_the_convention_raise(make, use):
+    form = make(build_space(build_unit_square(2), 2))
+    run = (form.assemble if use == "assemble" else
+           lambda: form.action(np.ones(form.col_space.num_dofs)))
+    with pytest.raises(ValueError,
+                       match=r"expected \(.*\); callables of the coordinates "
+                             r"take x of shape \(dim, \.\.\.\)"):
+        run()
 
 
 @pytest.mark.parametrize("f", [

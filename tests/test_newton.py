@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksolve.mesh import build_unit_square
-from blocksolve.spaces import taylor_hood, DirichletBC
+from blocksolve.spaces import taylor_hood, DirichletBC, collect_bc_values
 from blocksolve.forms import (ns_jacobian_form, ns_residual, stiffness_form,
                               poisson_residual, load_vector)
 from blocksolve.krylov import KSP, Nullspace
@@ -74,7 +74,6 @@ class TestConvergence:
         solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
                               mat_type="aij", rtol=1e-10, nullspace=nsp)
         x, rep = solver.solve()
-        from blocksolve.forms import collect_bc_values
         dofs, values = collect_bc_values(W, bcs)
         assert np.allclose(x[dofs], values, atol=1e-12)
 

@@ -1,10 +1,12 @@
 import io
+import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksolve.mesh import build_unit_square
+from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC)
 from blocksolve.forms import (stiffness_form, ns_jacobian_form,
@@ -59,6 +61,24 @@ def _ns_operator(n=2, Re=3.0):
     return ImplicitOperator(form, bcs=bcs), W
 
 
+def _rb_operator(dim):
+    """RB Jacobian (u, p, T) at a random state, with velocity BCs on every
+    wall and temperature BCs on two."""
+    mesh = build_unit_square(3) if dim == 2 else build_unit_cube(1)
+    V = build_space(mesh, 2, ncomp=dim)
+    Q = build_space(mesh, 1)
+    T = build_space(mesh, 1)
+    W = MixedSpace([V, Q, T])
+    bcs = [DirichletBC(V, tuple(range(1, 2 * dim + 1)), value=[0.0] * dim,
+                       field=0),
+           DirichletBC(T, (1,), value=1.0, field=2),
+           DirichletBC(T, (2,), value=0.0, field=2)]
+    form = rb_jacobian_form(W, Ra=200.0, Pr=6.18)
+    rng = np.random.default_rng(dim)
+    form.context["state"] = 0.1 * rng.standard_normal(W.num_dofs)
+    return ImplicitOperator(form, bcs=bcs), W
+
+
 class TestImplicitOperator:
     def test_apply_matches_assembled(self):
         A, W = _ns_operator()
@@ -80,6 +100,33 @@ class TestImplicitOperator:
             ref = Acsr[np.ix_(ris, cis)] @ x
             assert np.allclose(sub.apply(x), ref, atol=1e-12), \
                 (len(ris), len(cis))
+        # RB: Dirichlet rows are identity on the diagonal blocks and zero
+        # on the others, for the velocity and the temperature alike
+        field_sets = [(0,), (1,), (2,), (0, 1)]
+        for dim in (2, 3):
+            A, W = _rb_operator(dim)
+            Afull = A.assemble().A.toarray()
+            for rf, cf in itertools.product(field_sets, field_sets):
+                if rf != cf and set(rf) & set(cf):
+                    continue
+                ris = np.concatenate([W.field_index_set(i) for i in rf])
+                cis = np.concatenate([W.field_index_set(i) for i in cf])
+                sub = A.extract_sub(ris, cis)
+                x = rng.standard_normal(len(cis))
+                ref = Afull[np.ix_(ris, cis)] @ x
+                for got in (sub.apply(x), sub.assemble().A @ x):
+                    err = np.linalg.norm(got - ref)
+                    assert err <= 1e-12 * np.linalg.norm(ref), (dim, rf, cf)
+
+    def test_extract_fields_rejects_overlapping_field_sets(self):
+        A, W = _rb_operator(2)
+        for rf, cf in (([0], [0, 1]), ([0, 1], [0])):
+            with pytest.raises(ValueError, match=re.escape(f"{rf}") + ".*"
+                               + re.escape(f"{cf}")):
+                A.extract_fields(rf, cf)
+        iu, iup = W.field_index_set(0), np.arange(W.offsets[2])
+        with pytest.raises(ValueError):
+            A.extract_sub(iu, iup)
 
     def test_extract_sub_rejects_straddle(self):
         A, W = _ns_operator()

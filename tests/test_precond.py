@@ -6,10 +6,9 @@ import scipy.sparse as sp
 from blocksolve.elements import lagrange_element, tabulate
 from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
-                               DirichletBC)
+                               DirichletBC, collect_bc_dofs)
 from blocksolve.forms import (stiffness_form, stokes_form,
-                              ns_jacobian_form, collect_bc_dofs,
-                              pressure_mass_form)
+                              ns_jacobian_form, pressure_mass_form)
 from blocksolve.operators import ImplicitOperator, AssembledOperator
 from blocksolve.krylov import KSP, Nullspace
 from blocksolve.precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC,
@@ -42,6 +41,11 @@ def _stokes(n=4):
     b = rng.standard_normal(A.shape[0])
     b[collect_bc_dofs(W, bcs)] = 0.0
     return A, nsp.project(b), nsp, W
+
+
+def _lu(op):
+    """Preonly KSP with an exact LU of the assembled operator."""
+    return KSP("preonly", pc=LUPC().set_up(op.assemble()))
 
 
 class TestAlgebraic:
@@ -105,14 +109,15 @@ class TestAlgebraic:
 class TestWrappers:
     def test_assembled_pc_wraps_matfree(self):
         A, b, _ = _poisson()
-        pc = AssembledPC().set_up(A)
+        pc = AssembledPC(inner_maker=lambda op: LUPC().set_up(op)).set_up(A)
         _, rep = KSP("cg", rtol=1e-10, pc=pc).solve(A, b)
         assert rep.converged
-        assert rep.iterations == 1  # default inner is exact lu
+        assert rep.iterations == 1  # the inner is exact lu
 
     def test_telescope_passthrough(self):
         A, b, _ = _poisson()
-        pc = TelescopePC().set_up(A)
+        pc = TelescopePC(
+            inner_maker=lambda op: LUPC().set_up(op.assemble())).set_up(A)
         _, rep = KSP("cg", rtol=1e-10, pc=pc).solve(A, b)
         assert rep.converged
 
@@ -197,9 +202,9 @@ class TestFieldSplit:
 
     def test_unknown_types_rejected(self):
         with pytest.raises(ValueError):
-            FieldSplitPC(fs_type="divide")
+            FieldSplitPC(fs_type="divide", sub_ksp_maker=self._maker())
         with pytest.raises(ValueError):
-            FieldSplitPC(fact_type="cholesky")
+            FieldSplitPC(fact_type="cholesky", sub_ksp_maker=self._maker())
 
 
 class TestSchurApproximations:
@@ -220,8 +225,8 @@ class TestSchurApproximations:
         A, W = self._ns(3, re=5.0)
         ip = W.field_index_set(1)
         S_sub = A.extract_sub(ip, ip)
-        pcd = PCDPC().set_up(S_sub)
-        mass = MassSchurPC().set_up(S_sub)
+        pcd = PCDPC(mp_maker=_lu, kp_maker=_lu).set_up(S_sub)
+        mass = MassSchurPC(mp_maker=_lu).set_up(S_sub)
         r = np.random.default_rng(4).standard_normal(len(ip))
         z1, z2 = pcd.apply(r), mass.apply(r)
         # compare up to the pinned dof
@@ -230,13 +235,13 @@ class TestSchurApproximations:
     def test_pcd_needs_context(self):
         A, b, _ = _poisson()
         with pytest.raises(MissingContext):
-            PCDPC().set_up(A.assemble())
+            PCDPC(mp_maker=_lu, kp_maker=_lu).set_up(A.assemble())
 
     def test_mass_pc_scales_with_re(self):
         A, W = self._ns(3, re=8.0)
         ip = W.field_index_set(1)
         sub = A.extract_sub(ip, ip)
-        pc = MassSchurPC().set_up(sub)
+        pc = MassSchurPC(mp_maker=_lu).set_up(sub)
         Mp = pressure_mass_form(W.fields[1]).assemble()
         r = np.random.default_rng(5).standard_normal(len(ip))
         import scipy.sparse.linalg as spla
@@ -389,7 +394,8 @@ class TestSchwarz:
 
 def test_view_contains_types_and_prefixes():
     A, b, _ = _poisson()
-    pc = AssembledPC(prefix="outer_").set_up(A)
+    pc = AssembledPC(inner_maker=lambda op: LUPC(
+        prefix="outer_assembled_").set_up(op), prefix="outer_").set_up(A)
     text = pc.view()
     assert "type: assembled" in text
     assert "outer_" in text
