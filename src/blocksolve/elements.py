@@ -55,7 +55,9 @@ def _eval_monomial_grads(exps, pts):
     return grads
 
 
-@dataclass(frozen=True)
+# eq=False: identity semantics, so an element can key a cache (one per
+# (dim, degree, ncomp) from `lagrange_element`)
+@dataclass(frozen=True, eq=False)
 class Element:
     dim: int
     degree: int

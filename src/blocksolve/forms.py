@@ -23,6 +23,12 @@ the per-cell affine Jinv folded in.  Everything else is derived from D:
 * the Newton residuals are the action, at the state, of the Picard form:
   the Jacobian's blocks without the terms that linearise in the state.
 
+The quadrature rule of a form and the reference tabulation of each space
+at it are built once per (element, rule) in the process and shared,
+read-only, by every form over those spaces: the `extract_fields`
+sub-forms, PCD's forms and the residuals' Picard forms tabulate nothing
+of their own.
+
 State coefficients (the Newton wind and state gradients) are evaluated from
 `context["state"]` whenever D is built, so nothing can go stale.  Action
 and assembly agree to rounding.
@@ -57,6 +63,17 @@ UPWARD = {2: np.array([0.0, 1.0]), 3: np.array([0.0, 0.0, 1.0])}
 _CELL_CHUNK = 128
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_tables(element, rule):
+    """Basis values (nq, nn) and reference gradients (dim, nq, nn) of
+    `element` at the points of `rule`, made once per pair and read-only."""
+    tab = tabulate(element, rule.points)
+    grads = np.ascontiguousarray(np.moveaxis(tab.gradients, 2, 0))
+    tab.values.flags.writeable = False
+    grads.flags.writeable = False
+    return tab.values, grads
+
+
 class SpaceEval:
     """Tabulation of one space at one quadrature rule, shared by assembly,
     the matrix-free action, load vectors and error norms.  `slot(kind)` is
@@ -65,11 +82,9 @@ class SpaceEval:
     handled component-major, (ncells*ncomp, nn)."""
 
     def __init__(self, space, rule):
-        tab = tabulate(space.element, rule.points)
         self.space = space
         self.ncomp = space.ncomp
-        self.values = tab.values                                  # (nq, nn)
-        self.grads = np.ascontiguousarray(np.moveaxis(tab.gradients, 2, 0))
+        self.values, self.grads = _reference_tables(space.element, rule)
 
     def slot(self, kind):
         return self.values[None] if kind == "values" else self.grads

@@ -4,6 +4,13 @@ Convergence is declared on the preconditioned residual norm for left
 preconditioning and on the true residual norm for right/flexible
 preconditioning.  A registered nullspace is projected out of the right-hand
 side, of every operator application, and of every preconditioned direction.
+
+The true residual norm ||b - A x|| of the result is computed only where
+someone reads it: by a solve with a monitor, and by the outermost solve,
+the one not running inside another KSP's `solve`.  A nested solve without
+a monitor (an inner solve of a preconditioner, a `preonly` Schur solve)
+costs only its own iterations, as PETSc's KSPPREONLY only applies the
+preconditioner; its report holds None for each norm it did not compute.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ __all__ = ["KSP", "SolveReport", "Nullspace", "KrylovError",
            "DivergedMaxIts", "DivergedNaN", "IndefiniteOperator"]
 
 KSP_TYPES = ("cg", "gmres", "fgmres", "richardson", "preonly")
+
+# KSP.solve calls in progress: 1 inside the outermost solve
+_active_solves = 0
 
 
 class KrylovError(Exception):
@@ -35,6 +45,12 @@ class IndefiniteOperator(KrylovError):
 
 
 class SolveReport:
+    """Outcome of one solve.  `residual_norm` is the norm the method tests
+    convergence on (for `preonly`, the true residual norm);
+    `true_residual_norm` is ||b - A x||.  Either is None when the solve
+    did not compute it (a nested solve without a monitor, see the module
+    docstring), never a stale or estimated value."""
+
     def __init__(self, converged, reason, iterations, residual_norm,
                  true_residual_norm=None):
         self.converged = converged
@@ -45,8 +61,10 @@ class SolveReport:
 
     def __repr__(self):
         tag = "converged" if self.converged else "diverged"
+        rnorm = self.residual_norm
+        rnorm = "None" if rnorm is None else f"{rnorm:.6e}"
         return (f"SolveReport({tag} {self.reason}, its={self.iterations}, "
-                f"rnorm={self.residual_norm:.6e})")
+                f"rnorm={rnorm})")
 
 
 class Nullspace:
@@ -123,10 +141,15 @@ class KSP:
                 f"{self.prefix or 'ksp'}: non-finite residual at iteration {it}",
                 SolveReport(False, "diverged_nan", it, rnorm))
 
+    def _reports_true_residual(self):
+        """Whether this solve computes ||b - A x||: it has a monitor or is
+        the outermost solve."""
+        return self.monitor is not None or _active_solves == 1
+
     def _finish(self, x, converged, reason, it, rnorm, A, b, true_norm=None):
         """Report the solve; `true_norm` is ||b - A x|| when the caller
         has it already."""
-        if true_norm is None:
+        if true_norm is None and self._reports_true_residual():
             true_norm = np.linalg.norm(b - A.apply(x))
         report = SolveReport(converged, reason, it, rnorm, true_norm)
         if not converged and self.error_if_not_converged:
@@ -138,17 +161,24 @@ class KSP:
     # -- drivers ----------------------------------------------------------
 
     def solve(self, A, b, x0=None):
+        global _active_solves
         b = self._project(np.asarray(b, dtype=float))
         x0 = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
         method = getattr(self, "_solve_" + self.type)
-        return method(A, b, x0)
+        _active_solves += 1
+        try:
+            return method(A, b, x0)
+        finally:
+            _active_solves -= 1
 
     def _solve_preonly(self, A, b, x0):
         x = self._apply_pc(b)
-        rnorm = np.linalg.norm(b - A.apply(x))
-        self._monitor(0, rnorm)
-        # the same expression _finish would compute: reuse it (for a
-        # Schur complement, each apply is a full inner solve)
+        rnorm = None
+        if self._reports_true_residual():
+            # for a Schur complement, this apply is a full inner solve;
+            # _finish reuses the norm
+            rnorm = np.linalg.norm(b - A.apply(x))
+            self._monitor(0, rnorm)
         return self._finish(x, True, "preonly", 1, rnorm, A, b,
                             true_norm=rnorm)
 

@@ -109,18 +109,26 @@ class AssembledOperator(LinearOperator):
 
 def _apply_bcs(A, bc_rows, bc_cols, diagonal):
     """A with the Dirichlet rows and columns zeroed, and a unit diagonal on
-    the Dirichlet rows if `diagonal`."""
+    the Dirichlet rows if `diagonal`; zero entries are not stored.  The
+    pattern of A is filtered: the Dirichlet rows come out empty, so each
+    unit diagonal is inserted into an empty row."""
     n, m = A.shape
-    keep_r = np.ones(n)
-    keep_r[bc_rows] = 0.0
-    keep_c = np.ones(m)
-    keep_c[bc_cols] = 0.0
-    A = (sp.diags(keep_r) @ A @ sp.diags(keep_c)).tocsr()
+    keep_r = np.ones(n, dtype=bool)
+    keep_r[bc_rows] = False
+    keep_c = np.ones(m, dtype=bool)
+    keep_c[bc_cols] = False
+    keep = np.repeat(keep_r, np.diff(A.indptr))
+    keep &= keep_c.take(A.indices)
+    keep &= A.data != 0
+    # each row starts after the kept entries of the rows before it
+    indptr = np.searchsorted(np.flatnonzero(keep), A.indptr)
+    indices, data = A.indices[keep], A.data[keep]
     if diagonal:
-        diag = np.zeros(n)
-        diag[bc_rows] = 1.0
-        A = (A + sp.diags(diag)).tocsr()
-    return A
+        rows = np.flatnonzero(~keep_r)
+        indices = np.insert(indices, indptr[rows], rows)
+        data = np.insert(data, indptr[rows], 1.0)
+        indptr = indptr + np.concatenate(([0], np.cumsum(~keep_r)))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, m))
 
 
 class ImplicitOperator(LinearOperator):

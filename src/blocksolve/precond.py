@@ -306,7 +306,8 @@ class SchurOperator(LinearOperator):
 class FieldSplitPC(Preconditioner):
     """Block preconditioning by fields: additive (block Jacobi),
     multiplicative (lower block Gauss-Seidel), or a 2x2 Schur-complement
-    factorisation (diag / lower / upper / full)."""
+    factorisation (diag / lower / upper / full).  The splits must put each
+    field in exactly one split."""
 
     type_name = "fieldsplit"
 
@@ -331,6 +332,16 @@ class FieldSplitPC(Preconditioner):
         if splits is None:
             splits = [(i,) for i in range(len(fields))]
         self.splits = [tuple(s) for s in splits]
+        used = [f for s in self.splits for f in s]
+        if sorted(used) != list(range(len(fields))):
+            shared = sorted({f for f in used if used.count(f) > 1})
+            left_out = sorted(set(range(len(fields))) - set(used))
+            unknown = sorted(set(used) - set(range(len(fields))))
+            raise ValueError(
+                f"pc fieldsplit ({self.prefix or '-'}): splits "
+                f"{self.splits} must put each of the fields 0 to "
+                f"{len(fields) - 1} in exactly one split (in several: "
+                f"{shared}, in none: {left_out}, unknown: {unknown})")
         return [np.concatenate([fields[f] for f in s]) for s in self.splits]
 
     def _set_up(self, op):

@@ -3,10 +3,14 @@
 Rules are generated by collapsing tensor-product Gauss-Legendre points onto
 the simplex (Duffy transform), which guarantees exactness for any requested
 polynomial degree.  Degree 1 uses the one-point centroid rule.
+
+Each rule is built once per (dim, degree) and shared by every caller; its
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +21,8 @@ __all__ = ["QuadratureRule", "make_quadrature"]
 MAX_DEGREE = 8
 
 
-@dataclass(frozen=True)
+# eq=False: identity semantics, so a rule can key a cache
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     dim: int
     degree: int
@@ -31,7 +36,15 @@ def _gauss01(m):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+@functools.lru_cache(maxsize=None)
 def make_quadrature(dim, degree):
+    rule = _build_rule(dim, degree)
+    rule.points.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
+
+
+def _build_rule(dim, degree):
     if dim not in (2, 3):
         raise ValueError(f"unsupported dimension {dim}")
     if not 1 <= degree <= MAX_DEGREE:

@@ -253,6 +253,26 @@ class TestFieldSplitTrees:
         assert rep.iterations <= 3
 
 
+    @pytest.mark.parametrize("fields, shared, left_out", [
+        (("0", "0,1"), [0], []),       # velocity in both splits
+        (("0",), [], [1]),             # pressure in no split
+    ])
+    def test_splits_must_partition_the_fields(self, fields, shared,
+                                              left_out):
+        args = ["-outer_pc_type", "fieldsplit",
+                "-outer_pc_fieldsplit_type", "additive"]
+        for i, f in enumerate(fields):
+            args += [f"-outer_pc_fieldsplit_{i}_fields", f]
+        db = OptionsDB().parse_args(args)
+        splits = [tuple(int(t) for t in f.split(",")) for f in fields]
+        with pytest.raises(ValueError) as err:
+            build_pc(db, "outer_", _stokes())
+        msg = str(err.value)
+        assert "(outer_)" in msg
+        assert str(splits) in msg
+        assert f"in several: {shared}, in none: {left_out}" in msg
+
+
 class TestBookkeeping:
     def test_report_unused(self, capsys):
         db = OptionsDB().parse_args(

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from blocksolve.mesh import build_unit_square, build_unit_cube, CellGeometry
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, interpolate, collect_bc_dofs,
                                collect_bc_values)
+from blocksolve import forms
 from blocksolve.elements import tabulate
 from blocksolve.forms import (Form, mass_form, stiffness_form,
                               convection_diffusion_form, stokes_form,
@@ -17,7 +19,11 @@ from blocksolve.forms import (Form, mass_form, stiffness_form,
                               ns_residual, rb_residual, poisson_residual,
                               jacobian_check, pcd_form, StateWind, UPWARD)
 from blocksolve.operators import ImplicitOperator
-from blocksolve.problems import l2_error, poisson_mms
+from blocksolve.options import OptionsDB
+from blocksolve.problems import (l2_error, poisson_mms, run_convection,
+                                 ConvectionConfig)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _unit_right_triangle_space():
@@ -255,6 +261,27 @@ def test_assembly_keeps_no_per_point_gradients(make):
              for f in form.row_space.fields + form.col_space.fields)
     # a physical-gradient array of any field would hold ncells*nq*nn*dim
     assert _largest_array(form) < ncells * nq * nn * form.mesh.dim
+
+
+def test_nested_tree_tabulates_each_element_and_rule_once(monkeypatch):
+    # the rb-iterative tree makes many forms over the same spaces: the
+    # Jacobian, its extract_fields sub-forms, PCD's forms and the
+    # residuals' Picard forms; they share one tabulation per pair
+    calls = []
+
+    def counted(element, points):
+        calls.append((element, points.tobytes()))
+        return tabulate(element, points)
+
+    forms._reference_tables.cache_clear()
+    monkeypatch.setattr(forms, "tabulate", counted)
+    db = OptionsDB().parse_file(str(CONFIGS / "rb-iterative.opts"))
+    res = run_convection(ConvectionConfig(n=4), db, stdout=None)
+    assert res["report"].converged
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert forms._reference_tables.cache_info().misses == len(calls)
+    assert forms._reference_tables.cache_info().hits > len(calls)
 
 
 def _component_diag(scalar_local, ncomp):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from blocksolve.krylov import (KSP, Nullspace, DivergedMaxIts,
-                               IndefiniteOperator)
+from blocksolve import krylov
+from blocksolve.krylov import (KSP, Nullspace, SolveReport, DivergedMaxIts,
+                               DivergedNaN, IndefiniteOperator)
 from blocksolve.operators import AssembledOperator
-from blocksolve.precond import LUPC, JacobiPC
+from blocksolve.precond import LUPC, JacobiPC, KSPPC
 
 
 def _spd(n, seed=0, shift=1.0):
@@ -137,6 +138,109 @@ class TestOtherTypes:
         x, rep = KSP("fgmres", rtol=1e-10, pc=Wobbly(),
                      max_it=300).solve(A, b)
         assert rep.converged
+
+
+class Counting(AssembledOperator):
+    """An assembled operator that counts its applies."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+
+class Recording(KSP):
+    """A KSP that records, per solve, its report and the applies of the
+    operator it solved with."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+
+    def solve(self, A, b, x0=None):
+        before = A.applies
+        x, rep = super().solve(A, b, x0)
+        self.records.append((rep, A.applies - before))
+        return x, rep
+
+
+def _nested(inner, n=15, seed=9):
+    """Outer GMRES on A preconditioned by `inner(A)` (a KSP) on a counting
+    copy of A; returns the counting operator and the outer report."""
+    A = _spd(n, seed=seed)
+    op = Counting(A.A)
+    pc = KSPPC(ksp_maker=inner).set_up(A, op)
+    b = np.random.default_rng(seed + 1).standard_normal(n)
+    x, rep = KSP("fgmres", rtol=1e-10, pc=pc, max_it=50).solve(A, b)
+    return op, pc.ksp, rep
+
+
+class TestTrueResidualOnlyWhenRead:
+    def test_nested_preonly_applies_operator_zero_times(self):
+        op, inner, rep = _nested(
+            lambda op: Recording("preonly", pc=LUPC().set_up(op)))
+        assert rep.converged
+        assert inner.records and op.applies == 0
+        for inner_rep, _ in inner.records:
+            assert inner_rep.residual_norm is None
+            assert inner_rep.true_residual_norm is None
+
+    def test_nested_gmres_stops_applying_at_its_last_check(self):
+        # from x0 = 0: one apply for the initial residual, one per
+        # iteration, and one to confirm convergence before returning
+        op, inner, rep = _nested(
+            lambda op: Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(op)))
+        assert rep.converged
+        for inner_rep, applies in inner.records:
+            assert inner_rep.converged
+            assert applies == inner_rep.iterations + 2
+            assert inner_rep.true_residual_norm is None
+        # the outermost solve of the same kind also computes ||b - A x||
+        A = Counting(_spd(15, seed=9).A)
+        solo = Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(A))
+        _, solo_rep = solo.solve(A, np.ones(15))
+        assert solo.records[0][1] == solo_rep.iterations + 3
+        assert solo_rep.true_residual_norm < 1e-5
+
+    def test_monitored_nested_solve_computes_its_norm(self):
+        lines = []
+        op, inner, rep = _nested(
+            lambda op: Recording("preonly", pc=LUPC().set_up(op),
+                                 monitor=lines.append))
+        assert len(lines) == len(inner.records) == op.applies
+        assert all(line.startswith("  0 KSP Residual norm ")
+                   for line in lines)
+        for inner_rep, applies in inner.records:
+            assert applies == 1
+            assert inner_rep.true_residual_norm == inner_rep.residual_norm
+            assert inner_rep.residual_norm < 1e-9
+
+    def test_nesting_is_restored_after_an_inner_failure(self):
+        class Broken(Counting):
+            def apply(self, x):
+                super().apply(x)
+                return np.full(len(x), np.nan)
+
+        A = _spd(10, seed=3)
+        pc = KSPPC(ksp_maker=lambda op: KSP("gmres")).set_up(
+            A, Broken(A.A))
+        with pytest.raises(DivergedNaN):
+            KSP("fgmres", pc=pc).solve(A, np.ones(10))
+        assert krylov._active_solves == 0
+        x, rep = KSP("gmres", rtol=1e-10).solve(A, np.ones(10))
+        assert rep.true_residual_norm is not None
+        assert rep.true_residual_norm < 1e-8
+        op = Counting(A.A)
+        KSP("preonly", pc=LUPC().set_up(A)).solve(op, np.ones(10))
+        assert op.applies == 1
+
+    def test_report_repr_without_a_norm(self):
+        rep = SolveReport(True, "preonly", 1, None)
+        assert repr(rep) == "SolveReport(converged preonly, its=1, rnorm=None)"
+        assert "rnorm=1.000000e-03" in repr(SolveReport(True, "rtol", 2, 1e-3))
 
 
 class TestDiagnostics:

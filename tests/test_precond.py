@@ -195,9 +195,9 @@ class TestFieldSplit:
 
     def test_schur_needs_two_splits(self):
         A, b, nsp, W = _stokes()
-        pc = FieldSplitPC(fs_type="schur", splits=[(0,)],
+        pc = FieldSplitPC(fs_type="schur", splits=[(0, 1)],
                           sub_ksp_maker=self._maker())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly two splits"):
             pc.set_up(A)
 
     def test_unknown_types_rejected(self):

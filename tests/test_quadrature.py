@@ -73,3 +73,11 @@ def test_points_inside_simplex(dim, degree):
     rule = make_quadrature(dim, degree)
     assert np.all(rule.points >= -1e-14)
     assert np.all(rule.points.sum(axis=1) <= 1 + 1e-14)
+
+
+def test_rules_are_built_once_and_read_only():
+    rule = make_quadrature(2, 5)
+    assert make_quadrature(2, 5) is rule
+    for arr in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
