@@ -4,22 +4,33 @@ matrix-free action and the Newton residuals are derived.
 A Form is a block-structured bilinear form over mixed spaces.  Each block is
 a sum of terms from a small vocabulary (mass, stiffness, advection,
 linearised reaction, pressure gradient/divergence, buoyancy).  A term is
-written once, as the quadrature-point operator B_test^T D B_trial of
+written once, as the quadrature-point operator B_test^T W D B_trial of
 Kronbichler and Kormann ("A generic interface for parallel cell-based
 finite element operator application", Computers & Fluids 63, 2012).  Its
 `test` and `trial` slots say whether B reads basis values or reference
-gradients, and `Term.coefficient` returns the weighted coefficient D at
-the quadrature points of every cell, with the quadrature weight, detJ and
-the per-cell affine Jinv folded in.  Everything else is derived from D:
+gradients, W holds the reference quadrature weights w_q, and
+`Term.coefficient` returns the coefficient D of every cell with detJ and
+the per-cell affine Jinv folded in.  D keeps a point axis of length 1
+when it is constant on each cell (constant coefficients and winds, the
+pressure gradient, divergence and buoyancy), and of length nq when it
+varies within a cell (callables, the Newton state).  The weights never
+enter D: they sit in the test basis of the form's reference contraction
+(`SpaceEval.slot(kind, weighted=True)`), so a cell-constant D is never
+copied out to the points.  Everything else is derived from D:
 
-* assembly contracts D with the reference tensor of the test and trial
-  tabulations in one product per term, the tensor representation of affine
-  simplices (Kirby and Logg, "A compiler for variational forms", ACM TOMS
-  32(3), 2006), so no physical gradient array is formed;
+* assembly contracts D with the reference tensor of the weighted test and
+  the trial tabulations in one product per term, the tensor representation
+  of affine simplices (Kirby and Logg, "A compiler for variational forms",
+  ACM TOMS 32(3), 2006): for a cell-constant D the tensor is summed over
+  the points once, A_K = G_K : A^0, so no physical gradient array is
+  formed.  The element matrices of a block are written as int32 triplets
+  into arrays allocated once, and only the component pairs a term couples
+  are written;
 * the action gathers the local dofs of each trial field, applies the
-  reference tabulation, contracts with D, applies the transposed test
-  tabulation and scatters with one `bincount` per test field, so no element
-  matrix is formed;
+  reference tabulation, contracts with D (one small matrix product per
+  cell for a cell-constant D), applies the transposed weighted test
+  tabulation and scatters with one `bincount` per test field, so no
+  element matrix is formed;
 * the Newton residuals are the action, at the state, of the Picard form:
   the Jacobian's blocks without the terms that linearise in the state.
 
@@ -65,29 +76,37 @@ _CELL_CHUNK = 128
 
 @functools.lru_cache(maxsize=None)
 def _reference_tables(element, rule):
-    """Basis values (nq, nn) and reference gradients (dim, nq, nn) of
-    `element` at the points of `rule`, made once per pair and read-only."""
+    """Basis of `element` at the points of `rule` in each term slot, as
+    (a, nq, nn): {(kind, weighted): B} for kind "values" (a = 1) or
+    "grads" (a = dim, over reference directions), plain or times the
+    quadrature weights w_q; made once per pair and read-only."""
     tab = tabulate(element, rule.points)
-    grads = np.ascontiguousarray(np.moveaxis(tab.gradients, 2, 0))
-    tab.values.flags.writeable = False
-    grads.flags.writeable = False
-    return tab.values, grads
+    tables = {}
+    for kind, B in (("values", tab.values[None]),
+                    ("grads", np.moveaxis(tab.gradients, 2, 0))):
+        tables[kind, False] = np.ascontiguousarray(B)
+        tables[kind, True] = B * rule.weights[:, None]
+    for B in tables.values():
+        B.flags.writeable = False
+    return tables
 
 
 class SpaceEval:
     """Tabulation of one space at one quadrature rule, shared by assembly,
-    the matrix-free action, load vectors and error norms.  `slot(kind)` is
-    the basis B of a term slot as (a, nq, nn): values (1, nq, nn) or
-    gradients over the reference directions (dim, nq, nn).  Local dofs are
-    handled component-major, (ncells*ncomp, nn)."""
+    the matrix-free action, load vectors and error norms.  `slot(kind,
+    weighted)` is the basis B of a term slot as (a, nq, nn): values (1, nq,
+    nn) or gradients over the reference directions (dim, nq, nn), times the
+    quadrature weights if `weighted` (the test side of every contraction).
+    Local dofs are handled component-major, (ncells*ncomp, nn)."""
 
     def __init__(self, space, rule):
         self.space = space
         self.ncomp = space.ncomp
-        self.values, self.grads = _reference_tables(space.element, rule)
+        self._tables = _reference_tables(space.element, rule)
+        self.values = self._tables["values", False][0]
 
-    def slot(self, kind):
-        return self.values[None] if kind == "values" else self.grads
+    def slot(self, kind, weighted=False):
+        return self._tables[kind, weighted]
 
     def gather(self, x):
         """Local dofs of x, component-major."""
@@ -102,9 +121,9 @@ class SpaceEval:
         return (xloc @ B.reshape(-1, nn).T).reshape(-1, self.ncomp, a, nq)
 
     def from_points(self, yq, kind):
-        """B^T y: (ncells, ncomp, a, nq) at the points against the basis,
-        summed into a vector of the space."""
-        B = self.slot(kind)
+        """B^T W y: (ncells, ncomp, a, nq) at the points against the
+        weighted basis, summed into a vector of the space."""
+        B = self.slot(kind, weighted=True)
         yloc = yq.reshape(-1, B.shape[0] * B.shape[1]) @ B.reshape(
             -1, B.shape[2])
         dofs = self.space.cell_dofs
@@ -158,45 +177,38 @@ class _StateAtPoints(dict):
 def _contract(D, u):
     """D applied to a trial slot u (ncells, ks, b, nq): y[c, k, e, q] = sum
     over l and f of D[c, k, l, e, f, q] u[c, l, f, q], as (ncells, kt, a,
-    nq).  A D with one component pair acts on every component of u."""
-    if D.shape[1:3] == (1, 1):
+    nq).  A D with one component pair acts on every component of u.  A
+    cell-constant D (point axis 1) is one (kt*a, ks*b) @ (ks*b, nq) product
+    per cell."""
+    ncells, kt, ks, a, b, npts = D.shape
+    if npts == 1:
+        if (kt, ks) == (1, 1):
+            return D[:, :, 0, :, :, 0] @ u
+        M = D[..., 0].transpose(0, 1, 3, 2, 4).reshape(ncells, kt * a, ks * b)
+        return (M @ u.reshape(ncells, ks * b, -1)).reshape(ncells, kt, a, -1)
+    if (kt, ks) == (1, 1):
         return np.einsum("cefq,ckfq->ckeq", D[:, 0, 0], u)
     return np.einsum("cklefq,clfq->ckeq", D, u)
-
-
-def _interleave(blk, kt, ks):
-    """Place per-component blocks blk[:, k, l] of shape (ncells, KT, KS, nt,
-    ns) at stride kt in the rows and ks in the columns: (ncells, nt*kt,
-    ns*ks).  A blk with one component pair fills every diagonal block."""
-    diagonal = blk.shape[1:3] == (1, 1)
-    if kt == ks == 1:
-        return blk[:, 0, 0]
-    ncells, _, _, nt, ns = blk.shape
-    out = np.zeros((ncells, nt * kt, ns * ks))
-    for k in range(kt):
-        for l in range(ks):
-            if not diagonal:
-                out[:, k::kt, l::ks] = blk[:, k, l]
-            elif k == l:
-                out[:, k::kt, l::ks] = blk[:, 0, 0]
-    return out
 
 
 # --- term vocabulary ------------------------------------------------------
 
 class Term:
-    """One weak-form term of a block, written once as its weighted
-    quadrature-point coefficient D in B_test^T D B_trial.
+    """One weak-form term of a block, written once as its quadrature-point
+    coefficient D in B_test^T W D B_trial (W: the reference weights w_q,
+    applied by the form).
 
     `test` and `trial` say what B reads of each basis: "values" (a or b =
     1) or "grads" (a or b = dim, over reference directions).
-    `coefficient(form, state)` returns D as (ncells, KT, KS, a, b, nq),
-    points fastest, with the quadrature weight, detJ and, for each "grads"
-    slot, the per-cell Jinv folded in.  If `couples` is False, KT = KS = 1
-    and D acts on every component alike; otherwise KT and KS are the test
-    and trial component counts.  If `state` is a pair (field, "values" |
-    "grads"), D reads that data of the Newton state field from
-    `state[field]` (see `_StateAtPoints`).
+    `coefficient(form, state)` returns D as (ncells, KT, KS, a, b, P), with
+    detJ and, for each "grads" slot, the per-cell Jinv folded in.  P = 1
+    when D is constant on each cell: the term reads no callable and no
+    Newton state, and the one value stands for every point.  Otherwise P
+    = nq, points fastest.  If `couples` is False, KT = KS = 1 and D acts on
+    every component alike; otherwise KT and KS are the test and trial
+    component counts.  If `state` is a pair (field, "values" | "grads"), D
+    reads that data of the Newton state field from `state[field]` (see
+    `_StateAtPoints`).
     """
 
     trial = "values"
@@ -213,7 +225,7 @@ class MassTerm(Term):
         self.coef = coef
 
     def coefficient(self, form, state):
-        c = form.wq * form.coefficient_at_points(self.coef)
+        c = form.geom.detJ[:, None] * form.coefficient_at_points(self.coef)
         return c[:, None, None, None, None]
 
 
@@ -224,7 +236,7 @@ class StiffnessTerm(Term):
         self.coef = coef
 
     def coefficient(self, form, state):
-        c = form.wq * form.coefficient_at_points(self.coef)
+        c = form.geom.detJ[:, None] * form.coefficient_at_points(self.coef)
         return (form.geom.metric[:, :, :, None]
                 * c[:, None, None])[:, None, None]
 
@@ -245,7 +257,8 @@ class AdvectionTerm(Term):
         else:
             w = np.swapaxes(form.wind_at_points(self.wind), 1, 2)
         # w . grad psi = (Jinv w) . reference gradient of psi
-        return (form.geom.Jinv @ w * form.wq[:, None])[:, None, None, None]
+        return (form.geom.Jinv @ w
+                * form.geom.detJ[:, None, None])[:, None, None, None]
 
 
 class VectorReactionTerm(Term):
@@ -260,7 +273,7 @@ class VectorReactionTerm(Term):
 
     def coefficient(self, form, state):
         g0 = state[self.state_field].grads  # (ncells, k, l, nq)
-        return (g0 * form.wq[:, None, None])[:, :, :, None, None]
+        return (g0 * form.geom.detJ[:, None, None, None])[:, :, :, None, None]
 
 
 class PressureGradientTerm(Term):
@@ -272,8 +285,8 @@ class PressureGradientTerm(Term):
     def coefficient(self, form, state):
         # div v = sum over k and e of Jinv[e, k] (reference d_e) v_k
         JinvT = np.swapaxes(form.geom.Jinv, 1, 2)  # (ncells, k, e)
-        return -(JinvT[:, :, None, :, None, None]
-                 * form.wq[:, None, None, None, None])
+        return -(JinvT * form.geom.detJ[:, None, None])[
+            :, :, None, :, None, None]
 
 
 class DivergenceTerm(Term):
@@ -284,8 +297,8 @@ class DivergenceTerm(Term):
 
     def coefficient(self, form, state):
         JinvT = np.swapaxes(form.geom.Jinv, 1, 2)  # (ncells, l, f)
-        return (JinvT[:, None, :, None, :, None]
-                * form.wq[:, None, None, None, None])
+        return (JinvT * form.geom.detJ[:, None, None])[
+            :, None, :, None, :, None]
 
 
 class BuoyancyTerm(Term):
@@ -298,8 +311,7 @@ class BuoyancyTerm(Term):
 
     def coefficient(self, form, state):
         cz = form.coefficient_value(self.coef) * UPWARD[form.mesh.dim]
-        return (cz[None, :, None, None, None, None]
-                * form.wq[:, None, None, None, None])
+        return (form.geom.detJ[:, None] * cz)[:, :, None, None, None, None]
 
 
 # --- the form itself ------------------------------------------------------
@@ -334,7 +346,6 @@ class Form:
         self.mesh = row_space.mesh
         self.geom = self.mesh.geometry
         self.rule = make_quadrature(self.mesh.dim, quad_degree)
-        self.wq = self.rule.weights[None, :] * self.geom.detJ[:, None]
         self._tables = {}
 
     # -- context helpers ---------------------------------------------------
@@ -356,21 +367,23 @@ class Form:
         return _AtPoints(self.tabulation(space), x, self.geom.Jinv)
 
     def coefficient_at_points(self, coef):
-        """Scalar coefficient at all quadrature points, (ncells, nq)."""
+        """Scalar coefficient at the quadrature points: (ncells, nq) for a
+        callable, (1, 1) for a constant."""
         return self._at_points(coef, (), "coefficient")
 
     def wind_at_points(self, wind):
-        """Vector wind coefficient at all quadrature points, (ncells, nq,
-        dim)."""
+        """Vector wind coefficient at the quadrature points: (ncells, nq,
+        dim) for a callable, (1, 1, dim) for a constant."""
         return self._at_points(wind, (self.mesh.dim,), "wind")
 
     def _at_points(self, coef, value_shape, what):
-        """A constant of `value_shape` broadcast to every quadrature point,
-        or a callable evaluated on them; any other value shape raises."""
+        """A callable evaluated on every quadrature point, or a constant of
+        `value_shape` with two leading axes of length 1 that broadcast
+        against the cells and points; any other value shape raises."""
         coef = self.coefficient_value(coef)
-        shape = self.wq.shape + value_shape
         if callable(coef):
             out = self.geom.evaluate(coef, self.rule)
+            shape = (self.mesh.num_cells, len(self.rule.weights)) + value_shape
             if out.shape != shape:
                 raise ValueError(f"{what} {coef!r} gives shape {out.shape} "
                                  f"at the quadrature points, expected "
@@ -381,53 +394,74 @@ class Form:
             raise ValueError(f"constant {what} {coef!r} has shape "
                              f"{arr.shape}, expected {value_shape}; "
                              f"{_CONVENTION}")
-        return np.broadcast_to(arr, shape)
+        return arr[None, None]
 
     # -- kernels -----------------------------------------------------------
 
     def element_matrices(self, term, test, trial, D):
-        """Element matrices (ncells, nt*kt, ns*ks) of `term` between the
-        spaces `test` and `trial`, in one product of its coefficient D with
-        the reference tensor R[(q, e, f), (i, j)] = A[e, q, i] B[f, q, j],
-        where A and B are the test and trial basis in the term's slots
-        (`SpaceEval.slot`).  The sum runs with the points outermost, which
-        decides how analytically zero entries round and so which of them
-        the CSR matrix stores; D is reordered for it a chunk of cells at a
-        time, so the copy stays small."""
-        A = np.swapaxes(self.tabulation(test).slot(term.test), 0, 1)
-        B = np.swapaxes(self.tabulation(trial).slot(term.trial), 0, 1)
+        """Element matrices of `term` between the spaces `test` and `trial`
+        per component pair, (ncells, KT, KS, nt, ns), in one product of its
+        coefficient D (see `Term`) with the reference tensor R[(p, e, f),
+        (i, j)] = w_p A[e, p, i] B[f, p, j], where A and B are the test and
+        trial basis in the term's slots (`SpaceEval.slot`).  For a
+        cell-constant D, R is summed over the points first, sum_q w_q
+        A[e, q, i] B[f, q, j], and the product is (a*b) entries of D per
+        cell against it; otherwise p runs over the points and D is reordered
+        for it a chunk of cells at a time, so the copy stays small."""
+        A = self.tabulation(test).slot(term.test, weighted=True)
+        B = self.tabulation(trial).slot(term.trial)
         nt, ns = A.shape[2], B.shape[2]
-        R = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
-            -1, nt * ns)
+        points = "" if D.shape[5] == 1 else "q"
+        R = np.einsum(f"eqi,fqj->{points}efij", A, B,
+                      optimize=True).reshape(-1, nt * ns)
         D = np.moveaxis(D, 5, 3)
         blk = np.empty(D.shape[:3] + (nt, ns))
         for c in range(0, len(D), _CELL_CHUNK):
             part = D[c:c + _CELL_CHUNK]
             blk[c:c + _CELL_CHUNK] = (part.reshape(-1, len(R)) @ R).reshape(
                 part.shape[:3] + (nt, ns))
-        return _interleave(blk, test.ncomp, trial.ncomp)
+        return blk
 
     def block_local_matrices(self, i, j):
-        """Sum of all kernel contributions to block (i, j), or None."""
+        """Element matrices of block (i, j) per component pair, (ncells, KT,
+        KS, nt, ns), or None.  KT = KS = 1 when no term of the block couples
+        components: the block is then the same on every component and zero
+        between different ones.  Otherwise KT and KS are the test and trial
+        component counts kt and ks, and the terms that couple no components
+        add to the diagonal pairs.  Entry [c, k, l, i, j] sits at row
+        i*kt + k and column j*ks + l of the element matrix of cell c (local
+        dofs node-major, components fastest)."""
         terms = self.blocks.get((i, j))
         if not terms:
             return None
         test = self.row_space.fields[i]
         trial = self.col_space.fields[j]
         state = _StateAtPoints(self)
-        out = None
+        sums = {}  # term.couples -> summed blocks
         for term in terms:
-            loc = self.element_matrices(term, test, trial,
+            blk = self.element_matrices(term, test, trial,
                                         term.coefficient(self, state))
-            out = loc if out is None else out + loc
-        return out
+            if term.couples in sums:
+                sums[term.couples] += blk
+            else:
+                sums[term.couples] = blk
+        full, diagonal = sums.get(True), sums.get(False)
+        if full is None:
+            return diagonal
+        if diagonal is not None:
+            for k in range(test.ncomp):
+                full[:, k, k] += diagonal[:, 0, 0]
+        return full
 
     def flops_per_apply(self):
         """Analytic flop count of one matrix-free application: the
         tabulation products of every trial, state and test slot the terms
         use, the `Jinv` map of state gradients, the contractions with each
-        term's D and the scatter."""
-        ncells, nq = self.wq.shape
+        term's D and the scatter.  A contraction costs 2 a b nq flops per
+        component pair and cell whether D is cell-constant (one (a, b) @
+        (b, nq) product) or varies by point; the weights w_q sit in the
+        test tabulation and cost nothing more."""
+        ncells, nq = self.mesh.num_cells, len(self.rule.weights)
         dim = self.mesh.dim
         width = {"values": 1, "grads": dim}
         fields = {"trial": self.col_space.fields, "test": self.row_space.fields,
@@ -458,26 +492,46 @@ class Form:
     # -- global operations -------------------------------------------------
 
     def assemble(self):
-        """Global CSR matrix of the form."""
-        rows, cols, vals = [], [], []
-        for (i, j) in self.blocks:
-            loc = self.block_local_matrices(i, j)
-            if loc is None:
+        """Global CSR matrix of the form.  The (row, column, value) triplets
+        of every block are written into int32 index and float arrays
+        allocated once.  A block whose terms couple no components stores
+        only its diagonal component pairs, so no explicit zeros enter."""
+        rs, cs = self.row_space, self.col_space
+        shape = (rs.num_dofs, cs.num_dofs)
+        ncells = self.mesh.num_cells
+        layout = []  # (i, j, test components, trial components, nt, ns)
+        for (i, j), terms in self.blocks.items():
+            if not terms:
                 continue
-            rdofs = self.row_space.fields[i].cell_dofs + self.row_space.offsets[i]
-            cdofs = self.col_space.fields[j].cell_dofs + self.col_space.offsets[j]
-            ncells, nt, ns = loc.shape
-            rows.append(np.repeat(rdofs, ns, axis=1).ravel())
-            cols.append(np.tile(cdofs, (1, nt)).ravel())
-            vals.append(loc.ravel())
-        shape = (self.row_space.num_dofs, self.col_space.num_dofs)
-        if not rows:
-            return sp.csr_matrix(shape)
-        A = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=shape).tocsr()
-        A.sum_duplicates()
-        return A
+            test, trial = rs.fields[i], cs.fields[j]
+            if any(term.couples for term in terms):
+                k, l = np.divmod(np.arange(test.ncomp * trial.ncomp),
+                                 trial.ncomp)
+            else:
+                k = l = np.arange(test.ncomp)
+            layout.append((i, j, k, l, test.element.nnodes,
+                           trial.element.nnodes))
+        sizes = [ncells * len(k) * nt * ns for _, _, k, _, nt, ns in layout]
+        itype = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+        rows = np.empty(sum(sizes), dtype=itype)
+        cols = np.empty(sum(sizes), dtype=itype)
+        vals = np.empty(sum(sizes))
+        end = 0
+        for (i, j, k, l, nt, ns), size in zip(layout, sizes):
+            seg = slice(end, end + size)
+            end += size
+            out = (ncells, len(k), nt, ns)
+            rdofs = (rs.fields[i].cell_dofs + rs.offsets[i]).reshape(
+                ncells, nt, -1)[:, :, k]
+            cdofs = (cs.fields[j].cell_dofs + cs.offsets[j]).reshape(
+                ncells, ns, -1)[:, :, l]
+            rows[seg].reshape(out)[...] = np.swapaxes(rdofs, 1, 2)[..., None]
+            cols[seg].reshape(out)[...] = np.swapaxes(cdofs, 1, 2)[
+                :, :, None, :]
+            # pair p = k*KS + l; one pair (KT = KS = 1) fills the diagonal
+            vals[seg].reshape(out)[...] = self.block_local_matrices(
+                i, j).reshape(ncells, -1, nt, ns)
+        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
     def action(self, x):
         """Matrix-free y = A x consistent with assemble(), evaluated at the
@@ -507,7 +561,6 @@ class Form:
             y[rs.field_slice(i)] += self.tabulation(
                 rs.fields[i]).from_points(yq, kind)
         return y
-
 
 class StateWind:
     """Marker: take the wind from a state field of the trial space."""
@@ -609,13 +662,14 @@ def load_vector(form, f, field=0):
     takes x of shape (dim, ncells, nq) and returns (ncells, nq) for a
     scalar or (ncomp, ncells, nq) for a vector (`CellGeometry.evaluate`)."""
     space = form.row_space.fields[field]
-    ncells, nq = form.wq.shape
+    ncells, nq = form.mesh.num_cells, len(form.rule.weights)
     if callable(f):
         fq = np.swapaxes(form.geom.evaluate(f, form.rule).reshape(
             ncells, nq, -1), 1, 2)
     else:
         fq = np.asarray(f, dtype=float).reshape(-1, 1)
-    yq = np.broadcast_to(fq * form.wq[:, None], (ncells, space.ncomp, nq))
+    yq = np.broadcast_to(fq * form.geom.detJ[:, None, None],
+                         (ncells, space.ncomp, nq))
     out = np.zeros(form.row_space.num_dofs)
     out[form.row_space.field_slice(field)] = form.tabulation(
         space).from_points(yq[:, :, None], "values")

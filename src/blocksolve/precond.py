@@ -37,18 +37,37 @@ class MissingContext(Exception):
     """The preconditioner needs PDE-level context the operator lacks."""
 
 
-def _assembled(op, who):
+def _assembled(op, pc):
     if isinstance(op, AssembledOperator):
         return op.A
     raise MissingContext(
-        f"{who} needs an assembled operator; wrap the solve with an "
+        f"{pc.name} needs an assembled operator; wrap the solve with an "
         f"'assembled' preconditioner or assemble the operator first")
 
 
-def _implicit(op, who):
+def _implicit(op, pc):
     if isinstance(op, ImplicitOperator):
         return op
-    raise MissingContext(f"{who} needs an implicit operator carrying a form")
+    raise MissingContext(
+        f"{pc.name} needs an implicit operator carrying a form")
+
+
+def _nonzero_diagonal(A, pc):
+    d = A.diagonal()
+    zero = np.flatnonzero(d == 0.0)
+    if len(zero):
+        raise ValueError(f"{pc.name}: zero diagonal entry in row {zero[0]}")
+    return d
+
+
+def _factor(factorize, A, pc, **options):
+    """`factorize` (splu or spilu) of A as CSC; scipy's RuntimeError on an
+    exactly singular factor is raised again naming the tree node."""
+    A = sp.csc_matrix(A)
+    try:
+        return factorize(A, **options)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{pc.name}: {exc}") from exc
 
 
 class Preconditioner:
@@ -57,6 +76,12 @@ class Preconditioner:
     def __init__(self, prefix=""):
         self.prefix = prefix
         self.op = None
+
+    @property
+    def name(self):
+        """This node of the solver tree in error messages: its type and
+        option prefix, `pc sor (-fieldsplit_0_)`."""
+        return f"pc {self.type_name} (-{self.prefix})"
 
     def set_up(self, A, Apc=None):
         self.op = Apc if Apc is not None else A
@@ -111,10 +136,7 @@ class JacobiPC(Preconditioner):
     type_name = "jacobi"
 
     def _set_up(self, op):
-        d = _assembled(op, "pc jacobi").diagonal()
-        if np.any(d == 0.0):
-            raise ValueError("pc jacobi: zero diagonal entry")
-        self.invdiag = 1.0 / d
+        self.invdiag = 1.0 / _nonzero_diagonal(_assembled(op, self), self)
 
     def apply(self, r):
         return self.invdiag * r
@@ -140,10 +162,8 @@ class SORPC(Preconditioner):
         self.symmetric = symmetric
 
     def _set_up(self, op):
-        A = _assembled(op, "pc sor").tocsr()
-        d = A.diagonal()
-        if np.any(d == 0.0):
-            raise ValueError("pc sor: zero diagonal entry")
+        A = _assembled(op, self).tocsr()
+        d = _nonzero_diagonal(A, self)
         w = self.omega
         Dw = sp.diags(d / w)
         L = sp.tril(A, k=-1)
@@ -176,7 +196,7 @@ class LUPC(Preconditioner):
     type_name = "lu"
 
     def _set_up(self, op):
-        self.fact = spla.splu(sp.csc_matrix(_assembled(op, "pc lu")))
+        self.fact = _factor(spla.splu, _assembled(op, self), self)
 
     def apply(self, r):
         return self.fact.solve(r)
@@ -191,9 +211,9 @@ class ILUPC(Preconditioner):
         self.fill_factor = fill_factor
 
     def _set_up(self, op):
-        self.fact = spla.spilu(sp.csc_matrix(_assembled(op, "pc ilu")),
-                               drop_tol=self.drop_tol,
-                               fill_factor=self.fill_factor)
+        self.fact = _factor(spla.spilu, _assembled(op, self), self,
+                            drop_tol=self.drop_tol,
+                            fill_factor=self.fill_factor)
 
     def apply(self, r):
         return self.fact.solve(r)
@@ -242,7 +262,7 @@ class AssembledPC(Preconditioner):
         if isinstance(op, AssembledOperator):
             target = op
         else:
-            target = _implicit(op, "pc assembled").assemble()
+            target = _implicit(op, self).assemble()
         self.assembled_op = target
         self.inner = self.inner_maker(target)
 
@@ -326,8 +346,8 @@ class FieldSplitPC(Preconditioner):
     def _index_sets(self, op):
         fields = op.field_index_sets()
         if fields is None:
-            raise MissingContext("pc fieldsplit needs an operator with "
-                                 "field information")
+            raise MissingContext(f"{self.name} needs an operator with "
+                                 f"field information")
         splits = self.splits
         if splits is None:
             splits = [(i,) for i in range(len(fields))]
@@ -352,7 +372,8 @@ class FieldSplitPC(Preconditioner):
         self.index_sets = iss
         if self.fs_type == "schur":
             if ns != 2:
-                raise ValueError("schur fieldsplit needs exactly two splits")
+                raise ValueError(f"{self.name}: schur fieldsplit needs "
+                                 f"exactly two splits")
             self.off_ops = {(0, 1): op.extract_sub(iss[0], iss[1]),
                             (1, 0): op.extract_sub(iss[1], iss[0])}
             f_ksp = maker(0, self.diag_ops[0])
@@ -425,17 +446,18 @@ class FieldSplitPC(Preconditioner):
 
 # --- pressure Schur approximations ----------------------------------------
 
-def _pressure_setup(op, who):
+def _pressure_setup(op, pc):
     """Pressure space, context, and state space off a Schur or implicit
     operator."""
     if isinstance(op, SchurOperator):
         op = op.a11
-    impl = _implicit(op, who)
+    impl = _implicit(op, pc)
     form = impl.form
     if form.col_space.num_fields != 1:
-        raise MissingContext(f"{who} expects a single-field pressure block")
+        raise MissingContext(f"{pc.name} expects a single-field pressure "
+                             f"block")
     if form.col_space.fields[0].ncomp != 1:
-        raise MissingContext(f"{who} expects a scalar pressure space")
+        raise MissingContext(f"{pc.name} expects a scalar pressure space")
     return form.col_space.fields[0], form.context, form.state_space
 
 
@@ -453,11 +475,11 @@ class PCDPC(Preconditioner):
         self.kp_maker = kp_maker
 
     def _set_up(self, op):
-        p_space, ctx, state_space = _pressure_setup(op, "pc pcd")
+        p_space, ctx, state_space = _pressure_setup(op, self)
         if "state" not in ctx:
-            raise MissingContext("pc pcd needs a state in the operator "
-                                 "context to linearise the pressure "
-                                 "convection term")
+            raise MissingContext(f"{self.name} needs a state in the "
+                                 f"operator context to linearise the "
+                                 f"pressure convection term")
         Re = float(ctx.get("Re", 1.0))
         vf = int(ctx.get("velocity_field", 0))
         Mp = AssembledOperator(pressure_mass_form(p_space).assemble())
@@ -494,7 +516,7 @@ class MassSchurPC(Preconditioner):
         self.mp_maker = mp_maker
 
     def _set_up(self, op):
-        p_space, ctx, _ = _pressure_setup(op, "pc mass")
+        p_space, ctx, _ = _pressure_setup(op, self)
         self.scale = 1.0 / float(ctx.get("Re", 1.0))
         self.mp_op = AssembledOperator(pressure_mass_form(p_space).assemble())
         self.mp_ksp = self.mp_maker(self.mp_op)
@@ -562,15 +584,16 @@ class SchwarzPC(Preconditioner):
         self.store_operators = store_operators
 
     def _set_up(self, op):
-        impl = _implicit(op, "pc schwarz")
+        impl = _implicit(op, self)
         form = impl.form
         if form.col_space.num_fields != 1 or form.row_space is not form.col_space:
-            raise MissingContext("pc schwarz expects a square single-field "
-                                 "operator")
+            raise MissingContext(f"{self.name} expects a square "
+                                 f"single-field operator")
         V = form.col_space.fields[0]
         if V.element.degree < 2:
-            raise ValueError("pc schwarz needs polynomial degree >= 2; the "
-                             "coarse space would coincide with the fine one")
+            raise ValueError(f"{self.name} needs polynomial degree >= 2; "
+                             f"the coarse space would coincide with the fine "
+                             f"one")
         mesh = V.mesh
         nc = V.ncomp
         self.A = impl.assemble().A
@@ -585,9 +608,9 @@ class SchwarzPC(Preconditioner):
         for bc in impl.bcs:
             cdofs.append(Vc.boundary_dofs(bc.markers))
         if not impl.bcs and len(self.bc_dofs):
-            raise MissingContext("pc schwarz needs boundary conditions as "
-                                 "marker-bearing objects to build the "
-                                 "coarse level")
+            raise MissingContext(f"{self.name} needs boundary conditions "
+                                 f"as marker-bearing objects to build the "
+                                 f"coarse level")
         cbc = np.unique(np.concatenate(cdofs))
         self.coarse_bc = cbc
         Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()

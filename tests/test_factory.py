@@ -10,7 +10,8 @@ from blocksolve.operators import ImplicitOperator
 from blocksolve.options import OptionsDB
 from blocksolve.factory import build_ksp, build_pc, UnknownType, report_unused
 from blocksolve.precond import (JacobiPC, SORPC, LUPC, NonePC, FieldSplitPC,
-                                AssembledPC, TelescopePC, SchwarzPC, view_ksp)
+                                AssembledPC, TelescopePC, SchwarzPC,
+                                MissingContext, view_ksp)
 
 
 def _poisson(n=4, degree=1):
@@ -286,3 +287,40 @@ class TestBookkeeping:
         assert "ksp_type" not in unused
         err = capsys.readouterr().err
         assert "-bogus_knob 7" in err
+
+
+class TestSetUpErrorsNamePrefix:
+    # a set-up error deep in the tree names the option prefix of the node
+    # that raised it
+    def test_matrix_free_block_under_sor(self):
+        db = OptionsDB().parse_args(["-pc_type", "fieldsplit",
+                                     "-fieldsplit_0_pc_type", "sor"])
+        with pytest.raises(MissingContext,
+                           match="pc sor \\(-fieldsplit_0_\\) needs an "
+                                 "assembled operator"):
+            build_ksp(db, "", _stokes())
+
+    def test_assembled_operator_under_schwarz(self):
+        db = OptionsDB().parse_args(["-outer_pc_type", "schwarz"])
+        A, _ = _poisson(degree=2)
+        with pytest.raises(MissingContext,
+                           match="pc schwarz \\(-outer_\\) needs an "
+                                 "implicit operator"):
+            build_ksp(db, "outer_", A.assemble())
+
+    @pytest.mark.parametrize("pc_type, error, message", [
+        ("jacobi", ValueError, "zero diagonal entry"),
+        ("sor", ValueError, "zero diagonal entry"),
+        ("lu", RuntimeError, "singular"),
+    ])
+    def test_singular_assembled_block(self, pc_type, error, message):
+        # the pressure-pressure block of Stokes is empty
+        db = OptionsDB().parse_args(
+            ["-pc_type", "fieldsplit",
+             "-fieldsplit_1_pc_type", "assembled",
+             "-fieldsplit_1_assembled_pc_type", pc_type])
+        with pytest.raises(error) as err:
+            build_ksp(db, "", _stokes())
+        msg = str(err.value)
+        assert f"pc {pc_type} (-fieldsplit_1_assembled_)" in msg
+        assert message in msg

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -47,7 +48,7 @@ class TestLocalKernels:
     def test_p1_mass_kernel(self):
         V = _unit_right_triangle_space()
         form = mass_form(V)
-        loc = form.block_local_matrices(0, 0)[0]
+        loc = _element_matrices(form, 0, 0)[0]
         area = 0.5
         expect = (area / 12.0) * np.array([[2.0, 1.0, 1.0],
                                            [1.0, 2.0, 1.0],
@@ -58,7 +59,7 @@ class TestLocalKernels:
 
     def test_p1_stiffness_kernel_row_sums(self):
         V = _unit_right_triangle_space()
-        loc = stiffness_form(V).block_local_matrices(0, 0)[0]
+        loc = _element_matrices(stiffness_form(V), 0, 0)[0]
         assert np.allclose(loc.sum(axis=1), 0.0, atol=1e-14)
         assert np.allclose(loc, loc.T, atol=1e-14)
         assert np.isclose(np.abs(loc).max(), 1.0, atol=1e-14)
@@ -203,7 +204,7 @@ def test_terms_declare_what_coefficient_reads():
     V = build_space(rb.mesh, 2)
     for form in (rb, _ns_form(3), _pcd(2), mass_form(V, coef=_coef),
                  convection_diffusion_form(V, wind=[1.0, 0.5])):
-        ncells, nq = form.wq.shape
+        ncells, nq = form.mesh.num_cells, len(form.rule.weights)
         width = {"values": 1, "grads": form.mesh.dim}
         state = form.context.get("state", np.random.default_rng(0)
                                  .standard_normal(form.col_space.num_dofs))
@@ -218,8 +219,10 @@ def test_terms_declare_what_coefficient_reads():
                 name = type(term).__name__
                 assert log == ({term.state} if term.state else set()), name
                 comps = (kt, ks) if term.couples else (1, 1)
+                # a point axis of 1 exactly when D is constant on each cell
+                points = nq if _varies_in_cell(form, term) else 1
                 assert D.shape == ((ncells,) + comps + (
-                    width[term.test], width[term.trial], nq)), name
+                    width[term.test], width[term.trial], points)), name
 
 
 def _largest_array(obj, seen=None):
@@ -256,11 +259,147 @@ def test_assembly_keeps_no_per_point_gradients(make):
                 "rb_jacobian": rb_residual}.get(form.kind)
     if residual is not None:
         residual(form, x)
-    ncells, nq = form.wq.shape
+    ncells, nq = form.mesh.num_cells, len(form.rule.weights)
     nn = min(f.element.nnodes
              for f in form.row_space.fields + form.col_space.fields)
     # a physical-gradient array of any field would hold ncells*nq*nn*dim
     assert _largest_array(form) < ncells * nq * nn * form.mesh.dim
+
+
+@pytest.mark.parametrize("make", [mass_form, stiffness_form])
+def test_uncoupled_vector_blocks_store_no_zeros(make):
+    # a term that couples no components is assembled on the diagonal
+    # component pairs only
+    mesh = build_unit_square(8)
+    scalar = make(build_space(mesh, 2)).assemble()
+    vector = make(build_space(mesh, 2, ncomp=2)).assemble()
+    assert vector.has_canonical_format
+    assert vector.nnz == 2 * scalar.nnz
+    assert not np.any(vector.data == 0.0)
+
+
+def _per_point(form, D):
+    """A term's D copied out to every point and times the quadrature
+    weights: the coefficient of the per-point contraction."""
+    nq = len(form.rule.weights)
+    return np.broadcast_to(D, D.shape[:5] + (nq,)) * form.rule.weights
+
+
+def _per_point_element_matrices(form, term, test, trial, Dq):
+    """Per-component element matrices from a weighted per-point D, with a
+    reference tensor that keeps every point: the reference."""
+    A = np.swapaxes(form.tabulation(test).slot(term.test), 0, 1)
+    B = np.swapaxes(form.tabulation(trial).slot(term.trial), 0, 1)
+    nt, ns = A.shape[2], B.shape[2]
+    R = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+        -1, nt * ns)
+    Dq = np.moveaxis(Dq, 5, 3)
+    return (Dq.reshape(-1, len(R)) @ R).reshape(Dq.shape[:3] + (nt, ns))
+
+
+def _per_point_action(form, term, i, j, Dq, x):
+    """Field i of the action of one term from a weighted per-point D,
+    contracted point by point and mapped back through the unweighted test
+    tabulation: the reference."""
+    test, trial = form.row_space.fields[i], form.col_space.fields[j]
+    u = form.at_points(trial, x[form.col_space.field_slice(j)]).slot(
+        term.trial)
+    if Dq.shape[1:3] == (1, 1):
+        yq = np.einsum("cefq,ckfq->ckeq", Dq[:, 0, 0], u)
+    else:
+        yq = np.einsum("cklefq,clfq->ckeq", Dq, u)
+    B = form.tabulation(test).slot(term.test)
+    yloc = yq.reshape(-1, B.shape[0] * B.shape[1]) @ B.reshape(
+        -1, B.shape[2])
+    dofs = test.cell_dofs
+    yloc = yloc.reshape(len(dofs), test.ncomp, -1).transpose(0, 2, 1)
+    return np.bincount(dofs.ravel(), weights=yloc.ravel(),
+                       minlength=test.num_dofs)
+
+
+def _cell_constant_blocks(dim):
+    wind = [1.0, -0.5, 0.25][:dim]
+    return {
+        (0, 0): [forms.MassTerm(2.5), forms.StiffnessTerm(0.7),
+                 forms.AdvectionTerm(wind)],
+        (1, 1): [forms.MassTerm(2.5), forms.StiffnessTerm(0.7),
+                 forms.AdvectionTerm(wind)],
+        (0, 1): [forms.PressureGradientTerm(), forms.BuoyancyTerm(3.0)],
+        (1, 0): [forms.DivergenceTerm()],
+    }
+
+
+@pytest.mark.parametrize("dim, degree", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                         (3, 1), (3, 2), (3, 3)])
+def test_cell_constant_terms_match_per_point_contraction(dim, degree):
+    # every cell-constant term on a vector (field 0) and a scalar (field 1)
+    # space: its D has one point, and assembly and the action agree with
+    # the per-point contraction of D copied out to every point
+    mesh = build_unit_square(2) if dim == 2 else build_unit_cube(1)
+    mixed = MixedSpace([build_space(mesh, degree, ncomp=dim),
+                        build_space(mesh, max(degree - 1, 1))])
+    x = np.random.default_rng(degree).standard_normal(mixed.num_dofs)
+    for (i, j), terms in _cell_constant_blocks(dim).items():
+        test, trial = mixed.fields[i], mixed.fields[j]
+        for term in terms:
+            form = Form("single", mixed, mixed, {(i, j): [term]})
+            D = term.coefficient(form, None)
+            assert D.shape[5] == 1, type(term).__name__
+            Dq = _per_point(form, D)
+            got = form.element_matrices(term, test, trial, D)
+            expect = _per_point_element_matrices(form, term, test, trial,
+                                                 Dq)
+            assert got.shape == expect.shape
+            err = np.abs(got - expect).max() / np.abs(expect).max()
+            assert err <= 1e-13, (type(term).__name__, (i, j), err)
+            got = form.action(x)[mixed.field_slice(i)]
+            expect = _per_point_action(form, term, i, j, Dq, x)
+            err = np.abs(got - expect).max() / np.abs(expect).max()
+            assert err <= 1e-13, (type(term).__name__, (i, j), err)
+
+
+def test_callable_and_state_terms_keep_every_point():
+    form = mass_form(build_space(build_unit_square(2), 2))
+    nq = len(form.rule.weights)
+    for term in (forms.MassTerm(_coef), forms.StiffnessTerm(_coef),
+                 forms.AdvectionTerm(lambda x: np.array([x[1], -x[0]]))):
+        assert term.coefficient(form, None).shape[5] == nq
+    for form in (_rb_operator(2).form, _ns_form(2)):
+        state = forms._StateAtPoints(form)
+        stated = [t for terms in form.blocks.values() for t in terms
+                  if t.state]
+        assert stated
+        for term in stated:
+            assert term.coefficient(form, state).shape[5] == nq
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of one call of fn, with its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_peaks_below_ten_times_its_csr():
+    V = build_space(build_unit_cube(6), 3)
+    op = ImplicitOperator(stiffness_form(V),
+                          bcs=[DirichletBC(V, tuple(range(1, 7)))])
+    op.assemble()  # geometry and tabulations are made once
+    peak, A = _peak_bytes(op.assemble)
+    assert peak < 10 * A.memory_footprint()
+
+
+def test_matrix_free_apply_peaks_below_450_bytes_per_dof():
+    V = build_space(build_unit_square(32), 2)
+    op = ImplicitOperator(stiffness_form(V),
+                          bcs=[DirichletBC(V, (1, 2, 3, 4))])
+    x = np.random.default_rng(0).standard_normal(V.num_dofs)
+    op.apply(x)
+    peak, _ = _peak_bytes(lambda: op.apply(x))
+    assert peak < 450 * V.num_dofs
 
 
 def test_nested_tree_tabulates_each_element_and_rule_once(monkeypatch):
@@ -306,6 +445,27 @@ def _interleave(blk):
     return out
 
 
+def _wq(form):
+    """Quadrature weight times detJ at every point, (ncells, nq)."""
+    return form.rule.weights[None, :] * form.geom.detJ[:, None]
+
+
+def _element_matrices(form, i, j):
+    """Element matrices (ncells, nt*kt, ns*ks) of block (i, j), laid out
+    from its per-component-pair blocks."""
+    blk = form.block_local_matrices(i, j)
+    if blk.shape[1:3] == (1, 1):
+        return _component_diag(blk[:, 0, 0], form.row_space.fields[i].ncomp)
+    return _interleave(blk)
+
+
+def _varies_in_cell(form, term):
+    """Whether the term reads the Newton state or a callable coefficient or
+    wind, so that its D varies within a cell."""
+    coef = getattr(term, "coef", getattr(term, "wind", None))
+    return bool(term.state) or callable(form.coefficient_value(coef))
+
+
 def _parent_tables(form, space):
     """Basis values (nq, nn) and physical gradients (ncells, nq, nn, dim)."""
     tab = tabulate(space.element, form.rule.points)
@@ -330,7 +490,7 @@ def _parent_local(form, term, i, j):
     test, trial = form.row_space.fields[i], form.col_space.fields[j]
     tv, tg = _parent_tables(form, test)
     sv, sg = _parent_tables(form, trial)
-    wq = form.wq
+    wq = _wq(form)
     name = type(term).__name__
     if name == "MassTerm":
         c = form.coefficient_at_points(term.coef)
@@ -409,7 +569,7 @@ def test_element_matrices_match_physical_gradient_einsums(make):
                           {(i, j): [term]}, context=form.context,
                           quad_degree=form.quad_degree,
                           state_space=form.state_space)
-            got = single.block_local_matrices(i, j)
+            got = _element_matrices(single, i, j)
             expect = _parent_local(form, term, i, j)
             assert got.shape == expect.shape
             err = np.abs(got - expect).max() / np.abs(expect).max()
@@ -420,7 +580,7 @@ def _parent_residual(form, state, bcs):
     """The NS or RB residual by the einsums over physical gradient arrays
     that `ns_residual`/`rb_residual` used before the Picard action: the
     reference."""
-    mixed, wq = form.col_space, form.wq
+    mixed, wq = form.col_space, _wq(form)
 
     def field(f):
         space = mixed.fields[f]
