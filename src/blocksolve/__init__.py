@@ -1,6 +1,6 @@
 """Composable block preconditioners and matrix-free finite elements."""
 
-from .mesh import Mesh, build_unit_square, build_unit_cube, vertex_patch
+from .mesh import Mesh, build_unit_square, build_unit_cube
 from .quadrature import QuadratureRule, make_quadrature
 from .elements import Element, lagrange_element, tabulate
 from .spaces import (FunctionSpace, MixedSpace, DirichletBC, build_space,

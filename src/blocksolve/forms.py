@@ -495,7 +495,9 @@ class Form:
         """Global CSR matrix of the form.  The (row, column, value) triplets
         of every block are written into int32 index and float arrays
         allocated once.  A block whose terms couple no components stores
-        only its diagonal component pairs, so no explicit zeros enter."""
+        only its diagonal component pairs, and the exact zeros that coupled
+        terms leave (a zero `Jinv` entry, a zero wind component) are dropped,
+        so the matrix stores no zero."""
         rs, cs = self.row_space, self.col_space
         shape = (rs.num_dofs, cs.num_dofs)
         ncells = self.mesh.num_cells
@@ -531,7 +533,9 @@ class Form:
             # pair p = k*KS + l; one pair (KT = KS = 1) fills the diagonal
             vals[seg].reshape(out)[...] = self.block_local_matrices(
                 i, j).reshape(ncells, -1, nt, ns)
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        A.eliminate_zeros()
+        return A
 
     def action(self, x):
         """Matrix-free y = A x consistent with assemble(), evaluated at the

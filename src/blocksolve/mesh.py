@@ -1,7 +1,9 @@
 """Structured simplicial meshes of the unit square and cube.
 
-Meshes are immutable after construction.  Boundary facets carry small
-integer markers keyed to the coordinate planes:
+A mesh is its vertices and cells and is immutable after construction.
+There is no facet list: a boundary marker is a small integer that names a
+coordinate plane (`Mesh.facet_marker_plane`), and a space finds its nodes
+on a marker by their coordinates:
 
     2D: 1 = {x=0}, 2 = {x=1}, 3 = {y=0}, 4 = {y=1}
     3D: 1 = {x=0}, 2 = {x=1}, 3 = {y=0}, 4 = {y=1}, 5 = {z=0}, 6 = {z=1}
@@ -11,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Mesh", "CellGeometry", "build_unit_square", "build_unit_cube",
-           "vertex_patch", "call_on_points"]
+           "call_on_points"]
 
 _CONVENTION = ("callables of the coordinates take x of shape (dim, ...) and "
                "return shape (...) for a scalar or (ncomp, ...) for a vector")
@@ -80,8 +82,6 @@ class Mesh:
     dim: int
     vertices: np.ndarray          # (nverts, dim)
     cells: np.ndarray             # (ncells, dim+1) vertex ids, positively oriented
-    boundary_facets: tuple        # ((vertex-id tuple, marker), ...)
-    vertex_to_cells: tuple = field(repr=False)  # vertex id -> sorted tuple of cell ids
 
     @property
     def num_vertices(self):
@@ -110,9 +110,6 @@ class Mesh:
         value = float((marker - 1) % 2)
         return axis, value
 
-    def markers(self):
-        return tuple(range(1, 2 * self.dim + 1))
-
     def export_text(self):
         """Plain-text dump (vertex list + cell list) for debugging."""
         lines = [f"dim {self.dim}",
@@ -125,45 +122,25 @@ class Mesh:
         return "\n".join(lines) + "\n"
 
 
-def _adjacency(nverts, cells):
-    """Vertex id -> sorted tuple of the ids of the cells that contain it."""
-    flat = cells.ravel()
-    owner = np.repeat(np.arange(len(cells)), cells.shape[1])
-    # a stable sort keeps each vertex's cells in ascending order
-    ids = owner[np.argsort(flat, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(flat, minlength=nverts)).tolist()
-    return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
-
-
 def build_unit_square(n):
     """Triangulate [0,1]^2 with an n-by-n grid, each square split along the
     lower-left to upper-right diagonal."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([(x, y) for y in xs for x in xs])
+    y, x = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.stack([x.ravel(), y.ravel()], axis=1)
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # diagonal v00 -- v11
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cells = np.array(cells, dtype=np.int64)
-
-    facets = []
-    for i in range(n):
-        facets.append(((vid(0, i), vid(0, i + 1)), 1))
-        facets.append(((vid(n, i), vid(n, i + 1)), 2))
-        facets.append(((vid(i, 0), vid(i + 1, 0)), 3))
-        facets.append(((vid(i, n), vid(i + 1, n)), 4))
-
-    return Mesh(2, verts, cells, tuple(facets), _adjacency(len(verts), cells))
+    # vertex (i, j) has id i + (n+1) j; each square's two triangles share
+    # the diagonal from its low corner (0, 0) to its high corner (1, 1)
+    stride = (n + 1) ** np.arange(2)
+    low = np.arange(n)
+    j, i = np.meshgrid(low, low, indexing="ij")
+    corners = (np.stack([i, j], axis=-1) @ stride).ravel()
+    template = np.array([[(0, 0), (1, 0), (1, 1)],
+                         [(0, 0), (1, 1), (0, 1)]]) @ stride
+    cells = (corners[:, None, None] + template).reshape(-1, 3)
+    return Mesh(2, verts, cells)
 
 
 def _kuhn_template():
@@ -197,27 +174,4 @@ def build_unit_cube(n):
     k, j, i = np.meshgrid(low, low, low, indexing="ij")
     corners = (np.stack([i, j, k], axis=-1) @ stride).ravel()
     cells = (corners[:, None, None] + _kuhn_template() @ stride).reshape(-1, 4)
-
-    facets = []
-    for axis in range(3):
-        rest = [ax for ax in range(3) if ax != axis]
-        s0, s1 = stride[rest]
-        a, b = (g.ravel() for g in np.meshgrid(low, low, indexing="ij"))
-        for side, plane in ((0, 1), (n, 2)):
-            marker = 2 * axis + plane
-            # two triangles per boundary quad; the diagonal runs from the
-            # low to the high corner, matching the Kuhn tet facets
-            v00 = side * stride[axis] + a * s0 + b * s1
-            v10, v01, v11 = v00 + s0, v00 + s1, v00 + s0 + s1
-            tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
-            facets.extend((tuple(t), marker)
-                          for t in tris.reshape(-1, 3).tolist())
-
-    return Mesh(3, verts, cells, tuple(facets), _adjacency(len(verts), cells))
-
-
-def vertex_patch(mesh, v):
-    """Cell ids of the patch of cells sharing vertex v, sorted."""
-    if not 0 <= v < mesh.num_vertices:
-        raise IndexError(f"vertex id {v} out of range [0, {mesh.num_vertices})")
-    return mesh.vertex_to_cells[v]
+    return Mesh(3, verts, cells)

@@ -1,10 +1,13 @@
 """Linear operators: implicit (matrix-free, context-bearing) and assembled.
 
-Implicit operators wrap a block form plus boundary conditions and expose
-apply / extract_sub / assemble.  Submatrix extraction is
+An implicit operator wraps a block form and the Dirichlet dofs of its rows
+and columns, `bc_rows` and `bc_cols` (given, or collected from
+DirichletBCs, which are not kept), and exposes apply / extract_sub /
+assemble.  Submatrix extraction is
 field-based: an index set is accepted only if it is a concatenation of a
 subset of the field index sets, and the extracted operator is again
-implicit, built from the restriction of the block form to those fields.
+implicit, built from the restriction of the block form to those fields
+and of the Dirichlet dofs to their index ranges.
 
 Boundary conditions are applied here and nowhere else, by one convention:
 the Dirichlet columns are zeroed, and the Dirichlet rows are zeroed with a
@@ -109,9 +112,9 @@ class AssembledOperator(LinearOperator):
 
 def _apply_bcs(A, bc_rows, bc_cols, diagonal):
     """A with the Dirichlet rows and columns zeroed, and a unit diagonal on
-    the Dirichlet rows if `diagonal`; zero entries are not stored.  The
-    pattern of A is filtered: the Dirichlet rows come out empty, so each
-    unit diagonal is inserted into an empty row."""
+    the Dirichlet rows if `diagonal`.  The pattern of A is filtered, so no
+    zero is stored that A did not store: the Dirichlet rows come out empty,
+    and each unit diagonal is inserted into an empty row."""
     n, m = A.shape
     keep_r = np.ones(n, dtype=bool)
     keep_r[bc_rows] = False
@@ -119,7 +122,6 @@ def _apply_bcs(A, bc_rows, bc_cols, diagonal):
     keep_c[bc_cols] = False
     keep = np.repeat(keep_r, np.diff(A.indptr))
     keep &= keep_c.take(A.indices)
-    keep &= A.data != 0
     # each row starts after the kept entries of the rows before it
     indptr = np.searchsorted(np.flatnonzero(keep), A.indptr)
     indices, data = A.indices[keep], A.data[keep]
@@ -137,7 +139,6 @@ class ImplicitOperator(LinearOperator):
 
     def __init__(self, form, bcs=(), bc_rows=None, bc_cols=None):
         self.form = form
-        self.bcs = tuple(bcs)
         if bcs:
             bc_rows = collect_bc_dofs(form.row_space, bcs)
             bc_cols = collect_bc_dofs(form.col_space, bcs)
@@ -147,7 +148,6 @@ class ImplicitOperator(LinearOperator):
         self.shape = (form.row_space.num_dofs, form.col_space.num_dofs)
         # Dirichlet rows are identity on a diagonal block, zero elsewhere
         self._identity_rows = form.row_space is form.col_space
-        self._match_cache = {}
 
     @property
     def context(self):
@@ -169,18 +169,10 @@ class ImplicitOperator(LinearOperator):
         cs = self.form.col_space
         return [cs.field_index_set(i) for i in range(cs.num_fields)]
 
-    def _match(self, index_set):
-        key = np.asarray(index_set).tobytes()
-        hit = self._match_cache.get(key)
-        if hit is None:
-            hit = match_fields(index_set, self.field_index_sets())
-            self._match_cache[key] = hit
-        return hit
-
     def extract_sub(self, row_is, col_is):
-        rf = self._match(row_is)
-        cf = self._match(col_is)
-        return self.extract_fields(rf, cf)
+        fields = self.field_index_sets()
+        return self.extract_fields(match_fields(row_is, fields),
+                                   match_fields(col_is, fields))
 
     def extract_fields(self, rf, cf):
         """Implicit sub-operator over the given row/column field ids, which

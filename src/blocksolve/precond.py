@@ -568,6 +568,13 @@ class SchwarzPC(Preconditioner):
     mesh, combined additively.  Patch dofs are those whose supporting
     cells all lie in the vertex star; Dirichlet dofs act as identity.
 
+    Everything comes from the operator: the form, its Newton state and its
+    Dirichlet dofs `bc_rows`.  The coarse Dirichlet dofs are the coarse
+    dofs that a fine Dirichlet dof interpolates from (its row of the
+    prolongation P).  So any square single-field implicit operator will
+    do, such as the velocity block of a fieldsplit
+    (`-fieldsplit_0_pc_type schwarz`).
+
     Patches are grouped by size; a group of k patches of m dofs is a dof
     array (k, m).  Their blocks of the assembled matrix are extracted for
     a chunk of patches at once.  With stored operators each group keeps
@@ -600,22 +607,16 @@ class SchwarzPC(Preconditioner):
         self.A.sum_duplicates()   # canonical: sorted, unique entries
         self.bc_dofs = np.asarray(impl.bc_rows, dtype=np.int64)
 
-        # coarse level: same form on the degree-1 space, same markers
+        # coarse level: same form and Newton state on the degree-1 space
         Vc = build_space(mesh, 1, ncomp=nc)
         coarse_form = Form(form.kind + "_coarse", Vc, Vc, form.blocks,
-                           context=form.context)
-        cdofs = [np.empty(0, dtype=np.int64)]
-        for bc in impl.bcs:
-            cdofs.append(Vc.boundary_dofs(bc.markers))
-        if not impl.bcs and len(self.bc_dofs):
-            raise MissingContext(f"{self.name} needs boundary conditions "
-                                 f"as marker-bearing objects to build the "
-                                 f"coarse level")
-        cbc = np.unique(np.concatenate(cdofs))
+                           context=form.context,
+                           state_space=form.state_space)
+        self.P = self._prolongation(V, Vc)
+        cbc = np.unique(self.P[self.bc_dofs].indices)
         self.coarse_bc = cbc
         Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()
         self.coarse_fact = spla.splu(sp.csc_matrix(Ac.A))
-        self.P = self._prolongation(V, Vc)
 
         # vertex patches, grouped by size
         ptr, dofs = self._build_patches(V, self.bc_dofs)

@@ -162,11 +162,9 @@ class DirichletBC:
 
 
 def collect_bc_dofs(mixed, bcs):
-    """Global Dirichlet dofs of a list of DirichletBCs within a mixed space."""
-    dofs = [np.empty(0, dtype=np.int64)]
-    for bc in bcs:
-        dofs.append(bc.dofs + mixed.offsets[bc.field])
-    return np.unique(np.concatenate(dofs))
+    """Global Dirichlet dofs of a list of DirichletBCs within a mixed space,
+    sorted and unique."""
+    return np.unique(collect_bc_values(mixed, bcs)[0])
 
 
 def collect_bc_values(mixed, bcs):

@@ -124,9 +124,9 @@ class TestAssembleActionConsistency:
         assert np.allclose(A[:nu, nu:], -A[nu:, :nu].T, atol=1e-13)
 
 
-def _rb_operator(dim):
-    """RB Jacobian operator at a random state, Dirichlet velocity on every
-    wall and temperature on one."""
+def _rb_problem(dim):
+    """RB Jacobian form at a random state and its BCs: Dirichlet velocity
+    on every wall and temperature on one."""
     mesh = build_unit_square(2) if dim == 2 else build_unit_cube(1)
     walls = tuple(range(1, 2 * dim + 1))
     V = build_space(mesh, 2, ncomp=dim)
@@ -138,6 +138,11 @@ def _rb_operator(dim):
     form = rb_jacobian_form(W, Ra=200.0, Pr=6.18)
     form.context["state"] = np.random.default_rng(dim).standard_normal(
         W.num_dofs)
+    return form, bcs
+
+
+def _rb_operator(dim):
+    form, bcs = _rb_problem(dim)
     return ImplicitOperator(form, bcs=bcs)
 
 
@@ -276,6 +281,20 @@ def test_uncoupled_vector_blocks_store_no_zeros(make):
     assert vector.has_canonical_format
     assert vector.nnz == 2 * scalar.nnz
     assert not np.any(vector.data == 0.0)
+
+
+def test_coupled_forms_store_no_exact_zeros():
+    # zero Jinv entries on the right-angled cells and the zero horizontal
+    # component of the buoyancy sum to exact zeros; none is stored
+    mesh = build_unit_square(4)
+    W = MixedSpace([build_space(mesh, 2, ncomp=2), build_space(mesh, 1),
+                    build_space(mesh, 1)])
+    rb = rb_jacobian_form(W, Ra=1e4, Pr=1.0)
+    rb.context["state"] = np.zeros(W.num_dofs)
+    for form in (rb, stokes_form(taylor_hood(mesh))):
+        A = form.assemble()
+        assert A.has_canonical_format
+        assert not np.any(A.data == 0.0), form.kind
 
 
 def _per_point(form, D):
@@ -627,9 +646,9 @@ def test_residuals_match_physical_gradient_einsums(dim):
     ns = _ns_form(dim)
     walls = tuple(range(1, 2 * dim + 1))
     ns_bcs = [DirichletBC(ns.col_space.fields[0], walls, value=_lid, field=0)]
-    rb_op = _rb_operator(dim)
+    rb, rb_bcs = _rb_problem(dim)
     for form, bcs, residual in ((ns, ns_bcs, ns_residual),
-                                (rb_op.form, rb_op.bcs, rb_residual)):
+                                (rb, rb_bcs, rb_residual)):
         state = form.context["state"]
         got = residual(form, state, bcs)
         expect = _parent_residual(form, state, bcs)

@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksolve.mesh import build_unit_square, build_unit_cube, vertex_patch
+from blocksolve.mesh import build_unit_square, build_unit_cube
+from blocksolve.spaces import build_space
+
+
+def _check_markers(mesh):
+    """Marker 2 a + 1 names the plane {x_a = 0} and 2 a + 2 names {x_a = 1}:
+    the P1 dofs on each marker sit exactly on the vertices of its plane."""
+    V = build_space(mesh, 1)
+    per_side = round(mesh.num_vertices ** (1 / mesh.dim))
+    for marker in range(1, 2 * mesh.dim + 1):
+        axis, value = divmod(marker - 1, 2)
+        assert mesh.facet_marker_plane(marker) == (axis, float(value))
+        on = mesh.vertices[mesh.vertices[:, axis] == value]
+        assert len(on) == per_side ** (mesh.dim - 1)
+        got = V.scalar_dof_coords[V.boundary_scalar_dofs((marker,))]
+        assert len(got) == len(on)
+        assert set(map(tuple, got)) == set(map(tuple, on))
 
 
 class TestUnitSquare:
@@ -12,7 +28,6 @@ class TestUnitSquare:
         mesh = build_unit_square(4)
         assert mesh.num_vertices == 25
         assert mesh.num_cells == 32
-        assert len(mesh.boundary_facets) == 16
 
     def test_volumes_sum_to_one(self):
         mesh = build_unit_square(3)
@@ -21,26 +36,7 @@ class TestUnitSquare:
         assert np.isclose(vols.sum(), 1.0, atol=1e-14)
 
     def test_boundary_markers(self):
-        mesh = build_unit_square(2)
-        assert set(mesh.markers()) == {1, 2, 3, 4}
-        # marker 1 is x=0, marker 2 is x=1, markers 3/4 are y=0/y=1
-        for marker in (1, 2, 3, 4):
-            axis, value = mesh.facet_marker_plane(marker)
-            for facet, m in mesh.boundary_facets:
-                if m == marker:
-                    assert np.allclose(mesh.vertices[list(facet)][:, axis],
-                                       value)
-
-    def test_center_vertex_patch(self):
-        mesh = build_unit_square(2)
-        center = np.argmin(np.sum((mesh.vertices - 0.5) ** 2, axis=1))
-        cells = vertex_patch(mesh, int(center))
-        assert len(cells) == 6
-
-    def test_patch_out_of_range(self):
-        mesh = build_unit_square(2)
-        with pytest.raises(IndexError):
-            vertex_patch(mesh, mesh.num_vertices)
+        _check_markers(build_unit_square(3))
 
 
 class TestUnitCube:
@@ -48,7 +44,6 @@ class TestUnitCube:
         mesh = build_unit_cube(2)
         assert mesh.num_vertices == 27
         assert mesh.num_cells == 48
-        assert len(mesh.boundary_facets) == 48
 
     def test_volumes(self):
         mesh = build_unit_cube(2)
@@ -57,8 +52,7 @@ class TestUnitCube:
         assert np.isclose(vols.sum(), 1.0, atol=1e-14)
 
     def test_markers(self):
-        mesh = build_unit_cube(2)
-        assert set(mesh.markers()) == {1, 2, 3, 4, 5, 6}
+        _check_markers(build_unit_cube(2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -67,12 +61,7 @@ def test_square_invariants(n):
     mesh = build_unit_square(n)
     assert mesh.num_vertices == (n + 1) ** 2
     assert mesh.num_cells == 2 * n * n
-    assert len(mesh.boundary_facets) == 4 * n
     assert np.isclose(mesh.cell_volumes().sum(), 1.0)
-    # every cell appears in the patch of each of its vertices
-    for ci, cell in enumerate(mesh.cells[:6]):
-        for v in cell:
-            assert ci in vertex_patch(mesh, int(v))
 
 
 @settings(max_examples=8, deadline=None)
@@ -81,7 +70,6 @@ def test_cube_invariants(n):
     mesh = build_unit_cube(n)
     assert mesh.num_vertices == (n + 1) ** 3
     assert mesh.num_cells == 6 * n ** 3
-    assert len(mesh.boundary_facets) == 12 * n * n
     assert np.isclose(mesh.cell_volumes().sum(), 1.0)
 
 
@@ -102,10 +90,29 @@ def test_meshes_compare_by_identity():
     assert len({a, b, a}) == 2
 
 
+def _loop_square(n):
+    """build_unit_square's vertices and cells by per-square Python loops:
+    the reference."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = np.array([(x, y) for y in xs for x in xs])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            # diagonal v00 -- v11
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    return verts, np.array(cells, dtype=np.int64)
+
+
 def _loop_cube(n):
-    """build_unit_cube's vertices, cells, facets and vertex -> cells map by
-    per-tet and per-cell Python loops with one determinant per tet: the
-    reference."""
+    """build_unit_cube's vertices and cells by per-tet Python loops with
+    one determinant per tet: the reference."""
     xs = np.linspace(0.0, 1.0, n + 1)
     verts = np.array([(x, y, z) for z in xs for y in xs for x in xs])
 
@@ -126,45 +133,15 @@ def _loop_cube(n):
             if np.linalg.det(e) < 0:
                 tet[2], tet[3] = tet[3], tet[2]
             cells.append(tuple(tet))
-    cells = np.array(cells, dtype=np.int64)
-
-    facets = []
-    for axis in range(3):
-        rest = [ax for ax in range(3) if ax != axis]
-        for side, plane in ((0, 1), (n, 2)):
-            for a, b in itertools.product(range(n), repeat=2):
-                def fvid(da, db):
-                    idx = [0, 0, 0]
-                    idx[axis] = side
-                    idx[rest[0]] = a + da
-                    idx[rest[1]] = b + db
-                    return vid(*idx)
-
-                v00, v10, v01, v11 = (fvid(0, 0), fvid(1, 0), fvid(0, 1),
-                                      fvid(1, 1))
-                facets.append(((v00, v10, v11), 2 * axis + plane))
-                facets.append(((v00, v11, v01), 2 * axis + plane))
-
-    return verts, cells, tuple(facets), _loop_adjacency(len(verts), cells)
+    return verts, np.array(cells, dtype=np.int64)
 
 
-def _loop_adjacency(nverts, cells):
-    adj = [[] for _ in range(nverts)]
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            adj[v].append(ci)
-    return tuple(tuple(sorted(a)) for a in adj)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
 def test_meshes_match_loop_construction(n):
-    mesh = build_unit_cube(n)
-    verts, cells, facets, adj = _loop_cube(n)
-    for got, expect in ((mesh.vertices, verts), (mesh.cells, cells)):
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes()
-    assert mesh.boundary_facets == facets
-    assert mesh.vertex_to_cells == adj
-    square = build_unit_square(n)
-    assert square.vertex_to_cells == _loop_adjacency(square.num_vertices,
-                                                     square.cells)
+    cases = [(build_unit_square(n), _loop_square(n))]
+    if n <= 4:
+        cases.append((build_unit_cube(n), _loop_cube(n)))
+    for mesh, (verts, cells) in cases:
+        for got, expect in ((mesh.vertices, verts), (mesh.cells, cells)):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()

@@ -6,11 +6,14 @@ import scipy.sparse as sp
 from blocksolve.elements import lagrange_element, tabulate
 from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
-                               DirichletBC, collect_bc_dofs)
-from blocksolve.forms import (stiffness_form, stokes_form,
+                               DirichletBC, collect_bc_dofs, interpolate)
+from blocksolve.forms import (StateWind, stiffness_form, stokes_form,
+                              convection_diffusion_form,
                               ns_jacobian_form, pressure_mass_form)
 from blocksolve.operators import ImplicitOperator, AssembledOperator
 from blocksolve.krylov import KSP, Nullspace
+from blocksolve.options import OptionsDB
+from blocksolve.factory import build_pc
 from blocksolve.precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC,
                                 KSPPC, AssembledPC, TelescopePC,
                                 FieldSplitPC, PCDPC, MassSchurPC,
@@ -275,8 +278,11 @@ def _set_loop_patches(V, bc_dofs):
             dof_cells[s].add(ci)
     bc = set(int(d) for d in bc_dofs)
     patches = []
-    for v in range(V.mesh.num_vertices):
-        cells = set(int(c) for c in V.mesh.vertex_to_cells[v])
+    stars = [set() for _ in range(V.mesh.num_vertices)]
+    for ci, cell in enumerate(V.mesh.cells):
+        for v in cell:
+            stars[v].add(ci)
+    for cells in stars:
         cands = np.unique(V.cell_scalar_dofs[sorted(cells)])
         keep = [s for s in cands if dof_cells[s] <= cells]
         dofs = [s * nc + k for s in keep for k in range(nc)
@@ -366,6 +372,60 @@ class TestSchwarz:
             lu, piv = dla.lu_factor(A[np.ix_(pd, pd)].toarray())
             lu_bytes += lu.nbytes + piv.nbytes
         assert sum(inv.nbytes for inv in pc.patch_invs) <= lu_bytes
+
+    @pytest.mark.parametrize("dim, n, degree", [
+        (2, 3, 2), (2, 3, 3), (2, 3, 4), (2, 5, 2), (2, 5, 3), (2, 5, 4),
+        (3, 2, 2), (3, 2, 3)])
+    def test_coarse_bc_matches_markers(self, dim, n, degree):
+        # reference: the degree-1 dofs on the markers of the fine BCs
+        mesh = build_unit_square(n) if dim == 2 else build_unit_cube(n)
+        for ncomp in (1, dim):
+            V = build_space(mesh, degree, ncomp=ncomp)
+            Vc = build_space(mesh, 1, ncomp=ncomp)
+            for markers in ((1,), (1, 3), (2, 4), _walls(dim)):
+                bc = DirichletBC(V, markers, value=[0.0] * ncomp)
+                op = ImplicitOperator(stiffness_form(V), bcs=[bc])
+                expect = Vc.boundary_dofs(markers)
+                assert np.array_equal(SchwarzPC().set_up(op).coarse_bc,
+                                      expect), (ncomp, markers)
+
+    def test_fieldsplit_velocity_block(self):
+        # Schwarz on the velocity block of Stokes, set up through the
+        # factory, is Schwarz on the same vector stiffness operator
+        mesh = build_unit_square(4)
+        W = taylor_hood(mesh, degree=3)
+        bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=[0.0, 0.0],
+                           field=0)]
+        db = OptionsDB().parse_args(["-pc_type", "fieldsplit",
+                                     "-fieldsplit_0_pc_type", "schwarz"])
+        pc = build_pc(db, "", ImplicitOperator(stokes_form(W), bcs=bcs))
+        sub = pc.sub_ksps[0].pc
+        V = W.fields[0]
+        direct = SchwarzPC().set_up(ImplicitOperator(
+            stiffness_form(V), bcs=[DirichletBC(V, (1, 2, 3, 4),
+                                                value=[0.0, 0.0])]))
+        r = np.random.default_rng(8).standard_normal(V.num_dofs)
+        assert isinstance(sub, SchwarzPC)
+        assert np.array_equal(sub.apply(r), direct.apply(r))
+
+    def test_coarse_level_reads_the_fine_state(self):
+        # a wind read from the Newton state on the fine space gives the
+        # same preconditioner as that wind given as a callable
+        mesh = build_unit_square(4)
+        V = build_space(mesh, 2, ncomp=2)
+
+        def wind(x):
+            return np.stack([1.0 + x[0] - 2.0 * x[1], 0.5 * x[0] + x[1]])
+
+        pcs = []
+        for w, state in ((StateWind(0), interpolate(V, wind)), (wind, None)):
+            form = convection_diffusion_form(V, wind=w)
+            form.context["state"] = state
+            bc = DirichletBC(V, (1, 2, 3, 4), value=[0.0, 0.0])
+            pcs.append(SchwarzPC().set_up(ImplicitOperator(form, bcs=[bc])))
+        r = np.random.default_rng(9).standard_normal(V.num_dofs)
+        z, ref = pcs[0].apply(r), pcs[1].apply(r)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("dim, degree, ncomp", _SCHWARZ_CASES)
     def test_prolongation_matches_cell_loop(self, dim, degree, ncomp):
