@@ -84,20 +84,21 @@ def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
         nullspace = Nullspace([np.ones(A.shape[1])])
     if monitor is None and o.get_bool("ksp_monitor"):
         monitor = lambda line: print(line, file=sys.stdout)
-    pc = build_pc(db, prefix, A, Apc, default_pc=default_pc)
-    return KSP(ksp_type,
-               rtol=o.get_float("ksp_rtol", 1e-5),
-               atol=o.get_float("ksp_atol", 1e-50),
-               max_it=o.get_int("ksp_max_it", 10000),
-               restart=o.get_int("ksp_gmres_restart", 30),
-               orthogonalization=ortho,
-               side=side,
-               pc=pc,
-               nullspace=nullspace,
-               monitor=monitor,
-               prefix=prefix,
-               error_if_not_converged=o.get_bool(
-                   "ksp_error_if_not_converged"))
+    # the KSP checks its own options before its preconditioner is set up
+    ksp = KSP(ksp_type,
+              rtol=o.get_float("ksp_rtol", 1e-5),
+              atol=o.get_float("ksp_atol", 1e-50),
+              max_it=o.get_int("ksp_max_it", 10000),
+              restart=o.get_int("ksp_gmres_restart", 30),
+              orthogonalization=ortho,
+              side=side,
+              nullspace=nullspace,
+              monitor=monitor,
+              prefix=prefix,
+              error_if_not_converged=o.get_bool(
+                  "ksp_error_if_not_converged"))
+    ksp.pc = build_pc(db, prefix, A, Apc, default_pc=default_pc)
+    return ksp
 
 
 def build_pc(db, prefix, A, Apc=None, default_pc=None):

@@ -105,9 +105,13 @@ class KSP:
         self.max_it = max_it
         self.restart = restart
         self.orthogonalization = orthogonalization
-        if side is None:
-            side = "right" if ksp_type == "fgmres" else "left"
-        self.side = side
+        # the sides each type applies, its default first, as in PETSc
+        sides = {"cg": ["left"], "fgmres": ["right"]}.get(ksp_type,
+                                                          ["left", "right"])
+        self.side = sides[0] if side is None else side
+        if self.side not in sides:
+            raise ValueError(f"{prefix or 'ksp'}: {ksp_type} preconditions on "
+                             f"the {' or '.join(sides)}, not {self.side!r}")
         self.pc = pc
         self.nullspace = nullspace
         self.monitor = monitor

@@ -96,14 +96,6 @@ class Mesh:
         """Cell geometry, computed on first use and freed with the mesh."""
         return CellGeometry(self)
 
-    def cell_volumes(self):
-        """Signed volumes of all cells (positive by construction)."""
-        verts = self.vertices[self.cells]
-        edges = verts[:, 1:, :] - verts[:, :1, :]
-        dets = np.linalg.det(edges)
-        fact = 2.0 if self.dim == 2 else 6.0
-        return dets / fact
-
     def facet_marker_plane(self, marker):
         """(axis, value) of the coordinate plane a marker refers to."""
         axis = (marker - 1) // 2

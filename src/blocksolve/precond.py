@@ -17,6 +17,8 @@ come from `factory.build_pc` alone.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -532,34 +534,55 @@ class MassSchurPC(Preconditioner):
 
 # --- two-level additive Schwarz -------------------------------------------
 
-# matrix entries per chunk of patch blocks extracted, inverted or solved at
-# once: bounds the transient arrays (about 8 bytes per entry each)
+# block entries per chunk of patches, whose blocks are summed from element
+# matrices and then inverted or solved at once: bounds the transient arrays
+# of a chunk, its blocks and, in proportion, the element-matrix entries
+# gathered to sum them
 _PATCH_CHUNK = 2 ** 13
 
 
-def _csr_keys(A):
-    """row * ncols + col of every entry of a canonical CSR matrix, in
-    storage order, so ascending."""
-    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    keys *= A.shape[1]
-    keys += A.indices
-    return keys
+class _PatchGroup(namedtuple("_PatchGroup", "dofs pair_row cell loc")):
+    """k vertex patches of m dofs, `dofs` (k, m), and the int32 map that
+    sums their blocks from element matrices: the (cell, vertex) pairs of
+    their stars, ordered by patch, with the row in `dofs` of the patch of
+    each (`pair_row`), its `cell`, and `loc` (npairs, ncomp, nnodes), the
+    place in the patch of each local dof of the cell, or -1."""
 
-
-def _dense_blocks(A, keys, dofs):
-    """The dense blocks A[d][:, d] for every row d of `dofs` (k, m), as
-    (k, m, m): each entry is looked up in the sorted `keys` of A."""
-    q = dofs[:, :, None] * A.shape[1] + dofs[:, None, :]
-    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    return np.where(keys[pos] == q, A.data[pos], 0.0)
-
-
-def _chunks(dofs):
-    """Slices of the rows of a patch group (k, m) that cover _PATCH_CHUNK
-    entries of its blocks at a time."""
-    k, m = dofs.shape
-    step = max(1, _PATCH_CHUNK // (m * m))
-    return [slice(s, s + step) for s in range(0, k, step)]
+    def blocks(self, E):
+        """(rows, blocks) for each chunk of patches, summed from the element
+        matrices E (`Form.block_local_matrices`): a unit, a pair or, when E
+        couples no components, a (pair, component), adds the entries
+        between its local dofs in the patch, and only those, in one
+        bincount."""
+        k, m = self.dofs.shape
+        K, nn = E.shape[1], E.shape[3]
+        step = max(1, _PATCH_CHUNK // (m * m))
+        for s in range(0, k, step):
+            rows = slice(s, min(s + step, k))
+            p0, p1 = np.searchsorted(self.pair_row, (s, rows.stop))
+            loc = self.loc[p0:p1]
+            # items: the local dofs in the patch, by pair, component, node
+            item = np.flatnonzero(loc >= 0)
+            place = loc.ravel().take(item)
+            pair, local = np.divmod(item, loc.shape[1] * nn)
+            comp, node = np.divmod(local, nn)
+            per = nn if K == 1 else loc.shape[1] * nn   # local dofs a unit
+            n = np.bincount(item // per, minlength=loc.size // per)
+            reps = np.repeat(n, n)        # entries in an item's row
+            # an item's row repeats it; col[e] is the column item of entry e
+            col = np.repeat(np.repeat(np.cumsum(n) - n, n)
+                            - (np.cumsum(reps) - reps), reps)
+            col += np.arange(len(col))
+            # row of each item in the (len*m, m) stack of the chunk's blocks
+            row = ((self.pair_row[p0:p1] - s) * m)[pair] + place
+            tgt = np.repeat(row * m, reps) + place[col]
+            comp *= K > 1
+            src = ((self.cell[p0:p1] * K * K * nn * nn)[pair]
+                   + (comp * K * nn + node) * nn)
+            vals = E.ravel()[np.repeat(src, reps)
+                             + (comp * nn * nn + node)[col]]
+            yield rows, np.bincount(tgt, vals, minlength=(rows.stop - s)
+                                    * m * m).reshape(-1, m, m)
 
 
 class SchwarzPC(Preconditioner):
@@ -569,20 +592,22 @@ class SchwarzPC(Preconditioner):
     cells all lie in the vertex star; Dirichlet dofs act as identity.
 
     Everything comes from the operator: the form, its Newton state and its
-    Dirichlet dofs `bc_rows`.  The coarse Dirichlet dofs are the coarse
-    dofs that a fine Dirichlet dof interpolates from (its row of the
-    prolongation P).  So any square single-field implicit operator will
-    do, such as the velocity block of a fieldsplit
+    Dirichlet dofs, the same for rows and columns.  The coarse Dirichlet
+    dofs are the coarse dofs that a fine Dirichlet dof interpolates from
+    (its row of the prolongation P).  So any square single-field implicit
+    operator will do, such as the velocity block of a fieldsplit
     (`-fieldsplit_0_pc_type schwarz`).
 
-    Patches are grouped by size; a group of k patches of m dofs is a dof
-    array (k, m).  Their blocks of the assembled matrix are extracted for
-    a chunk of patches at once.  With stored operators each group keeps
-    the dense inverses (k, m, m) of its blocks, the same bytes as LU
-    factors, and an apply is one gather, batched product and scatter
-    (`np.bincount`) per group, as PCPATCH's dense-inverse mode applies
-    patches.  Without, every apply extracts the blocks again and solves
-    them a chunk at a time."""
+    Only the coarse operator is assembled.  A patch block is the sum of the
+    element matrices of the vertex star restricted to the patch dofs, as
+    PCPATCH builds patch operators from cell integrals: every cell that
+    couples two patch dofs is in the star, and no Dirichlet dof is in a
+    patch.  Patches are grouped by size (`_PatchGroup`).  With stored
+    operators each group keeps the dense inverses (k, m, m) of its blocks,
+    the same bytes as LU factors, and an apply is one gather, batched
+    product and scatter per group, as PCPATCH's dense-inverse mode applies
+    patches.  Without, the PC keeps no matrix: every apply computes the
+    element matrices again and solves the blocks a chunk at a time."""
 
     type_name = "schwarz"
 
@@ -592,7 +617,7 @@ class SchwarzPC(Preconditioner):
 
     def _set_up(self, op):
         impl = _implicit(op, self)
-        form = impl.form
+        form = self.form = impl.form
         if form.col_space.num_fields != 1 or form.row_space is not form.col_space:
             raise MissingContext(f"{self.name} expects a square "
                                  f"single-field operator")
@@ -601,11 +626,13 @@ class SchwarzPC(Preconditioner):
             raise ValueError(f"{self.name} needs polynomial degree >= 2; "
                              f"the coarse space would coincide with the fine "
                              f"one")
+        self.bc_dofs = np.unique(impl.bc_rows)
+        if not np.array_equal(self.bc_dofs, np.unique(impl.bc_cols)):
+            raise ValueError(f"{self.name} needs the same Dirichlet rows "
+                             f"and columns")
         mesh = V.mesh
         nc = V.ncomp
-        self.A = impl.assemble().A
-        self.A.sum_duplicates()   # canonical: sorted, unique entries
-        self.bc_dofs = np.asarray(impl.bc_rows, dtype=np.int64)
+        self.patch_groups = self._build_patches(V, self.bc_dofs)
 
         # coarse level: same form and Newton state on the degree-1 space
         Vc = build_space(mesh, 1, ncomp=nc)
@@ -618,38 +645,28 @@ class SchwarzPC(Preconditioner):
         Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()
         self.coarse_fact = spla.splu(sp.csc_matrix(Ac.A))
 
-        # vertex patches, grouped by size
-        ptr, dofs = self._build_patches(V, self.bc_dofs)
-        sizes = np.diff(ptr)
-        self.patch_groups = [dofs[ptr[:-1][sizes == m][:, None] + np.arange(m)]
-                             for m in np.unique(sizes)]
-        self.patch_invs = None
+        self.patch_invs = []
         if self.store_operators:
-            keys = _csr_keys(self.A)
-            self.patch_invs = []
+            E = form.block_local_matrices(0, 0)
             for group in self.patch_groups:
-                inv = np.empty(group.shape + group.shape[1:])
-                for c in _chunks(group):
-                    inv[c] = np.linalg.inv(_dense_blocks(self.A, keys, group[c]))
+                inv = np.empty(group.dofs.shape + group.dofs.shape[1:])
+                for rows, blocks in group.blocks(E):
+                    inv[rows] = np.linalg.inv(blocks)
                 self.patch_invs.append(inv)
 
     @staticmethod
     def _prolongation(V, Vc):
-        """Interpolation from the degree-1 space into the fine space."""
-        p1 = lagrange_element(V.mesh.dim, 1)
-        vals = tabulate(p1, V.element.nodes).values  # (nfine, nverts)
-        shape = (V.mesh.num_cells,) + vals.shape
-        keep = np.broadcast_to(np.abs(vals) > 1e-14, shape)
-        rows = np.broadcast_to(V.cell_scalar_dofs[:, :, None], shape)[keep]
-        cols = np.broadcast_to(Vc.cell_scalar_dofs[:, None, :], shape)[keep]
-        data = np.broadcast_to(vals, shape)[keep]
-        # one entry per (fine, coarse) pair, since csr sums duplicates; the
-        # cells sharing a pair differ in the last bit, and the last cell's
-        # value is kept, as a per-cell loop overwriting a dict would
-        pair = rows * Vc.num_scalar_dofs + cols
-        _, last = np.unique(pair[::-1], return_index=True)
-        last = len(pair) - 1 - last
-        Ps = sp.csr_matrix((data[last], (rows[last], cols[last])),
+        """Interpolation from the degree-1 space into the fine space.  A
+        fine node takes the degree-1 basis values at it in the last cell
+        that holds it; the cells sharing it differ in the last bit."""
+        flat = V.cell_scalar_dofs.ravel()
+        _, last = np.unique(flat[::-1], return_index=True)
+        cell, node = np.divmod(len(flat) - 1 - last, V.element.nnodes)
+        vals = tabulate(lagrange_element(V.mesh.dim, 1),
+                        V.element.nodes).values[node]   # (nfine, nverts)
+        keep = np.abs(vals) > 1e-14
+        Ps = sp.csr_matrix((vals[keep], (np.nonzero(keep)[0],
+                                         Vc.cell_scalar_dofs[cell][keep])),
                            shape=(V.num_scalar_dofs, Vc.num_scalar_dofs))
         if V.ncomp == 1:
             return Ps
@@ -657,53 +674,71 @@ class SchwarzPC(Preconditioner):
 
     @staticmethod
     def _build_patches(V, bc_dofs):
-        """Vertex patches as (ptr, dofs): patch i, in vertex order, is
-        dofs[ptr[i]:ptr[i+1]], ascending, without the dofs in `bc_dofs`;
-        empty patches are left out.  A scalar dof belongs to the patch of
-        vertex v when every cell that supports it contains v, that is when
-        the number of its cells containing v equals its number of cells."""
-        mesh, nc = V.mesh, V.ncomp
-        cell_sdofs = V.cell_scalar_dofs
-        ncells = np.bincount(cell_sdofs.ravel(), minlength=V.num_scalar_dofs)
+        """Vertex patches grouped by size, in vertex order within a size, as
+        `_PatchGroup`s; a patch holds its dofs ascending, without those in
+        `bc_dofs`.  A scalar dof belongs to the patch of vertex v when every
+        cell that supports it contains v, that is when the number of its
+        cells containing v equals its number of cells."""
+        cells, nc, nn = V.mesh.cells, V.ncomp, V.element.nnodes
+        ns, cell_sdofs = V.num_scalar_dofs, V.cell_scalar_dofs
         # one (vertex, dof) pair per cell containing both, keyed vertex-major
-        pairs = (mesh.cells[:, None, :] * V.num_scalar_dofs
-                 + cell_sdofs[:, :, None])
-        keys, count = np.unique(pairs, return_counts=True)
-        verts, sdofs = np.divmod(keys, V.num_scalar_dofs)
-        keep = count == ncells[sdofs]
-        verts, sdofs = verts[keep], sdofs[keep]
-        dofs = (sdofs[:, None] * nc + np.arange(nc)).ravel()
-        verts = np.repeat(verts, nc)
-        free = ~np.isin(dofs, bc_dofs)
-        dofs, verts = dofs[free], verts[free]
-        sizes = np.bincount(verts, minlength=mesh.num_vertices)
-        ptr = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
-        return ptr, dofs
+        keys, count = np.unique(cells[:, None, :] * ns
+                                + cell_sdofs[:, :, None], return_counts=True)
+        keys = keys[count == np.bincount(cell_sdofs.ravel())[keys % ns]]
+        # as vertex * num_dofs + dof, with the components of each dof
+        keys = (keys[:, None] * nc + np.arange(nc)).ravel()
+        keys = keys[~np.isin(keys % V.num_dofs, bc_dofs)]
+        verts, dofs = np.divmod(keys, V.num_dofs)
+        sizes = np.bincount(verts, minlength=V.mesh.num_vertices)
+        first = np.cumsum(sizes) - sizes
+        # the place of each local dof of a cell in the patch of each vertex
+        local = cells[:, :, None] * V.num_dofs + V.cell_dofs[:, None, :]
+        place = np.searchsorted(keys, local)
+        inside = keys.take(place, mode="clip") == local
+        place -= first[cells][:, :, None]
+        # patches by size; (cell, vertex) pairs by patch, then cell
+        order = np.argsort(sizes, kind="stable")
+        pair_row = order.argsort()[cells].ravel()
+        by_row = np.argsort(pair_row, kind="stable")
+        pair_row = pair_row[by_row]
+        loc = np.ascontiguousarray(np.where(inside, place, -1).astype(
+            np.int32).reshape(-1, nn, nc)[by_row].transpose(0, 2, 1))
+        groups = []
+        for m in np.unique(sizes[sizes > 0]):
+            r0, r1 = np.searchsorted(sizes[order], (m, m + 1))
+            p0, p1 = np.searchsorted(pair_row, (r0, r1))
+            groups.append(_PatchGroup(
+                dofs[first[order[r0:r1]][:, None] + np.arange(m)],
+                (pair_row[p0:p1] - r0).astype(np.int32),
+                (by_row[p0:p1] // cells.shape[1]).astype(np.int32),
+                loc[p0:p1]))
+        return groups
 
     def apply(self, r):
         rc = self.P.T @ r
         rc[self.coarse_bc] = 0.0
         zc = self.coarse_fact.solve(rc)
         z = self.P @ zc
-        keys = None if self.store_operators else _csr_keys(self.A)
-        for i, dofs in enumerate(self.patch_groups):
-            rp = r[dofs][..., None]
+        E = None if self.store_operators else \
+            self.form.block_local_matrices(0, 0)
+        for i, group in enumerate(self.patch_groups):
+            rp = r[group.dofs][..., None]
             if self.store_operators:
                 y = self.patch_invs[i] @ rp
             else:
                 y = np.empty_like(rp)
-                for c in _chunks(dofs):
-                    y[c] = np.linalg.solve(
-                        _dense_blocks(self.A, keys, dofs[c]), rp[c])
-            z += np.bincount(dofs.ravel(), y.ravel(), minlength=len(r))
+                for rows, blocks in group.blocks(E):
+                    y[rows] = np.linalg.solve(blocks, rp[rows])
+            z += np.bincount(group.dofs.ravel(), y.ravel(), minlength=len(r))
         if len(self.bc_dofs):
             z[self.bc_dofs] = r[self.bc_dofs]
         return z
 
     def _view_body(self, indent):
         pad = " " * indent
-        np_ = sum(len(g) for g in self.patch_groups)
-        max_patch = max((g.shape[1] for g in self.patch_groups), default=0)
+        np_ = sum(len(g.dofs) for g in self.patch_groups)
+        max_patch = max((g.dofs.shape[1] for g in self.patch_groups),
+                        default=0)
         return [f"{pad}patches={np_}, max_patch={max_patch}, "
                 f"coarse_dofs={self.P.shape[1]}, "
                 f"store_operators={self.store_operators}"]

@@ -65,6 +65,17 @@ class TestBuildKSP:
         assert ksp.orthogonalization == "modified"
         assert ksp.side == "right"
 
+    def test_unapplied_side_rejected_before_pc_set_up(self):
+        # jacobi on a matrix-free operator would fail at set-up; the side
+        # is rejected first
+        db = OptionsDB().parse_args(["-inner_ksp_type", "cg",
+                                     "-inner_ksp_pc_side", "right",
+                                     "-inner_pc_type", "jacobi"])
+        A, _ = _poisson()
+        with pytest.raises(ValueError, match="inner_: cg preconditions on "
+                                             "the left, not 'right'"):
+            build_ksp(db, "inner_", A)
+
     def test_constant_nullspace_flag(self):
         db = OptionsDB().parse_args(["-ksp_constant_nullspace",
                                      "-pc_type", "none"])

@@ -88,6 +88,26 @@ class TestGMRES:
         assert rep.true_residual_norm < 1e-7
 
 
+@pytest.mark.parametrize("ksp_type, side", [
+    ("gmres", "bogus"), ("cg", "right"), ("fgmres", "left"),
+    ("richardson", "symmetric")])
+def test_unapplied_preconditioning_side_rejected(ksp_type, side):
+    # a side the method would not apply must not be accepted and then
+    # printed by -ksp_view
+    with pytest.raises(ValueError, match=f"outer_: {ksp_type} preconditions "
+                                         f"on the"):
+        KSP(ksp_type, side=side, prefix="outer_")
+
+
+@pytest.mark.parametrize("ksp_type, sides", [
+    ("cg", ["left"]), ("fgmres", ["right"]), ("gmres", ["left", "right"]),
+    ("richardson", ["left", "right"]), ("preonly", ["left", "right"])])
+def test_supported_preconditioning_sides(ksp_type, sides):
+    assert KSP(ksp_type).side == sides[0]
+    for side in sides:
+        assert KSP(ksp_type, side=side).side == side
+
+
 class TestOtherTypes:
     def test_preonly_with_exact_pc(self):
         A = _spd(15, seed=9)

@@ -7,13 +7,15 @@ from blocksolve.elements import lagrange_element, tabulate
 from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, collect_bc_dofs, interpolate)
-from blocksolve.forms import (StateWind, stiffness_form, stokes_form,
+from blocksolve.forms import (Form, StateWind, VectorReactionTerm,
+                              stiffness_form, stokes_form,
                               convection_diffusion_form,
                               ns_jacobian_form, pressure_mass_form)
 from blocksolve.operators import ImplicitOperator, AssembledOperator
 from blocksolve.krylov import KSP, Nullspace
 from blocksolve.options import OptionsDB
 from blocksolve.factory import build_pc
+from blocksolve import precond
 from blocksolve.precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC,
                                 KSPPC, AssembledPC, TelescopePC,
                                 FieldSplitPC, PCDPC, MassSchurPC,
@@ -292,14 +294,33 @@ def _set_loop_patches(V, bc_dofs):
     return patches
 
 
-def _lu_loop_apply(pc, V, r):
+def _csr_keys(A):
+    """row * ncols + col of every entry of a canonical CSR matrix, in
+    storage order, so ascending."""
+    keys = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    keys *= A.shape[1]
+    keys += A.indices
+    return keys
+
+
+def _dense_blocks(A, keys, dofs):
+    """The dense blocks A[d][:, d] for every row d of `dofs` (k, m), as
+    (k, m, m): each entry is looked up in the sorted `keys` of A.  The
+    reference for the blocks summed from element matrices."""
+    q = dofs[:, :, None] * A.shape[1] + dofs[:, None, :]
+    pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[pos] == q, A.data[pos], 0.0)
+
+
+def _lu_loop_apply(pc, op, r):
     """A two-level Schwarz apply with one LU factorisation and solve per
-    patch: the reference for the batched dense inverses."""
+    patch of the assembled operator: the reference for the batched dense
+    inverses."""
     rc = pc.P.T @ r
     rc[pc.coarse_bc] = 0.0
     z = pc.P @ pc.coarse_fact.solve(rc)
-    A = pc.A.tocsr()
-    for pd in _set_loop_patches(V, pc.bc_dofs):
+    A = op.assemble().A
+    for pd in _set_loop_patches(op.form.col_space.fields[0], pc.bc_dofs):
         z[pd] += dla.lu_solve(dla.lu_factor(A[np.ix_(pd, pd)].toarray()),
                               r[pd])
     z[pc.bc_dofs] = r[pc.bc_dofs]
@@ -345,9 +366,13 @@ class TestSchwarz:
         V = build_space(mesh, degree, ncomp=ncomp)
         for markers in ((), (1, 3), _walls(dim)):
             bc_dofs = V.boundary_dofs(markers)
-            ptr, dofs = SchwarzPC._build_patches(V, bc_dofs)
-            got = np.split(dofs, ptr[1:-1])
-            expect = _set_loop_patches(V, bc_dofs)
+            groups = SchwarzPC._build_patches(V, bc_dofs)
+            # grouped by size, vertex order within a size
+            got = [g.dofs for g in groups]
+            expect = sorted(_set_loop_patches(V, bc_dofs), key=len)
+            assert [d.shape[1] for d in got] == sorted({len(p)
+                                                        for p in expect})
+            got = [row for d in got for row in d]
             assert len(got) == len(expect)
             for a, b in zip(got, expect):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -358,7 +383,7 @@ class TestSchwarz:
         r = np.random.default_rng(7).standard_normal(op.shape[0])
         stored = SchwarzPC(store_operators=True).set_up(op)
         z = stored.apply(r)
-        ref = _lu_loop_apply(stored, op.form.col_space.fields[0], r)
+        ref = _lu_loop_apply(stored, op, r)
         assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
         z2 = SchwarzPC(store_operators=False).set_up(op).apply(r)
         assert np.linalg.norm(z2 - z) <= 1e-12 * np.linalg.norm(z)
@@ -366,12 +391,73 @@ class TestSchwarz:
     def test_stored_inverses_no_larger_than_lu_factors(self):
         op = _schwarz_operator(2, 16, 4, 1)
         pc = SchwarzPC().set_up(op)
-        A = pc.A.tocsr()
+        A = op.assemble().A
         lu_bytes = 0
         for pd in _set_loop_patches(op.form.col_space.fields[0], pc.bc_dofs):
             lu, piv = dla.lu_factor(A[np.ix_(pd, pd)].toarray())
             lu_bytes += lu.nbytes + piv.nbytes
         assert sum(inv.nbytes for inv in pc.patch_invs) <= lu_bytes
+
+    @pytest.mark.parametrize("chunk", [precond._PATCH_CHUNK, 64])
+    @pytest.mark.parametrize("case", _SCHWARZ_CASES + ["state wind"])
+    def test_blocks_match_assembled_matrix(self, case, chunk, monkeypatch):
+        monkeypatch.setattr(precond, "_PATCH_CHUNK", chunk)
+        # the blocks summed from element matrices are the blocks of the
+        # assembled operator; the state wind with partial BCs and a
+        # coupling Newton term stresses the component-pair layout
+        if case == "state wind":
+            V = build_space(build_unit_square(3), 3, ncomp=2)
+            state = np.random.default_rng(10).standard_normal(V.num_dofs)
+            bc = DirichletBC(V, (1, 3), value=[0.0, 0.0])
+            forms = [convection_diffusion_form(V, nu=0.1,
+                                               wind=StateWind(0))]
+            forms.append(Form("reaction", V, V, {(0, 0): forms[0].blocks[
+                0, 0] + [VectorReactionTerm(0)]}))
+            ops = []
+            for form in forms:
+                form.context["state"] = state
+                ops.append(ImplicitOperator(form, bcs=[bc]))
+        else:
+            dim, degree, ncomp = case
+            ops = [_schwarz_operator(dim, 3 if dim == 2 else 2, degree,
+                                     ncomp)]
+        for op in ops:
+            pc = SchwarzPC(store_operators=False).set_up(op)
+            A = op.assemble().A
+            keys = _csr_keys(A)
+            E = op.form.block_local_matrices(0, 0)
+            for group in pc.patch_groups:
+                ref = _dense_blocks(A, keys, group.dofs)
+                got = np.full_like(ref, np.nan)   # a row no chunk covers fails
+                for rows, blocks in group.blocks(E):
+                    got[rows] = blocks
+                assert np.allclose(got, ref, rtol=0.0,
+                                   atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("store", [True, False])
+    def test_assembles_only_the_coarse_operator(self, store, monkeypatch):
+        # patch blocks come from element matrices; the one form Schwarz
+        # assembles is the degree-1 coarse form, at set-up
+        op = _schwarz_operator(2, 3, 3, 2)
+        assembled = []
+        real = Form.assemble
+
+        def spy(form):
+            assembled.append(form.col_space.fields[0].element.degree)
+            return real(form)
+
+        monkeypatch.setattr(Form, "assemble", spy)
+        pc = SchwarzPC(store_operators=store).set_up(op)
+        pc.apply(np.ones(op.shape[0]))
+        assert assembled == [1]
+
+    def test_rejects_unequal_dirichlet_rows_and_columns(self):
+        V = build_space(build_unit_square(3), 2)
+        rows = V.boundary_dofs((1,))
+        op = ImplicitOperator(stiffness_form(V), bc_rows=rows,
+                              bc_cols=V.boundary_dofs((1, 3)))
+        with pytest.raises(ValueError, match="same Dirichlet rows"):
+            SchwarzPC().set_up(op)
 
     @pytest.mark.parametrize("dim, n, degree", [
         (2, 3, 2), (2, 3, 3), (2, 3, 4), (2, 5, 2), (2, 5, 3), (2, 5, 4),

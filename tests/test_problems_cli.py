@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +176,31 @@ class TestCLI:
                          "--options-file", f"{ROOT}/{cfg}"], stdout=buf)
             assert code == 0, cfg
             assert buf.getvalue().startswith("poisson: dofs=")
+
+
+# the command line that runs each shipped option file, at the sizes of the
+# golden-view acceptance check
+CONFIG_RUNS = {
+    "poisson-hypre": ["poisson", "--n", "4", "--degree", "3"],
+    "poisson-sor": ["poisson", "--n", "4", "--degree", "3"],
+    "poisson-schwarz": ["poisson", "--n", "4", "--degree", "3"],
+    "rb-direct": ["rayleigh-benard", "--n", "4"],
+    "rb-iterative": ["rayleigh-benard", "--n", "4"],
+}
+
+
+def test_every_config_has_a_run():
+    names = sorted(p.stem for p in Path(ROOT, "configs").glob("*.opts"))
+    assert names == sorted(CONFIG_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_RUNS))
+def test_shipped_config_reads_every_option(name, capsys):
+    # an option nothing reads (a renamed knob, a typo) is reported on
+    # stderr; a shipped file must have none
+    code = main(CONFIG_RUNS[name] + ["--options-file",
+                                     f"{ROOT}/configs/{name}.opts"],
+                stdout=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "unused options" not in err, err
