@@ -164,8 +164,7 @@ def build_pc(db, prefix, A, Apc=None, default_pc=None):
                 default_type="preonly", default_pc="lu"),
             prefix=prefix)
     elif pc_type == "schwarz":
-        pc = SchwarzPC(store_operators=o.get_bool(
-            "pc_schwarz_store_operators", True), prefix=prefix)
+        pc = SchwarzPC(prefix=prefix)
     else:  # pragma: no cover - guarded by _resolve_pc_type
         raise UnknownType(pc_type)
     return pc.set_up(A, Apc)

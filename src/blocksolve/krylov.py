@@ -95,10 +95,11 @@ class KSP:
                  pc=None, nullspace=None, monitor=None, prefix="",
                  error_if_not_converged=False):
         if ksp_type not in KSP_TYPES:
-            raise ValueError(f"unknown ksp type {ksp_type!r}; "
-                             f"known: {', '.join(KSP_TYPES)}")
+            raise ValueError(f"{prefix or 'ksp'}: unknown ksp type "
+                             f"{ksp_type!r}; known: {', '.join(KSP_TYPES)}")
         if rtol < 0 or atol < 0 or restart < 1:
-            raise ValueError("tolerances must be nonnegative, restart >= 1")
+            raise ValueError(f"{prefix or 'ksp'}: tolerances must be "
+                             f"nonnegative, restart >= 1")
         self.type = ksp_type
         self.rtol = rtol
         self.atol = atol

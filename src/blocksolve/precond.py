@@ -158,7 +158,11 @@ class SORPC(Preconditioner):
     def __init__(self, omega=1.0, its=1, symmetric=True, prefix=""):
         super().__init__(prefix)
         if not 0.0 < omega < 2.0:
-            raise ValueError("sor relaxation must lie in (0, 2)")
+            raise ValueError(f"{self.name}: sor relaxation must lie in "
+                             f"(0, 2)")
+        if its < 1:
+            raise ValueError(f"{self.name}: sor needs at least one sweep, "
+                             f"not {its}")
         self.omega = omega
         self.its = its
         self.symmetric = symmetric
@@ -337,9 +341,11 @@ class FieldSplitPC(Preconditioner):
                  sub_ksp_maker, prefix=""):
         super().__init__(prefix)
         if fs_type not in ("additive", "multiplicative", "schur"):
-            raise ValueError(f"unknown fieldsplit type {fs_type!r}")
+            raise ValueError(f"{self.name}: unknown fieldsplit type "
+                             f"{fs_type!r}")
         if fact_type not in ("diag", "lower", "upper", "full"):
-            raise ValueError(f"unknown schur factorization {fact_type!r}")
+            raise ValueError(f"{self.name}: unknown schur factorization "
+                             f"{fact_type!r}")
         self.splits = splits
         self.fs_type = fs_type
         self.fact_type = fact_type
@@ -534,10 +540,10 @@ class MassSchurPC(Preconditioner):
 
 # --- two-level additive Schwarz -------------------------------------------
 
-# block entries per chunk of patches, whose blocks are summed from element
-# matrices and then inverted or solved at once: bounds the transient arrays
-# of a chunk, its blocks and, in proportion, the element-matrix entries
-# gathered to sum them
+# block entries per chunk of patches whose blocks are summed from element
+# matrices and inverted at once: bounds the set-up transients of a chunk,
+# its blocks and their inverses and, in proportion, the element-matrix
+# entries gathered to sum them
 _PATCH_CHUNK = 2 ** 13
 
 
@@ -602,22 +608,17 @@ class SchwarzPC(Preconditioner):
     element matrices of the vertex star restricted to the patch dofs, as
     PCPATCH builds patch operators from cell integrals: every cell that
     couples two patch dofs is in the star, and no Dirichlet dof is in a
-    patch.  Patches are grouped by size (`_PatchGroup`).  With stored
-    operators each group keeps the dense inverses (k, m, m) of its blocks,
-    the same bytes as LU factors, and an apply is one gather, batched
-    product and scatter per group, as PCPATCH's dense-inverse mode applies
-    patches.  Without, the PC keeps no matrix: every apply computes the
-    element matrices again and solves the blocks a chunk at a time."""
+    patch.  Patches are grouped by size (`_PatchGroup`); set-up inverts
+    each group's blocks and keeps only its `(dofs, inverse)` in `patches`,
+    the inverses (k, m, m) the same bytes as LU factors.  An apply is one
+    gather, batched product and scatter per group, as PCPATCH's
+    dense-inverse mode applies patches."""
 
     type_name = "schwarz"
 
-    def __init__(self, store_operators=True, prefix=""):
-        super().__init__(prefix)
-        self.store_operators = store_operators
-
     def _set_up(self, op):
         impl = _implicit(op, self)
-        form = self.form = impl.form
+        form = impl.form
         if form.col_space.num_fields != 1 or form.row_space is not form.col_space:
             raise MissingContext(f"{self.name} expects a square "
                                  f"single-field operator")
@@ -630,12 +631,10 @@ class SchwarzPC(Preconditioner):
         if not np.array_equal(self.bc_dofs, np.unique(impl.bc_cols)):
             raise ValueError(f"{self.name} needs the same Dirichlet rows "
                              f"and columns")
-        mesh = V.mesh
-        nc = V.ncomp
-        self.patch_groups = self._build_patches(V, self.bc_dofs)
+        groups = self._build_patches(V, self.bc_dofs)
 
         # coarse level: same form and Newton state on the degree-1 space
-        Vc = build_space(mesh, 1, ncomp=nc)
+        Vc = build_space(V.mesh, 1, ncomp=V.ncomp)
         coarse_form = Form(form.kind + "_coarse", Vc, Vc, form.blocks,
                            context=form.context,
                            state_space=form.state_space)
@@ -645,14 +644,13 @@ class SchwarzPC(Preconditioner):
         Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()
         self.coarse_fact = spla.splu(sp.csc_matrix(Ac.A))
 
-        self.patch_invs = []
-        if self.store_operators:
-            E = form.block_local_matrices(0, 0)
-            for group in self.patch_groups:
-                inv = np.empty(group.dofs.shape + group.dofs.shape[1:])
-                for rows, blocks in group.blocks(E):
-                    inv[rows] = np.linalg.inv(blocks)
-                self.patch_invs.append(inv)
+        E = form.block_local_matrices(0, 0)
+        self.patches = []
+        for group in groups:
+            inv = np.empty(group.dofs.shape + group.dofs.shape[1:])
+            for rows, blocks in group.blocks(E):
+                inv[rows] = np.linalg.inv(blocks)
+            self.patches.append((group.dofs, inv))
 
     @staticmethod
     def _prolongation(V, Vc):
@@ -719,26 +717,17 @@ class SchwarzPC(Preconditioner):
         rc[self.coarse_bc] = 0.0
         zc = self.coarse_fact.solve(rc)
         z = self.P @ zc
-        E = None if self.store_operators else \
-            self.form.block_local_matrices(0, 0)
-        for i, group in enumerate(self.patch_groups):
-            rp = r[group.dofs][..., None]
-            if self.store_operators:
-                y = self.patch_invs[i] @ rp
-            else:
-                y = np.empty_like(rp)
-                for rows, blocks in group.blocks(E):
-                    y[rows] = np.linalg.solve(blocks, rp[rows])
-            z += np.bincount(group.dofs.ravel(), y.ravel(), minlength=len(r))
+        for dofs, inv in self.patches:
+            y = inv @ r[dofs][..., None]
+            z += np.bincount(dofs.ravel(), y.ravel(), minlength=len(r))
         if len(self.bc_dofs):
             z[self.bc_dofs] = r[self.bc_dofs]
         return z
 
     def _view_body(self, indent):
         pad = " " * indent
-        np_ = sum(len(g.dofs) for g in self.patch_groups)
-        max_patch = max((g.dofs.shape[1] for g in self.patch_groups),
+        np_ = sum(len(dofs) for dofs, _ in self.patches)
+        max_patch = max((dofs.shape[1] for dofs, _ in self.patches),
                         default=0)
         return [f"{pad}patches={np_}, max_patch={max_patch}, "
-                f"coarse_dofs={self.P.shape[1]}, "
-                f"store_operators={self.store_operators}"]
+                f"coarse_dofs={self.P.shape[1]}, store_operators=True"]

@@ -21,6 +21,7 @@ from .krylov import Nullspace
 from .mesh import build_unit_square, build_unit_cube
 from .newton import NewtonSolver
 from .operators import ImplicitOperator, select_operators
+from .options import _FALSE, _TRUE
 from .precond import view_ksp
 from .quadrature import make_quadrature, MAX_DEGREE
 from .spaces import (build_space, taylor_hood, MixedSpace, DirichletBC,
@@ -32,12 +33,13 @@ __all__ = ["PoissonConfig", "CavityConfig", "ConvectionConfig",
 
 
 def _show_view(db, ksp, stdout):
-    """Honor -ksp_view; a non-boolean value names an output file."""
+    """Honor -ksp_view: a true word prints the view, a false word shows
+    nothing, and any other value names an output file."""
     v = db.get("ksp_view")
-    if v is None:
+    if v is None or v.lower() in _FALSE:
         return
     text = view_ksp(ksp)
-    if v.lower() in ("true", "yes", "on", "1"):
+    if v.lower() in _TRUE:
         print(text, file=stdout)
     else:
         with open(v, "w") as fh:

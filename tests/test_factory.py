@@ -162,12 +162,15 @@ class TestBuildPC:
         assert np.allclose(pc.apply(r), ref)
 
     def test_schwarz_from_options(self):
+        # Schwarz always keeps its patch inverses: the removed switch is
+        # reported as unused, not silently accepted
         db = OptionsDB().parse_args(
             ["-pc_type", "schwarz", "-pc_schwarz_store_operators", "false"])
         A, _ = _poisson(degree=3)
         pc = build_pc(db, "", A)
         assert isinstance(pc, SchwarzPC)
-        assert pc.store_operators is False
+        assert report_unused(db, io.StringIO()) == [
+            "pc_schwarz_store_operators"]
 
 
 class TestFieldSplitTrees:
@@ -335,3 +338,30 @@ class TestSetUpErrorsNamePrefix:
         msg = str(err.value)
         assert f"pc {pc_type} (-fieldsplit_1_assembled_)" in msg
         assert message in msg
+
+    @pytest.mark.parametrize("prefix, args, message", [
+        ("", ["-pc_type", "fieldsplit", "-fieldsplit_0_ksp_type", "foo"],
+         "fieldsplit_0_: unknown ksp type"),
+        ("", ["-pc_type", "fieldsplit", "-fieldsplit_0_ksp_gmres_restart",
+              "0"], "fieldsplit_0_: tolerances must be nonnegative"),
+        ("outer_", ["-outer_ksp_rtol", "-1"],
+         "outer_: tolerances must be nonnegative"),
+        ("", ["-pc_type", "fieldsplit", "-fieldsplit_0_pc_type", "sor",
+              "-fieldsplit_0_pc_sor_omega", "2"],
+         "pc sor (-fieldsplit_0_): sor relaxation"),
+        ("", ["-pc_type", "fieldsplit", "-fieldsplit_0_pc_type", "sor",
+              "-fieldsplit_0_pc_sor_its", "0"],
+         "pc sor (-fieldsplit_0_): sor needs at least one sweep"),
+        ("outer_", ["-outer_pc_type", "fieldsplit",
+                    "-outer_pc_fieldsplit_type", "foo"],
+         "pc fieldsplit (-outer_): unknown fieldsplit type"),
+        ("outer_", ["-outer_pc_type", "fieldsplit",
+                    "-outer_pc_fieldsplit_type", "schur",
+                    "-outer_pc_fieldsplit_schur_fact_type", "foo"],
+         "pc fieldsplit (-outer_): unknown schur factorization"),
+    ])
+    def test_option_errors(self, prefix, args, message):
+        db = OptionsDB().parse_args(args)
+        with pytest.raises(ValueError) as err:
+            build_ksp(db, prefix, _stokes())
+        assert message in str(err.value)

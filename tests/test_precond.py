@@ -100,6 +100,11 @@ class TestAlgebraic:
         with pytest.raises(ValueError):
             SORPC(omega=2.5)
 
+    @pytest.mark.parametrize("its", [0, -3])
+    def test_sor_needs_a_sweep(self, its):
+        with pytest.raises(ValueError, match="at least one sweep"):
+            SORPC(its=its)
+
     def test_algebraic_needs_assembled(self):
         A, _, _ = _poisson()
         with pytest.raises(MissingContext):
@@ -348,12 +353,6 @@ class TestSchwarz:
         with pytest.raises(MissingContext):
             SchwarzPC().set_up(A.assemble())
 
-    def test_store_operators_flag_same_result(self):
-        A, b, _ = _poisson(n=4, degree=2)
-        z1 = SchwarzPC(store_operators=True).set_up(A).apply(b)
-        z2 = SchwarzPC(store_operators=False).set_up(A).apply(b)
-        assert np.allclose(z1, z2, atol=1e-12)
-
     def test_dirichlet_identity(self):
         A, b, bc = _poisson(n=4, degree=2)
         r = np.random.default_rng(6).standard_normal(A.shape[0])
@@ -381,12 +380,10 @@ class TestSchwarz:
     def test_batched_apply_matches_lu_loop(self, dim, degree, ncomp):
         op = _schwarz_operator(dim, 3 if dim == 2 else 2, degree, ncomp)
         r = np.random.default_rng(7).standard_normal(op.shape[0])
-        stored = SchwarzPC(store_operators=True).set_up(op)
-        z = stored.apply(r)
-        ref = _lu_loop_apply(stored, op, r)
+        pc = SchwarzPC().set_up(op)
+        z = pc.apply(r)
+        ref = _lu_loop_apply(pc, op, r)
         assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
-        z2 = SchwarzPC(store_operators=False).set_up(op).apply(r)
-        assert np.linalg.norm(z2 - z) <= 1e-12 * np.linalg.norm(z)
 
     def test_stored_inverses_no_larger_than_lu_factors(self):
         op = _schwarz_operator(2, 16, 4, 1)
@@ -396,7 +393,19 @@ class TestSchwarz:
         for pd in _set_loop_patches(op.form.col_space.fields[0], pc.bc_dofs):
             lu, piv = dla.lu_factor(A[np.ix_(pd, pd)].toarray())
             lu_bytes += lu.nbytes + piv.nbytes
-        assert sum(inv.nbytes for inv in pc.patch_invs) <= lu_bytes
+        assert sum(inv.nbytes for _, inv in pc.patches) <= lu_bytes
+
+    def test_keeps_only_what_apply_reads(self):
+        # no form, element matrices or patch maps outlive set-up; per patch
+        # group only its dofs and the inverses of its blocks
+        op = _schwarz_operator(2, 3, 3, 2)
+        pc = SchwarzPC().set_up(op)
+        assert set(vars(pc)) == {"prefix", "op", "bc_dofs", "P", "coarse_bc",
+                                 "coarse_fact", "patches"}
+        assert all(len(group) == 2 for group in pc.patches)
+        for dofs, inv in pc.patches:
+            assert dofs.dtype == np.int64 and inv.dtype == np.float64
+            assert inv.shape == dofs.shape + dofs.shape[1:]
 
     @pytest.mark.parametrize("chunk", [precond._PATCH_CHUNK, 64])
     @pytest.mark.parametrize("case", _SCHWARZ_CASES + ["state wind"])
@@ -422,11 +431,11 @@ class TestSchwarz:
             ops = [_schwarz_operator(dim, 3 if dim == 2 else 2, degree,
                                      ncomp)]
         for op in ops:
-            pc = SchwarzPC(store_operators=False).set_up(op)
             A = op.assemble().A
             keys = _csr_keys(A)
             E = op.form.block_local_matrices(0, 0)
-            for group in pc.patch_groups:
+            for group in SchwarzPC._build_patches(op.form.col_space.fields[0],
+                                                  op.bc_rows):
                 ref = _dense_blocks(A, keys, group.dofs)
                 got = np.full_like(ref, np.nan)   # a row no chunk covers fails
                 for rows, blocks in group.blocks(E):
@@ -434,8 +443,7 @@ class TestSchwarz:
                 assert np.allclose(got, ref, rtol=0.0,
                                    atol=1e-14 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("store", [True, False])
-    def test_assembles_only_the_coarse_operator(self, store, monkeypatch):
+    def test_assembles_only_the_coarse_operator(self, monkeypatch):
         # patch blocks come from element matrices; the one form Schwarz
         # assembles is the degree-1 coarse form, at set-up
         op = _schwarz_operator(2, 3, 3, 2)
@@ -447,7 +455,7 @@ class TestSchwarz:
             return real(form)
 
         monkeypatch.setattr(Form, "assemble", spy)
-        pc = SchwarzPC(store_operators=store).set_up(op)
+        pc = SchwarzPC().set_up(op)
         pc.apply(np.ones(op.shape[0]))
         assert assembled == [1]
 

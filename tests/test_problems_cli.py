@@ -127,6 +127,15 @@ class TestCLI:
         main(["poisson", "--n", "4", "--", "-ksp_view", str(target)])
         assert "KSP (-) type: cg" in target.read_text()
 
+    @pytest.mark.parametrize("value", ["false", "0", "off", "No"])
+    def test_ksp_view_false_shows_nothing(self, value, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["poisson", "--n", "4", "--degree", "2",
+              "--", "-ksp_view", value])
+        assert list(tmp_path.iterdir()) == []
+        assert "KSP (" not in capsys.readouterr().out
+
     def test_export_matrix_and_mesh(self, tmp_path, capsys):
         mfile = tmp_path / "A.mtx"
         mesh_file = tmp_path / "mesh.txt"
