@@ -443,9 +443,11 @@ class TestSchwarz:
                 assert np.allclose(got, ref, rtol=0.0,
                                    atol=1e-14 * np.abs(ref).max())
 
-    def test_assembles_only_the_coarse_operator(self, monkeypatch):
+    @pytest.mark.parametrize("in_apply", [True, False])
+    def test_assembles_only_the_coarse_operator(self, in_apply, monkeypatch):
         # patch blocks come from element matrices; the one form Schwarz
-        # assembles is the degree-1 coarse form, at set-up
+        # assembles is the degree-1 coarse form, at set-up, and an apply
+        # assembles nothing
         op = _schwarz_operator(2, 3, 3, 2)
         assembled = []
         real = Form.assemble
@@ -456,8 +458,13 @@ class TestSchwarz:
 
         monkeypatch.setattr(Form, "assemble", spy)
         pc = SchwarzPC().set_up(op)
-        pc.apply(np.ones(op.shape[0]))
-        assert assembled == [1]
+        if in_apply:
+            assembled.clear()
+            pc.apply(np.ones(op.shape[0]))
+            pc.apply(np.ones(op.shape[0]))
+            assert assembled == []
+        else:
+            assert assembled == [1]
 
     def test_rejects_unequal_dirichlet_rows_and_columns(self):
         V = build_space(build_unit_square(3), 2)
