@@ -86,7 +86,8 @@ def _poisson(args, db, stdout):
         for n in (cfg.n, 2 * cfg.n, 4 * cfg.n):
             res = run_poisson(PoissonConfig(n=n, dim=cfg.dim,
                                             degree=cfg.degree,
-                                            kappa=cfg.kappa, mms=True), db)
+                                            kappa=cfg.kappa, mms=True), db,
+                              stdout=stdout)
             ok = ok and res["report"].converged
             err = res["l2_error"]
             rate = "" if prev is None else f"{np.log2(prev / err):.2f}"
@@ -144,6 +145,10 @@ def main(argv=None, stdout=None):
     driver_argv, option_argv = _split_argv(argv)
     parser = _build_parser()
     args = parser.parse_args(driver_argv)
+    if args.command == "poisson" and args.table and (args.export_matrix
+                                                     or args.export_mesh):
+        parser.error("--table solves three meshes and exports none; drop "
+                     "--export-matrix and --export-mesh")
 
     db = OptionsDB()
     for path in args.options_file:

@@ -23,9 +23,11 @@ copied out to the points.  Everything else is derived from D:
   of affine simplices (Kirby and Logg, "A compiler for variational forms",
   ACM TOMS 32(3), 2006): for a cell-constant D the tensor is summed over
   the points once, A_K = G_K : A^0, so no physical gradient array is
-  formed.  The element matrices of a block are written as int32 triplets
-  into arrays allocated once, and only the component pairs a term couples
-  are written;
+  formed.  The element matrices of a block are written as int32 columns
+  and values into arrays allocated once, one element row per cell,
+  component pair and test node, and only the component pairs a term
+  couples are written; the global matrix is the sparse product that sums
+  the element rows into their global rows (`Form.assemble`);
 * the action gathers the local dofs of each trial field, applies the
   reference tabulation, contracts with D (one small matrix product per
   cell for a cell-constant D), applies the transposed weighted test
@@ -492,12 +494,17 @@ class Form:
     # -- global operations -------------------------------------------------
 
     def assemble(self):
-        """Global CSR matrix of the form.  The (row, column, value) triplets
-        of every block are written into int32 index and float arrays
-        allocated once.  A block whose terms couple no components stores
-        only its diagonal component pairs, and the exact zeros that coupled
-        terms leave (a zero `Jinv` entry, a zero wind component) are dropped,
-        so the matrix stores no zero."""
+        """Global CSR matrix of the form, as one sparse product A = S @ B.
+        B holds every element row (one per cell, component pair and test
+        node) as a CSR row of the (column, value) pairs the kernels wrote
+        into int32 and float arrays allocated once; S is the 0/1 matrix that
+        sends element row r to its global row.  The product sums duplicates
+        with a dense accumulator per row (Gustavson, ACM TOMS 4(3), 1978),
+        in element order, so no triplet is sorted; only the rows of A are.
+        A block whose terms couple no components stores only its diagonal
+        component pairs, and the exact zeros that coupled terms leave (a
+        zero `Jinv` entry, a zero wind component) are dropped, so the matrix
+        stores no zero."""
         rs, cs = self.row_space, self.col_space
         shape = (rs.num_dofs, cs.num_dofs)
         ncells = self.mesh.num_cells
@@ -513,27 +520,41 @@ class Form:
                 k = l = np.arange(test.ncomp)
             layout.append((i, j, k, l, test.element.nnodes,
                            trial.element.nnodes))
-        sizes = [ncells * len(k) * nt * ns for _, _, k, _, nt, ns in layout]
-        itype = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
-        rows = np.empty(sum(sizes), dtype=itype)
+        # element rows of each block, one per (cell, pair, test node), each
+        # holding the ns entries of its trial nodes
+        nrows = [ncells * len(k) * nt for _, _, k, _, nt, _ in layout]
+        widths = [ns for *_, ns in layout]
+        sizes = [n * ns for n, ns in zip(nrows, widths)]
+        itype = (np.int32 if max(*shape, sum(sizes)) <= np.iinfo(np.int32).max
+                 else np.int64)
+        erows = np.empty(sum(nrows), dtype=itype)
+        indptr = np.zeros(len(erows) + 1, dtype=itype)
+        np.cumsum(np.repeat(np.array(widths, dtype=itype), nrows),
+                  out=indptr[1:])
         cols = np.empty(sum(sizes), dtype=itype)
         vals = np.empty(sum(sizes))
-        end = 0
-        for (i, j, k, l, nt, ns), size in zip(layout, sizes):
-            seg = slice(end, end + size)
+        rend = end = 0
+        for (i, j, k, l, nt, ns), nrow, size in zip(layout, nrows, sizes):
+            rseg, seg = slice(rend, rend + nrow), slice(end, end + size)
+            rend += nrow
             end += size
             out = (ncells, len(k), nt, ns)
             rdofs = (rs.fields[i].cell_dofs + rs.offsets[i]).reshape(
                 ncells, nt, -1)[:, :, k]
             cdofs = (cs.fields[j].cell_dofs + cs.offsets[j]).reshape(
                 ncells, ns, -1)[:, :, l]
-            rows[seg].reshape(out)[...] = np.swapaxes(rdofs, 1, 2)[..., None]
+            erows[rseg].reshape(out[:3])[...] = np.swapaxes(rdofs, 1, 2)
             cols[seg].reshape(out)[...] = np.swapaxes(cdofs, 1, 2)[
                 :, :, None, :]
             # pair p = k*KS + l; one pair (KT = KS = 1) fills the diagonal
             vals[seg].reshape(out)[...] = self.block_local_matrices(
                 i, j).reshape(ncells, -1, nt, ns)
-        A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        B = sp.csr_matrix((vals, cols, indptr), shape=(len(erows), shape[1]))
+        S = sp.csc_matrix((np.ones(len(erows)), erows,
+                           np.arange(len(erows) + 1, dtype=itype)),
+                          shape=(shape[0], len(erows))).tocsr()
+        A = S @ B
+        A.sort_indices()
         A.eliminate_zeros()
         return A
 

@@ -144,8 +144,13 @@ class JacobiPC(Preconditioner):
         return self.invdiag * r
 
 
-def _triangular_factor(T):
-    return spla.splu(sp.csc_matrix(T), permc_spec="NATURAL",
+def _triangular_factor(T, diagonal):
+    """LU factors, in natural column order, of the CSC triangle T after
+    its diagonal is overwritten in place with `diagonal`; T stores every
+    diagonal entry, so no entry is inserted.  A solve with them is one
+    sweep."""
+    T.setdiag(diagonal)
+    return spla.splu(T, permc_spec="NATURAL",
                      options={"SymmetricMode": False})
 
 
@@ -168,16 +173,17 @@ class SORPC(Preconditioner):
         self.symmetric = symmetric
 
     def _set_up(self, op):
+        """Factors of D/omega + L and D/omega + U, taken straight from the
+        triangles of A: `_nonzero_diagonal` has checked that A stores every
+        diagonal entry, so each triangle keeps it and only its value
+        changes."""
         A = _assembled(op, self).tocsr()
         d = _nonzero_diagonal(A, self)
-        w = self.omega
-        Dw = sp.diags(d / w)
-        L = sp.tril(A, k=-1)
-        U = sp.triu(A, k=1)
         self.A = A
         self.d = d
-        self._fwd = _triangular_factor(Dw + L)
-        self._bwd = _triangular_factor(Dw + U)
+        dw = d / self.omega
+        self._fwd = _triangular_factor(sp.tril(A, format="csc"), dw)
+        self._bwd = _triangular_factor(sp.triu(A, format="csc"), dw)
 
     def _sweep(self, r):
         w = self.omega

@@ -2,12 +2,13 @@
 
 Each driver builds the discrete problem, constructs its solver from the
 option table, runs it, and returns a result dictionary.  The command
-line front end is a thin wrapper around these.
+line front end is a thin wrapper around these.  Drivers print views,
+monitors and tables to their `stdout`; None means `sys.stdout` as it is
+when they print, so redirection at call time is honoured.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -90,7 +91,7 @@ class PoissonConfig:
     mms: bool = False
 
 
-def run_poisson(cfg, db, stdout=sys.stdout):
+def run_poisson(cfg, db, stdout=None):
     """Dirichlet Poisson problem -div(kappa grad u) = f on the unit box."""
     mesh = _mesh(cfg.dim, cfg.n)
     V = build_space(mesh, cfg.degree)
@@ -152,7 +153,7 @@ def _newton_from_options(db, resid, form, bcs, nullspace, stdout,
                             "snes_error_if_not_converged"))
 
 
-def run_cavity(cfg, db, stdout=sys.stdout):
+def run_cavity(cfg, db, stdout=None):
     """Lid-driven cavity for steady Navier-Stokes: unit box, unit
     tangential velocity on the top wall, no-slip elsewhere."""
     mesh = _mesh(2, cfg.n)
@@ -182,7 +183,7 @@ class ConvectionConfig:
     pr: float = 6.18
 
 
-def run_convection(cfg, db, stdout=sys.stdout):
+def run_convection(cfg, db, stdout=None):
     """Steady buoyancy-driven convection in a laterally heated unit box:
     no-slip walls, hot (T=1) at x=0, cold (T=0) at x=1, insulated
     elsewhere."""
@@ -217,7 +218,7 @@ class BenchConfig:
     repeats: int = 5
 
 
-def run_bench(cfg, db, stdout=sys.stdout):
+def run_bench(cfg, db, stdout=None):
     """Matrix-free versus assembled matvec micro-benchmark, CSV rows."""
     rows = []
     print("problem,dim,degree,dofs,mode,dofs_per_sec,bytes_per_dof,"

@@ -4,9 +4,11 @@ Scalar dofs are numbered with array operations over all (cell, node)
 pairs at once: each pair gets an entity key (the sorted vertices of the
 mesh entity the node sits on plus its position along it), so dofs shared
 between adjacent cells coincide, and the distinct keys are numbered in
-order of first appearance, cell by cell.  Vector spaces interleave
-components per node.  Mixed spaces concatenate their fields, so every
-field owns one contiguous index range.
+order of first appearance, cell by cell.  A key is 5(dim+1) packed bytes,
+int32 vertex ids and uint8 multi-index entries (9(dim+1) bytes on a mesh
+of 2**31 vertices or more), and keys are grouped by a byte-wise sort.
+Vector spaces interleave components per node.  Mixed spaces concatenate
+their fields, so every field owns one contiguous index range.
 """
 
 from __future__ import annotations
@@ -36,16 +38,21 @@ class FunctionSpace:
         ncells, nn = mesh.num_cells, element.nnodes
         # entity key of every (cell, node): the global ids of the vertices
         # the node's multi-index is nonzero on, sorted, then those entries
-        # in the same order; vertices off the support sort first as -1
-        gverts = np.where(multi[None] > 0, cells[:, None, :], -1)
+        # in the same order; vertices off the support sort first as -1.  A
+        # key packs its ids as int32 (int64 on a mesh of 2**31 vertices or
+        # more) and its entries as uint8, byte after byte
+        vtype = (np.int32 if mesh.num_vertices <= np.iinfo(np.int32).max
+                 else np.int64)
+        gverts = np.where(multi[None] > 0, cells.astype(vtype)[:, None], -1)
         order = np.argsort(gverts, axis=2)
         keys = np.concatenate(
-            [np.take_along_axis(gverts, order, axis=2),
-             np.take_along_axis(np.broadcast_to(multi, gverts.shape), order,
-                                axis=2)], axis=2).reshape(ncells * nn, -1)
-        # each key row as one opaque item: grouping equal rows needs no
+            [np.take_along_axis(gverts, order, axis=2).view(np.uint8),
+             np.take_along_axis(np.broadcast_to(multi.astype(np.uint8),
+                                                gverts.shape), order, axis=2)],
+            axis=2)
+        # each key as one opaque item: grouping equal keys needs no
         # lexicographic order, and a byte-wise sort is several times faster
-        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+        rows = keys.view(np.dtype((np.void, keys.shape[2])))
         _, first, inverse = np.unique(rows.ravel(), return_index=True,
                                       return_inverse=True)
         # number entities in order of first appearance, cell by cell

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from blocksolve.mesh import build_unit_square, build_unit_cube, CellGeometry
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
@@ -297,6 +298,65 @@ def test_coupled_forms_store_no_exact_zeros():
         assert not np.any(A.data == 0.0), form.kind
 
 
+def _coo_reference(form):
+    """The form's matrix summed by scipy's COO -> CSR conversion from the
+    element matrices of every block, written out triplet by triplet."""
+    rs, cs = form.row_space, form.col_space
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for i, j in form.blocks:
+        E = form.block_local_matrices(i, j)
+        if E is None:
+            continue
+        kt, ks = rs.fields[i].ncomp, cs.fields[j].ncomp
+        rdofs = (rs.fields[i].cell_dofs + rs.offsets[i]).reshape(
+            len(E), -1, kt)
+        cdofs = (cs.fields[j].cell_dofs + cs.offsets[j]).reshape(
+            len(E), -1, ks)
+        if E.shape[1:3] == (1, 1) and (kt, ks) != (1, 1):
+            pairs = [(k, k, 0, 0) for k in range(kt)]
+        else:
+            pairs = [(k, l, k, l) for k in range(kt) for l in range(ks)]
+        for k, l, p, q in pairs:
+            r, c = np.broadcast_arrays(rdofs[:, :, k, None],
+                                       cdofs[:, None, :, l])
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            vals.append(E[:, p, q].ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(rs.num_dofs, cs.num_dofs)).tocsr()
+
+
+def _assembly_cases():
+    cube = build_unit_cube(3)
+    square = build_unit_square(4)
+    V2 = build_space(square, 2, ncomp=2)
+    rb = _rb_operator(2)
+    return {
+        "3d p3 stiffness": stiffness_form(build_space(cube, 3)),
+        "2d p2 vector mass": mass_form(V2, coef=2.0),
+        "2d p2 vector stiffness": stiffness_form(V2),
+        "rb jacobian": rb.form,
+        "stokes": stokes_form(taylor_hood(square)),
+        "rb block (0, 2)": rb.extract_fields((0,), (2,)).form,
+        "rb block (2, 0)": rb.extract_fields((2,), (0,)).form,
+        "no terms": Form("empty", V2, V2, {(0, 0): []}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_assembly_cases()))
+def test_assembly_matches_coo_reference(case):
+    # the sparse product sums duplicates in another order than the COO
+    # conversion, so values agree to rounding, not bitwise
+    form = _assembly_cases()[case]
+    A, ref = form.assemble(), _coo_reference(form)
+    assert A.shape == ref.shape
+    assert A.has_canonical_format
+    assert not np.any(A.data == 0.0)
+    err = abs(A - ref)
+    assert err.nnz == 0 or err.max() <= 1e-14 * abs(ref).max()
+
+
 def _per_point(form, D):
     """A term's D copied out to every point and times the quadrature
     weights: the coefficient of the per-point contraction."""
@@ -409,6 +469,17 @@ def test_assembly_peaks_below_ten_times_its_csr():
     op.assemble()  # geometry and tabulations are made once
     peak, A = _peak_bytes(op.assemble)
     assert peak < 10 * A.memory_footprint()
+
+
+def test_assembly_peaks_below_five_and_a_half_times_its_csr():
+    # the sparse product holds the element columns and values (12 bytes
+    # an entry) but no row index per entry and no unsummed CSR copy
+    V = build_space(build_unit_cube(6), 3)
+    op = ImplicitOperator(stiffness_form(V),
+                          bcs=[DirichletBC(V, tuple(range(1, 7)))])
+    op.assemble()
+    peak, A = _peak_bytes(op.assemble)
+    assert peak < 5.5 * A.memory_footprint()
 
 
 def test_matrix_free_apply_peaks_below_450_bytes_per_dof():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as dla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from blocksolve.elements import lagrange_element, tabulate
 from blocksolve.mesh import build_unit_square, build_unit_cube
@@ -95,6 +96,39 @@ class TestAlgebraic:
         # symmetry of the SSOR operator
         assert np.isclose(np.dot(pc.apply(x), y),
                           np.dot(x, pc.apply(y)), atol=1e-10)
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("its", [1, 2])
+    def test_sor_matches_split_triangles(self, omega, symmetric, its):
+        # the triangles read straight from A are the matrices D/omega + L
+        # and D/omega + U built by splitting A, so applies are bitwise equal
+        def factor(T):
+            return spla.splu(sp.csc_matrix(T), permc_spec="NATURAL",
+                             options={"SymmetricMode": False})
+
+        def sweep(r):
+            if symmetric:
+                return omega * (2.0 - omega) * bwd.solve(
+                    (d / omega) * fwd.solve(r))
+            return fwd.solve(r)
+
+        V = build_space(build_unit_square(5), 2)
+        wind = ImplicitOperator(
+            convection_diffusion_form(V, nu=0.1, wind=[1.0, 0.5]),
+            bcs=[DirichletBC(V, (1, 2))])
+        rng = np.random.default_rng(3)
+        for op in (_poisson()[0].assemble(), wind.assemble()):
+            A = op.A
+            r = rng.standard_normal(A.shape[0])
+            d = A.diagonal()
+            fwd = factor(sp.diags(d / omega) + sp.tril(A, k=-1))
+            bwd = factor(sp.diags(d / omega) + sp.triu(A, k=1))
+            expect = sweep(r)
+            for _ in range(its - 1):
+                expect = expect + sweep(r - A @ expect)
+            pc = SORPC(omega=omega, its=its, symmetric=symmetric).set_up(op)
+            assert np.array_equal(pc.apply(r), expect)
 
     def test_sor_invalid_omega(self):
         with pytest.raises(ValueError):

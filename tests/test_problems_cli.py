@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,35 @@ class TestCLI:
         assert len(out) == 4
         last_rate = float(out[-1].rsplit(",", 1)[1])
         assert 1.7 < last_rate < 2.3
+
+    def test_table_views_go_to_the_callers_stdout(self, capsys):
+        buf = io.StringIO()
+        code = main(["poisson", "--n", "2", "--degree", "2", "--table",
+                     "--", "-ksp_view"], stdout=buf)
+        assert code == 0
+        assert buf.getvalue().count("KSP (-) type: cg") == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--export-matrix", "--export-mesh"])
+    def test_table_refuses_exports(self, flag, tmp_path, capsys):
+        target = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["poisson", "--n", "2", "--degree", "2", "--table",
+                  flag, str(target), "--", "-ksp_view"],
+                 stdout=io.StringIO())
+        assert exc.value.code == 2
+        assert "--table" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_runs_as_a_module(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [ROOT + "/src", env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "blocksolve", "poisson",
+                               "--n", "2"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("poisson: dofs=")
 
     def test_navier_stokes_subcommand(self, capsys):
         code = main(["navier-stokes", "--n", "4", "--re", "10"])
