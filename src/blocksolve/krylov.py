@@ -1,5 +1,12 @@
 """Krylov and stationary iterative solvers with a preconditioner slot.
 
+Every solve starts from x = 0: its first residual is b itself, at no
+operator apply.  Left Richardson takes the norm of z = M^-1 r and steps
+with that z; right Richardson applies M^-1 in its step only.  GMRES (and
+FGMRES, the same method on the right) ends only at the residual recomputed
+at the start of a restart cycle, so at `max_it` it reports `rtol` if that
+residual meets the tolerance.
+
 Convergence is declared on the preconditioned residual norm for left
 preconditioning and on the true residual norm for right/flexible
 preconditioning.  A registered nullspace is projected out of the right-hand
@@ -97,9 +104,9 @@ class KSP:
         if ksp_type not in KSP_TYPES:
             raise ValueError(f"{prefix or 'ksp'}: unknown ksp type "
                              f"{ksp_type!r}; known: {', '.join(KSP_TYPES)}")
-        if rtol < 0 or atol < 0 or restart < 1:
+        if rtol < 0 or atol < 0 or restart < 1 or max_it < 0:
             raise ValueError(f"{prefix or 'ksp'}: tolerances must be "
-                             f"nonnegative, restart >= 1")
+                             f"nonnegative, restart >= 1, max_it >= 0")
         self.type = ksp_type
         self.rtol = rtol
         self.atol = atol
@@ -165,18 +172,17 @@ class KSP:
 
     # -- drivers ----------------------------------------------------------
 
-    def solve(self, A, b, x0=None):
+    def solve(self, A, b):
         global _active_solves
         b = self._project(np.asarray(b, dtype=float))
-        x0 = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
         method = getattr(self, "_solve_" + self.type)
         _active_solves += 1
         try:
-            return method(A, b, x0)
+            return method(A, b)
         finally:
             _active_solves -= 1
 
-    def _solve_preonly(self, A, b, x0):
+    def _solve_preonly(self, A, b):
         x = self._apply_pc(b)
         rnorm = None
         if self._reports_true_residual():
@@ -187,25 +193,28 @@ class KSP:
         return self._finish(x, True, "preonly", 1, rnorm, A, b,
                             true_norm=rnorm)
 
-    def _solve_richardson(self, A, b, x0):
-        x = x0
-        r = b - self._apply_op(A, x)
-        rnorm0 = rnorm = np.linalg.norm(self._apply_pc(r) if self.side == "left" else r)
+    def _solve_richardson(self, A, b):
+        left = self.side == "left"
+        x = np.zeros_like(b)
+        r = b
+        z = self._apply_pc(r) if left else None
+        rnorm0 = rnorm = np.linalg.norm(z if left else r)
         self._monitor(0, rnorm)
         tol = max(self.rtol * rnorm0, self.atol)
         for it in range(1, self.max_it + 1):
-            x = x + self._apply_pc(r)
+            x = x + (z if left else self._apply_pc(r))
             r = b - self._apply_op(A, x)
-            rnorm = np.linalg.norm(self._apply_pc(r) if self.side == "left" else r)
+            z = self._apply_pc(r) if left else None
+            rnorm = np.linalg.norm(z if left else r)
             self._check_nan(rnorm, it)
             self._monitor(it, rnorm)
             if rnorm <= tol:
                 return self._finish(x, True, "rtol", it, rnorm, A, b)
         return self._finish(x, False, "max_its", self.max_it, rnorm, A, b)
 
-    def _solve_cg(self, A, b, x0):
-        x = x0
-        r = b - self._apply_op(A, x)
+    def _solve_cg(self, A, b):
+        x = np.zeros_like(b)
+        r = b
         z = self._apply_pc(r)
         rz = np.dot(r, z)
         rnorm0 = rnorm = np.sqrt(abs(rz))
@@ -241,29 +250,19 @@ class KSP:
             p = z + beta * p
         return self._finish(x, False, "max_its", self.max_it, rnorm, A, b)
 
-    def _solve_gmres(self, A, b, x0):
-        return self._gmres(A, b, x0, flexible=False)
-
-    def _solve_fgmres(self, A, b, x0):
-        return self._gmres(A, b, x0, flexible=True)
-
-    def _gmres(self, A, b, x0, flexible):
-        left = self.side == "left" and not flexible
-        x = x0
+    def _solve_gmres(self, A, b):
+        left = self.side == "left"
+        x = np.zeros_like(b)
+        r = self._apply_pc(b) if left else b
+        beta = np.linalg.norm(r)
+        self._check_nan(beta, 0)
+        self._monitor(0, beta)
+        if beta <= self.atol:
+            return self._finish(x, True, "atol", 0, beta, A, b)
+        tol = max(self.rtol * beta, self.atol)
         total_it = 0
-        rnorm0 = None
         while True:
-            r = b - self._apply_op(A, x)
-            if left:
-                r = self._apply_pc(r)
-            beta = np.linalg.norm(r)
-            self._check_nan(beta, total_it)
-            if rnorm0 is None:
-                rnorm0 = beta
-                tol = max(self.rtol * rnorm0, self.atol)
-                self._monitor(0, beta)
-                if beta <= self.atol:
-                    return self._finish(x, True, "atol", 0, beta, A, b)
+            # the residual of each cycle's start decides how the solve ends
             if beta <= tol:
                 return self._finish(x, True, "rtol", total_it, beta, A, b)
             if total_it >= self.max_it:
@@ -318,21 +317,15 @@ class KSP:
                 if rnorm <= tol:
                     break
             # assemble update
-            y = np.linalg.solve(np.triu(H[:k, :k]), g[:k]) if k else np.zeros(0)
+            y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
+            basis = V if left else Z
+            x = self._project(x + sum(y[i] * basis[i] for i in range(k)))
+            r = b - self._apply_op(A, x)
             if left:
-                dx = sum(y[i] * V[i] for i in range(k))
-            else:
-                dx = sum(y[i] * Z[i] for i in range(k))
-            if k:
-                x = x + dx
-                x = self._project(x) if self.nullspace is not None else x
-            rnorm = abs(g[k]) if k else beta
-            if rnorm <= tol:
-                # recompute outside the loop to confirm and report
-                continue
-            if total_it >= self.max_it:
-                r = b - self._apply_op(A, x)
-                if left:
-                    r = self._apply_pc(r)
-                return self._finish(x, False, "max_its", total_it,
-                                    np.linalg.norm(r), A, b)
+                r = self._apply_pc(r)
+            beta = np.linalg.norm(r)
+            self._check_nan(beta, total_it)
+
+    # right-preconditioned GMRES keeps each z = M^-1 v it applied A to, so
+    # a preconditioner that varies between applies is fine
+    _solve_fgmres = _solve_gmres

@@ -66,6 +66,9 @@ class NewtonSolver:
                  rtol=1e-8, atol=1e-50, max_it=50, mat_type="matfree",
                  pmat_type=None, nullspace=None, monitor=None,
                  error_if_not_converged=False):
+        if max_it < 0:
+            raise ValueError(f"newton: max_it must be nonnegative, "
+                             f"not {max_it}")
         self.residual_fn = residual_fn
         self.jacobian_form = jacobian_form
         self.bcs = tuple(bcs)

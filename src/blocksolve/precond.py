@@ -382,7 +382,7 @@ class FieldSplitPC(Preconditioner):
         iss = self._index_sets(op)
         ns = len(iss)
         maker = self.sub_ksp_maker
-        self.diag_ops = [op.extract_sub(iss[i], iss[i]) for i in range(ns)]
+        diag_ops = [op.extract_sub(iss[i], iss[i]) for i in range(ns)]
         self.index_sets = iss
         if self.fs_type == "schur":
             if ns != 2:
@@ -390,23 +390,23 @@ class FieldSplitPC(Preconditioner):
                                  f"exactly two splits")
             self.off_ops = {(0, 1): op.extract_sub(iss[0], iss[1]),
                             (1, 0): op.extract_sub(iss[1], iss[0])}
-            f_ksp = maker(0, self.diag_ops[0])
-            self.schur = SchurOperator(self.diag_ops[1],
-                                       self.off_ops[(1, 0)],
-                                       self.off_ops[(0, 1)],
-                                       f_ksp, self.diag_ops[0])
-            self.sub_ksps = [f_ksp, maker(1, self.schur)]
+            f_ksp = maker(0, diag_ops[0])
+            schur = SchurOperator(diag_ops[1], self.off_ops[(1, 0)],
+                                  self.off_ops[(0, 1)], f_ksp, diag_ops[0])
+            self.sub_ops = [diag_ops[0], schur]
+            self.sub_ksps = [f_ksp, maker(1, schur)]
         else:
             self.off_ops = {}
             if self.fs_type == "multiplicative":
                 for i in range(ns):
                     for j in range(i):
                         self.off_ops[(i, j)] = op.extract_sub(iss[i], iss[j])
-            self.sub_ksps = [maker(i, self.diag_ops[i]) for i in range(ns)]
+            self.sub_ops = diag_ops
+            self.sub_ksps = [maker(i, diag_ops[i]) for i in range(ns)]
 
-    def _sub_solve(self, i, r, op=None):
-        x, _ = self.sub_ksps[i].solve(op if op is not None else
-                                      self.diag_ops[i], r)
+    def _sub_solve(self, i, r):
+        # on the operator its sub-KSP was built on
+        x, _ = self.sub_ksps[i].solve(self.sub_ops[i], r)
         return x
 
     def apply(self, r):
@@ -434,13 +434,13 @@ class FieldSplitPC(Preconditioner):
         A01, A10 = self.off_ops[(0, 1)], self.off_ops[(1, 0)]
         if fact == "diag":
             return (self._sub_solve(0, r0),
-                    self._sub_solve(1, r1, op=self.schur))
+                    self._sub_solve(1, r1))
         if fact == "upper":
-            z1 = self._sub_solve(1, r1, op=self.schur)
+            z1 = self._sub_solve(1, r1)
             z0 = self._sub_solve(0, r0 - A01.apply(z1))
             return z0, z1
         z0 = self._sub_solve(0, r0)
-        z1 = self._sub_solve(1, r1 - A10.apply(z0), op=self.schur)
+        z1 = self._sub_solve(1, r1 - A10.apply(z0))
         if fact == "lower":
             return z0, z1
         # full LDU: one extra velocity-block solve against the upper factor

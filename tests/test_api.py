@@ -5,12 +5,14 @@ function."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import blocksolve
+from blocksolve.krylov import KSP
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(blocksolve.__path__))
 
@@ -69,3 +71,9 @@ def test_traced_entry_points_resolve(path):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_ksp_solve_signature():
+    # perfbench/case.py reads b as the second positional argument of the
+    # outermost KSP.solve and takes b as its initial residual, x = 0
+    assert str(inspect.signature(KSP.solve)) == "(self, A, b)"

@@ -214,7 +214,7 @@ class TestFieldSplitTrees:
         A = _stokes()
         pc = build_pc(db, "", A)
         assert pc.splits == [(0, 1)]
-        assert pc.diag_ops[0].shape == A.shape
+        assert pc.sub_ops[0].shape == A.shape
 
     def test_nested_tree_from_file(self):
         text = """
@@ -359,6 +359,9 @@ class TestSetUpErrorsNamePrefix:
                     "-outer_pc_fieldsplit_type", "schur",
                     "-outer_pc_fieldsplit_schur_fact_type", "foo"],
          "pc fieldsplit (-outer_): unknown schur factorization"),
+        ("", ["-pc_type", "fieldsplit", "-fieldsplit_0_ksp_max_it", "-1"],
+         "fieldsplit_0_: tolerances must be nonnegative, restart >= 1, "
+         "max_it >= 0"),
     ])
     def test_option_errors(self, prefix, args, message):
         db = OptionsDB().parse_args(args)

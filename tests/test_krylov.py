@@ -5,7 +5,8 @@ from blocksolve import krylov
 from blocksolve.krylov import (KSP, Nullspace, SolveReport, DivergedMaxIts,
                                DivergedNaN, IndefiniteOperator)
 from blocksolve.operators import AssembledOperator
-from blocksolve.precond import LUPC, JacobiPC, KSPPC
+from blocksolve.precond import (LUPC, JacobiPC, KSPPC, FieldSplitPC,
+                                SchurOperator)
 
 
 def _spd(n, seed=0, shift=1.0):
@@ -180,11 +181,39 @@ class Recording(KSP):
         super().__init__(*args, **kwargs)
         self.records = []
 
-    def solve(self, A, b, x0=None):
+    def solve(self, A, b):
         before = A.applies
-        x, rep = super().solve(A, b, x0)
+        x, rep = super().solve(A, b)
         self.records.append((rep, A.applies - before))
         return x, rep
+
+
+class CountingJacobi(JacobiPC):
+    """A Jacobi preconditioner that counts its applies."""
+
+    applies = 0
+
+    def apply(self, r):
+        self.applies += 1
+        return super().apply(r)
+
+
+@pytest.mark.parametrize("side, pc_applies", [("left", 4), ("right", 3)])
+def test_richardson_applies_each_operator_once_per_residual(side,
+                                                            pc_applies):
+    # from x = 0 the first residual is b: three steps apply A three times,
+    # and the outermost solve once more for ||b - A x||.  Left
+    # preconditioning steps with the M^-1 r it took the norm of, so it
+    # applies M^-1 once per residual, the last one included; right
+    # preconditioning applies it once per step
+    A = Counting(_spd(12, seed=5).A)
+    pc = CountingJacobi().set_up(A)
+    b = np.random.default_rng(6).standard_normal(12)
+    _, rep = KSP("richardson", rtol=1e-30, max_it=3, side=side,
+                 pc=pc).solve(A, b)
+    assert rep.reason == "max_its" and rep.iterations == 3
+    assert pc.applies == pc_applies
+    assert A.applies == 4
 
 
 def _nested(inner, n=15, seed=9):
@@ -209,20 +238,20 @@ class TestTrueResidualOnlyWhenRead:
             assert inner_rep.true_residual_norm is None
 
     def test_nested_gmres_stops_applying_at_its_last_check(self):
-        # from x0 = 0: one apply for the initial residual, one per
-        # iteration, and one to confirm convergence before returning
+        # from x = 0 the first residual is b: one apply per iteration,
+        # and one to confirm convergence before returning
         op, inner, rep = _nested(
             lambda op: Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(op)))
         assert rep.converged
         for inner_rep, applies in inner.records:
             assert inner_rep.converged
-            assert applies == inner_rep.iterations + 2
+            assert applies == inner_rep.iterations + 1
             assert inner_rep.true_residual_norm is None
         # the outermost solve of the same kind also computes ||b - A x||
         A = Counting(_spd(15, seed=9).A)
         solo = Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(A))
         _, solo_rep = solo.solve(A, np.ones(15))
-        assert solo.records[0][1] == solo_rep.iterations + 3
+        assert solo.records[0][1] == solo_rep.iterations + 2
         assert solo_rep.true_residual_norm < 1e-5
 
     def test_monitored_nested_solve_computes_its_norm(self):
@@ -285,6 +314,14 @@ class TestDiagnostics:
             KSP("cg", rtol=1e-14, max_it=2,
                 error_if_not_converged=True).solve(A, np.ones(30))
 
+    def test_negative_max_it_rejected(self):
+        with pytest.raises(ValueError, match="outer_: .*max_it"):
+            KSP("gmres", max_it=-3, prefix="outer_")
+        # no iteration at all is still a solve: x = 0
+        x, rep = KSP("gmres", max_it=0).solve(_spd(5, seed=4), np.ones(5))
+        assert rep.reason == "max_its" and rep.iterations == 0
+        assert not x.any()
+
     def test_max_its_report(self):
         A = _spd(30, seed=16)
         x, rep = KSP("cg", rtol=1e-14, max_it=2).solve(A, np.ones(30))
@@ -313,3 +350,40 @@ class TestNullspace:
         assert rep.converged
         assert abs(x.sum()) < 1e-8  # mean-zero representative
         assert np.linalg.norm(A.apply(x) - b) < 1e-8
+
+
+class InputKeeping(KSP):
+    """A KSP that checks each solve leaves its right-hand side as it was."""
+
+    def solve(self, A, b):
+        kept = b.copy()
+        out = super().solve(A, b)
+        assert np.array_equal(b, kept)
+        return out
+
+
+def _keeping_split(i, op):
+    pc = None if isinstance(op, SchurOperator) else JacobiPC().set_up(op)
+    return InputKeeping("gmres", rtol=1e-8, max_it=5, pc=pc)
+
+
+@pytest.mark.parametrize("case", krylov.KSP_TYPES + (
+    "ksp", "fieldsplit-additive", "fieldsplit-multiplicative",
+    "fieldsplit-schur"))
+def test_solve_leaves_its_right_hand_side_unchanged(case):
+    # a solve takes b itself as its first residual, and a nested solve's b
+    # is a vector of the solve around it: nothing may write into either
+    A = _spd(12, seed=21)
+    b = np.random.default_rng(22).standard_normal(12)
+    if case in krylov.KSP_TYPES:
+        ksp = InputKeeping(case, rtol=1e-8, max_it=5,
+                           pc=JacobiPC().set_up(A))
+    elif case == "ksp":
+        pc = KSPPC(ksp_maker=lambda op: _keeping_split(0, op)).set_up(A)
+        ksp = InputKeeping("fgmres", rtol=1e-8, max_it=5, pc=pc)
+    else:
+        A = AssembledOperator(A.A, fields=[np.arange(8), np.arange(8, 12)])
+        pc = FieldSplitPC(fs_type=case.split("-")[1],
+                          sub_ksp_maker=_keeping_split).set_up(A)
+        ksp = InputKeeping("fgmres", rtol=1e-8, max_it=5, pc=pc)
+    ksp.solve(A, b)

@@ -103,6 +103,17 @@ class TestDiagnostics:
         assert rep.reason == "max_its"
         assert rep.iterations == 1
 
+    def test_negative_max_it_rejected(self):
+        form, residual, bcs, nsp, W = _cavity(Re=50.0)
+        with pytest.raises(ValueError, match="newton: max_it"):
+            NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+                         max_it=-1)
+        # no step at all still reports the initial residual
+        _, rep = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+                              rtol=1e-14, atol=0.0, max_it=0).solve()
+        assert rep.reason == "max_its" and rep.iterations == 0
+        assert rep.residual_norm == rep.residual_norms[0]
+
     def test_error_if_not_converged(self):
         form, residual, bcs, nsp, W = _cavity(Re=50.0)
         solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
