@@ -14,14 +14,23 @@ import sys
 
 import numpy as np
 
-from .factory import report_unused
+from .elements import MAX_LAGRANGE_DEGREE
+from .factory import UnknownType, report_unused
 from .operators import write_matrix_market
-from .options import OptionsDB
+from .options import BadOptionName, BadOptionValue, OptionsDB
 from .problems import (PoissonConfig, CavityConfig, ConvectionConfig,
                        BenchConfig, run_poisson, run_cavity,
                        run_convection, run_bench)
 
 __all__ = ["main"]
+
+
+def _positive_int(text):
+    """A positive int argument, as argparse reads it."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def _build_parser():
@@ -31,9 +40,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poisson", help="variable-coefficient Poisson solve")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_positive_int, default=8)
     p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--degree", type=int, default=1,
+                   choices=range(1, MAX_LAGRANGE_DEGREE + 1))
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--mms", action="store_true",
                    help="manufactured solution with L2 error report")
@@ -45,23 +55,25 @@ def _build_parser():
                    help="write the mesh as text")
 
     ns = sub.add_parser("navier-stokes", help="lid-driven cavity")
-    ns.add_argument("--n", type=int, default=8)
+    ns.add_argument("--n", type=_positive_int, default=8)
     ns.add_argument("--re", type=float, default=100.0)
-    ns.add_argument("--degree", type=int, default=2)
+    # Taylor-Hood: velocity degree k, pressure degree k - 1
+    ns.add_argument("--degree", type=int, default=2,
+                    choices=range(2, MAX_LAGRANGE_DEGREE + 1))
 
     rb = sub.add_parser("rayleigh-benard",
                         help="buoyancy-driven convection")
-    rb.add_argument("--n", type=int, default=8)
+    rb.add_argument("--n", type=_positive_int, default=8)
     rb.add_argument("--dim", type=int, default=2, choices=(2, 3))
     rb.add_argument("--ra", type=float, default=200.0)
     rb.add_argument("--pr", type=float, default=6.18)
 
     bench = sub.add_parser("bench-matvec",
                            help="matrix-free vs assembled matvec benchmark")
-    bench.add_argument("--n", type=int, default=16)
+    bench.add_argument("--n", type=_positive_int, default=16)
     bench.add_argument("--dim", type=int, default=2, choices=(2, 3))
     bench.add_argument("--degrees", type=str, default="1,2,3,4")
-    bench.add_argument("--repeats", type=int, default=5)
+    bench.add_argument("--repeats", type=_positive_int, default=5)
 
     for sp in (p, ns, rb, bench):
         sp.add_argument("--options-file", action="append", default=[],
@@ -140,6 +152,9 @@ def _bench(args, db, stdout):
 
 
 def main(argv=None, stdout=None):
+    """Run one command; returns 0 when its solve converged, 1 when it did
+    not, and 2, with a one-line message on stderr, for a bad solver
+    option (argparse exits with 2 for a bad driver argument)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     driver_argv, option_argv = _split_argv(argv)
@@ -150,15 +165,18 @@ def main(argv=None, stdout=None):
         parser.error("--table solves three meshes and exports none; drop "
                      "--export-matrix and --export-mesh")
 
-    db = OptionsDB()
-    for path in args.options_file:
-        db.parse_file(path)
-    db.parse_args(option_argv)
-
     handlers = {"poisson": _poisson, "navier-stokes": _navier_stokes,
                 "rayleigh-benard": _rayleigh_benard,
                 "bench-matvec": _bench}
-    ok = handlers[args.command](args, db, stdout)
+    db = OptionsDB()
+    try:
+        for path in args.options_file:
+            db.parse_file(path)
+        db.parse_args(option_argv)
+        ok = handlers[args.command](args, db, stdout)
+    except (BadOptionName, BadOptionValue, UnknownType) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     report_unused(db)
     return 0 if ok else 1
 

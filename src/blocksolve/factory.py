@@ -15,12 +15,14 @@ warning naming the substitution.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import warnings
 
 import numpy as np
 
 from .krylov import KSP, Nullspace
+from .options import BadOptionValue
 from .precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
                       MassSchurPC, SchwarzPC)
@@ -71,6 +73,16 @@ def _resolve_pc_type(db, prefix, default):
     return asked
 
 
+@contextlib.contextmanager
+def _option_values():
+    """A ValueError of a KSP or PC constructor raised again as the
+    BadOptionValue it is: every argument came from an option."""
+    try:
+        yield
+    except ValueError as exc:
+        raise BadOptionValue(str(exc)) from exc
+
+
 def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
               default_type="gmres", default_pc=None):
     """KSP configured from `<prefix>ksp_*` options with its (recursively
@@ -85,18 +97,19 @@ def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
     if monitor is None and o.get_bool("ksp_monitor"):
         monitor = lambda line: print(line, file=sys.stdout)
     # the KSP checks its own options before its preconditioner is set up
-    ksp = KSP(ksp_type,
-              rtol=o.get_float("ksp_rtol", 1e-5),
-              atol=o.get_float("ksp_atol", 1e-50),
-              max_it=o.get_int("ksp_max_it", 10000),
-              restart=o.get_int("ksp_gmres_restart", 30),
-              orthogonalization=ortho,
-              side=side,
-              nullspace=nullspace,
-              monitor=monitor,
-              prefix=prefix,
-              error_if_not_converged=o.get_bool(
-                  "ksp_error_if_not_converged"))
+    with _option_values():
+        ksp = KSP(ksp_type,
+                  rtol=o.get_float("ksp_rtol", 1e-5),
+                  atol=o.get_float("ksp_atol", 1e-50),
+                  max_it=o.get_int("ksp_max_it", 10000),
+                  restart=o.get_int("ksp_gmres_restart", 30),
+                  orthogonalization=ortho,
+                  side=side,
+                  nullspace=nullspace,
+                  monitor=monitor,
+                  prefix=prefix,
+                  error_if_not_converged=o.get_bool(
+                      "ksp_error_if_not_converged"))
     ksp.pc = build_pc(db, prefix, A, Apc, default_pc=default_pc)
     return ksp
 
@@ -104,69 +117,71 @@ def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
 def build_pc(db, prefix, A, Apc=None, default_pc=None):
     """Preconditioner configured from `<prefix>pc_*` options, set up."""
     o = db.scoped(prefix)
-    if default_pc is None:
-        default_pc = "jacobi" if hasattr(A, "A") else "none"
-    pc_type = _resolve_pc_type(db, prefix, default_pc)
+    # the default suits the operator the preconditioner is set up on
     op = Apc if Apc is not None else A
+    if default_pc is None:
+        default_pc = "jacobi" if hasattr(op, "A") else "none"
+    pc_type = _resolve_pc_type(db, prefix, default_pc)
 
-    if pc_type == "none":
-        pc = NonePC(prefix=prefix)
-    elif pc_type == "jacobi":
-        pc = JacobiPC(prefix=prefix)
-    elif pc_type == "sor":
-        pc = SORPC(omega=o.get_float("pc_sor_omega", 1.0),
-                   its=o.get_int("pc_sor_its", 1),
-                   symmetric=o.get_bool("pc_sor_symmetric", True),
-                   prefix=prefix)
-    elif pc_type == "lu":
-        solver = o.get("pc_factor_mat_solver_type",
-                       o.get("pc_factor_mat_solver_package"))
-        if solver not in (None, "default"):
-            warnings.warn(f"option -{prefix}pc_factor_mat_solver_type "
-                          f"{solver}: using the built-in sparse LU")
-        pc = LUPC(prefix=prefix)
-    elif pc_type == "ilu":
-        pc = ILUPC(drop_tol=o.get_float("pc_factor_drop_tol", 1e-4),
-                   fill_factor=o.get_float("pc_factor_fill", 10.0),
-                   prefix=prefix)
-    elif pc_type == "ksp":
-        pc = KSPPC(ksp_maker=lambda sub: build_ksp(
-            db, prefix + "ksp_", sub, default_type="gmres"), prefix=prefix)
-    elif pc_type == "assembled":
-        pc = AssembledPC(inner_maker=lambda sub: build_pc(
-            db, prefix + "assembled_", sub, default_pc="lu"), prefix=prefix)
-    elif pc_type == "telescope":
-        pc = TelescopePC(inner_maker=lambda sub: build_pc(
-            db, prefix + "telescope_", sub), prefix=prefix)
-    elif pc_type == "fieldsplit":
-        splits = _read_splits(db, prefix)
-        pc = FieldSplitPC(
-            splits=splits,
-            fs_type=o.get("pc_fieldsplit_type", "additive"),
-            fact_type=o.get("pc_fieldsplit_schur_fact_type", "full"),
-            sub_ksp_maker=lambda i, sub: build_ksp(
-                db, f"{prefix}fieldsplit_{i}_", sub,
-                default_type="preonly", default_pc=None),
-            prefix=prefix)
-    elif pc_type == "pcd":
-        pc = PCDPC(
-            mp_maker=lambda sub: build_ksp(
-                db, prefix + "pcd_Mp_", sub,
-                default_type="preonly", default_pc="lu"),
-            kp_maker=lambda sub: build_ksp(
-                db, prefix + "pcd_Kp_", sub,
-                default_type="preonly", default_pc="lu"),
-            prefix=prefix)
-    elif pc_type == "mass":
-        pc = MassSchurPC(
-            mp_maker=lambda sub: build_ksp(
-                db, prefix + "mass_", sub,
-                default_type="preonly", default_pc="lu"),
-            prefix=prefix)
-    elif pc_type == "schwarz":
-        pc = SchwarzPC(prefix=prefix)
-    else:  # pragma: no cover - guarded by _resolve_pc_type
-        raise UnknownType(pc_type)
+    with _option_values():
+        if pc_type == "none":
+            pc = NonePC(prefix=prefix)
+        elif pc_type == "jacobi":
+            pc = JacobiPC(prefix=prefix)
+        elif pc_type == "sor":
+            pc = SORPC(omega=o.get_float("pc_sor_omega", 1.0),
+                       its=o.get_int("pc_sor_its", 1),
+                       symmetric=o.get_bool("pc_sor_symmetric", True),
+                       prefix=prefix)
+        elif pc_type == "lu":
+            solver = o.get("pc_factor_mat_solver_type",
+                           o.get("pc_factor_mat_solver_package"))
+            if solver not in (None, "default"):
+                warnings.warn(f"option -{prefix}pc_factor_mat_solver_type "
+                              f"{solver}: using the built-in sparse LU")
+            pc = LUPC(prefix=prefix)
+        elif pc_type == "ilu":
+            pc = ILUPC(drop_tol=o.get_float("pc_factor_drop_tol", 1e-4),
+                       fill_factor=o.get_float("pc_factor_fill", 10.0),
+                       prefix=prefix)
+        elif pc_type == "ksp":
+            pc = KSPPC(ksp_maker=lambda sub: build_ksp(
+                db, prefix + "ksp_", sub, default_type="gmres"), prefix=prefix)
+        elif pc_type == "assembled":
+            pc = AssembledPC(inner_maker=lambda sub: build_pc(
+                db, prefix + "assembled_", sub, default_pc="lu"), prefix=prefix)
+        elif pc_type == "telescope":
+            pc = TelescopePC(inner_maker=lambda sub: build_pc(
+                db, prefix + "telescope_", sub), prefix=prefix)
+        elif pc_type == "fieldsplit":
+            splits = _read_splits(db, prefix)
+            pc = FieldSplitPC(
+                splits=splits,
+                fs_type=o.get("pc_fieldsplit_type", "additive"),
+                fact_type=o.get("pc_fieldsplit_schur_fact_type", "full"),
+                sub_ksp_maker=lambda i, sub: build_ksp(
+                    db, f"{prefix}fieldsplit_{i}_", sub,
+                    default_type="preonly", default_pc=None),
+                prefix=prefix)
+        elif pc_type == "pcd":
+            pc = PCDPC(
+                mp_maker=lambda sub: build_ksp(
+                    db, prefix + "pcd_Mp_", sub,
+                    default_type="preonly", default_pc="lu"),
+                kp_maker=lambda sub: build_ksp(
+                    db, prefix + "pcd_Kp_", sub,
+                    default_type="preonly", default_pc="lu"),
+                prefix=prefix)
+        elif pc_type == "mass":
+            pc = MassSchurPC(
+                mp_maker=lambda sub: build_ksp(
+                    db, prefix + "mass_", sub,
+                    default_type="preonly", default_pc="lu"),
+                prefix=prefix)
+        elif pc_type == "schwarz":
+            pc = SchwarzPC(prefix=prefix)
+        else:  # pragma: no cover - guarded by _resolve_pc_type
+            raise UnknownType(pc_type)
     return pc.set_up(A, Apc)
 
 

@@ -709,11 +709,13 @@ def _residual_bc_rows(mixed, state, bcs, r):
     return r
 
 
-def _picard_residual(form, state, bcs):
+def _picard_residual(form, state, bcs=()):
     """F(x) = A(x) x, with A(x) the Picard form of the Newton Jacobian
     `form` at x: its blocks without the terms that linearise in the state.
     Dirichlet entries hold state - boundary value so Newton enforces the
-    BCs."""
+    BCs.  This is the residual of steady Navier-Stokes from the form of
+    `ns_jacobian_form` and of stationary Rayleigh-Benard convection from
+    that of `rb_jacobian_form`."""
     blocks = {ij: [t for t in terms if not isinstance(t, VectorReactionTerm)]
               for ij, terms in form.blocks.items()}
     picard = Form(form.kind + "_picard", form.row_space, form.col_space,
@@ -722,16 +724,7 @@ def _picard_residual(form, state, bcs):
     return _residual_bc_rows(form.col_space, state, bcs, picard.action(state))
 
 
-def ns_residual(form, state, bcs=()):
-    """Residual of steady Navier-Stokes at the state, from the Jacobian
-    `form` of `ns_jacobian_form`."""
-    return _picard_residual(form, state, bcs)
-
-
-def rb_residual(form, state, bcs=()):
-    """Residual of stationary Rayleigh-Benard convection at the state, from
-    the Jacobian `form` of `rb_jacobian_form`."""
-    return _picard_residual(form, state, bcs)
+ns_residual = rb_residual = _picard_residual
 
 
 def poisson_residual(form, state, bcs=(), rhs=None):

@@ -18,11 +18,17 @@ the one not running inside another KSP's `solve`.  A nested solve without
 a monitor (an inner solve of a preconditioner, a `preonly` Schur solve)
 costs only its own iterations, as PETSc's KSPPREONLY only applies the
 preconditioner; its report holds None for each norm it did not compute.
+GMRES and Richardson take that norm from the residual b - A x they
+recomputed for their last x (before M^-1 on the left, with the nullspace
+projected out of A x), at no further apply; CG, whose residual is
+updated rather than recomputed, and `preonly` apply A once more for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .precond import NonePC
 
 __all__ = ["KSP", "SolveReport", "Nullspace", "KrylovError",
            "DivergedMaxIts", "DivergedNaN", "IndefiniteOperator"]
@@ -95,7 +101,8 @@ class Nullspace:
 
 
 class KSP:
-    """Iterative solver context: type, tolerances, preconditioner, monitor."""
+    """Iterative solver context: type, tolerances, preconditioner, monitor.
+    Without a given `pc` it holds a `NonePC` of its prefix."""
 
     def __init__(self, ksp_type="gmres", rtol=1e-5, atol=1e-50, max_it=10000,
                  restart=30, orthogonalization="classical", side=None,
@@ -120,7 +127,7 @@ class KSP:
         if self.side not in sides:
             raise ValueError(f"{prefix or 'ksp'}: {ksp_type} preconditions on "
                              f"the {' or '.join(sides)}, not {self.side!r}")
-        self.pc = pc
+        self.pc = NonePC(prefix=prefix) if pc is None else pc
         self.nullspace = nullspace
         self.monitor = monitor
         self.prefix = prefix
@@ -134,11 +141,7 @@ class KSP:
         return v
 
     def _apply_pc(self, r):
-        if self.pc is None:
-            z = r.copy()
-        else:
-            z = self.pc.apply(r)
-        return self._project(z)
+        return self._project(self.pc.apply(r))
 
     def _apply_op(self, A, v):
         return self._project(A.apply(v))
@@ -158,11 +161,12 @@ class KSP:
         the outermost solve."""
         return self.monitor is not None or _active_solves == 1
 
-    def _finish(self, x, converged, reason, it, rnorm, A, b, true_norm=None):
-        """Report the solve; `true_norm` is ||b - A x|| when the caller
-        has it already."""
-        if true_norm is None and self._reports_true_residual():
-            true_norm = np.linalg.norm(b - A.apply(x))
+    def _finish(self, x, converged, reason, it, rnorm, A, b, r=None):
+        """Report the solve; `r` is the residual b - A x the method holds,
+        if it holds one, before any M^-1."""
+        true_norm = None
+        if self._reports_true_residual():
+            true_norm = np.linalg.norm(b - A.apply(x) if r is None else r)
         report = SolveReport(converged, reason, it, rnorm, true_norm)
         if not converged and self.error_if_not_converged:
             raise DivergedMaxIts(
@@ -184,14 +188,14 @@ class KSP:
 
     def _solve_preonly(self, A, b):
         x = self._apply_pc(b)
-        rnorm = None
+        r = rnorm = None
         if self._reports_true_residual():
             # for a Schur complement, this apply is a full inner solve;
-            # _finish reuses the norm
-            rnorm = np.linalg.norm(b - A.apply(x))
+            # _finish reuses the residual
+            r = b - A.apply(x)
+            rnorm = np.linalg.norm(r)
             self._monitor(0, rnorm)
-        return self._finish(x, True, "preonly", 1, rnorm, A, b,
-                            true_norm=rnorm)
+        return self._finish(x, True, "preonly", 1, rnorm, A, b, r)
 
     def _solve_richardson(self, A, b):
         left = self.side == "left"
@@ -209,8 +213,8 @@ class KSP:
             self._check_nan(rnorm, it)
             self._monitor(it, rnorm)
             if rnorm <= tol:
-                return self._finish(x, True, "rtol", it, rnorm, A, b)
-        return self._finish(x, False, "max_its", self.max_it, rnorm, A, b)
+                return self._finish(x, True, "rtol", it, rnorm, A, b, r)
+        return self._finish(x, False, "max_its", self.max_it, rnorm, A, b, r)
 
     def _solve_cg(self, A, b):
         x = np.zeros_like(b)
@@ -253,20 +257,23 @@ class KSP:
     def _solve_gmres(self, A, b):
         left = self.side == "left"
         x = np.zeros_like(b)
-        r = self._apply_pc(b) if left else b
+        res = b     # b - A x, before M^-1
+        r = self._apply_pc(res) if left else res
         beta = np.linalg.norm(r)
         self._check_nan(beta, 0)
         self._monitor(0, beta)
         if beta <= self.atol:
-            return self._finish(x, True, "atol", 0, beta, A, b)
+            return self._finish(x, True, "atol", 0, beta, A, b, res)
         tol = max(self.rtol * beta, self.atol)
         total_it = 0
         while True:
             # the residual of each cycle's start decides how the solve ends
             if beta <= tol:
-                return self._finish(x, True, "rtol", total_it, beta, A, b)
+                return self._finish(x, True, "rtol", total_it, beta, A, b,
+                                    res)
             if total_it >= self.max_it:
-                return self._finish(x, False, "max_its", total_it, beta, A, b)
+                return self._finish(x, False, "max_its", total_it, beta, A,
+                                    b, res)
 
             m = self.restart
             V = [r / beta]
@@ -320,9 +327,8 @@ class KSP:
             y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
             basis = V if left else Z
             x = self._project(x + sum(y[i] * basis[i] for i in range(k)))
-            r = b - self._apply_op(A, x)
-            if left:
-                r = self._apply_pc(r)
+            res = b - self._apply_op(A, x)
+            r = self._apply_pc(res) if left else res
             beta = np.linalg.norm(r)
             self._check_nan(beta, total_it)
 

@@ -117,53 +117,43 @@ class Mesh:
 def build_unit_square(n):
     """Triangulate [0,1]^2 with an n-by-n grid, each square split along the
     lower-left to upper-right diagonal."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    y, x = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.stack([x.ravel(), y.ravel()], axis=1)
-
-    # vertex (i, j) has id i + (n+1) j; each square's two triangles share
-    # the diagonal from its low corner (0, 0) to its high corner (1, 1)
-    stride = (n + 1) ** np.arange(2)
-    low = np.arange(n)
-    j, i = np.meshgrid(low, low, indexing="ij")
-    corners = (np.stack([i, j], axis=-1) @ stride).ravel()
-    template = np.array([[(0, 0), (1, 0), (1, 1)],
-                         [(0, 0), (1, 1), (0, 1)]]) @ stride
-    cells = (corners[:, None, None] + template).reshape(-1, 3)
-    return Mesh(2, verts, cells)
-
-
-def _kuhn_template():
-    """The six Kuhn tetrahedra of the unit cube as corner offsets (6, 4, 3),
-    one per permutation of the axis order along the path from the low to
-    the high corner, each oriented positively by swapping its last two
-    vertices if needed.  A tet's orientation depends only on its axis
-    permutation, so every cube of a grid reuses these."""
-    tets = []
-    for perm in itertools.permutations(range(3)):
-        path = [np.zeros(3, dtype=np.int64)]
-        for axis in perm:
-            path.append(path[-1] + np.eye(3, dtype=np.int64)[axis])
-        if np.linalg.det(np.array(path[1:]) - path[0]) < 0:
-            path[2], path[3] = path[3], path[2]
-        tets.append(path)
-    return np.array(tets)
+    return _unit_box(2, n)
 
 
 def build_unit_cube(n):
     """Tetrahedralise [0,1]^3 with n^3 cubes, each Kuhn-split into 6 tets."""
+    return _unit_box(3, n)
+
+
+def _kuhn_template(dim):
+    """The dim! Kuhn simplices of the unit box as corner offsets
+    (dim!, dim+1, dim), one per permutation of the axis order along the
+    path from the low to the high corner, each oriented positively by
+    swapping its last two vertices if needed.  A simplex's orientation
+    depends only on its axis permutation, so every box of a grid reuses
+    these.  In 2D they are the two triangles on the diagonal from (0, 0)
+    to (1, 1)."""
+    simplices = []
+    for perm in itertools.permutations(range(dim)):
+        path = [np.zeros(dim, dtype=np.int64)]
+        for axis in perm:
+            path.append(path[-1] + np.eye(dim, dtype=np.int64)[axis])
+        if np.linalg.det(np.array(path[1:]) - path[0]) < 0:
+            path[-2], path[-1] = path[-1], path[-2]
+        simplices.append(path)
+    return np.array(simplices)
+
+
+def _unit_box(dim, n):
+    """[0,1]^dim split into n^dim boxes, each into its Kuhn simplices."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    z, y, x = np.meshgrid(xs, xs, xs, indexing="ij")
-    verts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-
-    # vertex (i, j, k) has id i + (n+1) j + (n+1)^2 k
-    stride = (n + 1) ** np.arange(3)
-    low = np.arange(n)
-    k, j, i = np.meshgrid(low, low, low, indexing="ij")
-    corners = (np.stack([i, j, k], axis=-1) @ stride).ravel()
-    cells = (corners[:, None, None] + _kuhn_template() @ stride).reshape(-1, 4)
-    return Mesh(3, verts, cells)
+    # vertex (i, j, k) has id i + (n+1) j + (n+1)^2 k: x varies fastest
+    verts = np.stack([g.ravel() for g in
+                      np.meshgrid(*[xs] * dim, indexing="ij")[::-1]], axis=1)
+    stride = (n + 1) ** np.arange(dim)
+    low = np.meshgrid(*[np.arange(n)] * dim, indexing="ij")[::-1]
+    corners = (np.stack(low, axis=-1) @ stride).ravel()
+    cells = corners[:, None, None] + _kuhn_template(dim) @ stride
+    return Mesh(dim, verts, cells.reshape(-1, dim + 1))

@@ -132,11 +132,9 @@ class NewtonSolver:
             ksp = self.ksp_maker(A, Apc)
             if ksp.nullspace is None:
                 ksp.nullspace = self.nullspace
-            rhs = -r
-            if ksp.nullspace is not None:
-                rhs = ksp.nullspace.project(rhs)
             try:
-                d, lin_report = ksp.solve(A, rhs)
+                # the KSP projects its nullspace out of -r
+                d, lin_report = ksp.solve(A, -r)
             except KrylovError as err:
                 raise LinearSolveFailed(
                     f"newton step {it}: linear solve failed ({err})",

@@ -25,7 +25,7 @@ class BadOptionName(Exception):
     pass
 
 
-class BadOptionValue(Exception):
+class BadOptionValue(ValueError):
     pass
 
 

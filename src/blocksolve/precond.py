@@ -118,10 +118,7 @@ def view_ksp(ksp, indent=0):
                        f"orthogonalization={ksp.orthogonalization}")
         detail += f", side={ksp.side}"
         lines.append(f"{pad}  {detail}")
-    if ksp.pc is not None:
-        lines.append(ksp.pc.view(indent + 2))
-    else:
-        lines.append(f"{pad}  PC (-) type: none")
+    lines.append(ksp.pc.view(indent + 2))
     return "\n".join(lines)
 
 
@@ -335,11 +332,26 @@ class SchurOperator(LinearOperator):
         return y - self.a10.apply(self.inner_solve(self.a01.apply(x)))
 
 
+# a step of a fieldsplit sweep: z[split] += the sub-solve of
+# (r[split] if takes_r else 0) - sum of a_ij z[j] over its (j, a_ij) blocks
+_Step = namedtuple("_Step", "split blocks takes_r", defaults=(True,))
+
+
 class FieldSplitPC(Preconditioner):
     """Block preconditioning by fields: additive (block Jacobi),
     multiplicative (lower block Gauss-Seidel), or a 2x2 Schur-complement
     factorisation (diag / lower / upper / full).  The splits must put each
-    field in exactly one split."""
+    field in exactly one split.
+
+    Every type is one block-triangular sweep, built at set-up: the splits
+    i in solve order, each with the off-diagonal blocks A_ij that carry
+    earlier splits j into its right-hand side; a step adds to z_i the
+    sub-solve of r_i - sum_j A_ij z_j.  Additive steps carry no blocks,
+    multiplicative ones every lower block.  A Schur sweep has the
+    SchurOperator as the operator of split 1: `diag` carries no blocks,
+    `lower` carries A10, `upper` solves split 1 first and carries A01, and
+    `full` is `lower` plus the upper correction z_0 += solve_0(-A01 z_1),
+    whose right-hand side does not start from r_0."""
 
     type_name = "fieldsplit"
 
@@ -379,73 +391,43 @@ class FieldSplitPC(Preconditioner):
         return [np.concatenate([fields[f] for f in s]) for s in self.splits]
 
     def _set_up(self, op):
-        iss = self._index_sets(op)
+        iss = self.index_sets = self._index_sets(op)
         ns = len(iss)
         maker = self.sub_ksp_maker
-        diag_ops = [op.extract_sub(iss[i], iss[i]) for i in range(ns)]
-        self.index_sets = iss
-        if self.fs_type == "schur":
-            if ns != 2:
-                raise ValueError(f"{self.name}: schur fieldsplit needs "
-                                 f"exactly two splits")
-            self.off_ops = {(0, 1): op.extract_sub(iss[0], iss[1]),
-                            (1, 0): op.extract_sub(iss[1], iss[0])}
-            f_ksp = maker(0, diag_ops[0])
-            schur = SchurOperator(diag_ops[1], self.off_ops[(1, 0)],
-                                  self.off_ops[(0, 1)], f_ksp, diag_ops[0])
-            self.sub_ops = [diag_ops[0], schur]
-            self.sub_ksps = [f_ksp, maker(1, schur)]
-        else:
-            self.off_ops = {}
-            if self.fs_type == "multiplicative":
-                for i in range(ns):
-                    for j in range(i):
-                        self.off_ops[(i, j)] = op.extract_sub(iss[i], iss[j])
-            self.sub_ops = diag_ops
-            self.sub_ksps = [maker(i, diag_ops[i]) for i in range(ns)]
-
-    def _sub_solve(self, i, r):
-        # on the operator its sub-KSP was built on
-        x, _ = self.sub_ksps[i].solve(self.sub_ops[i], r)
-        return x
+        block = lambda i, j: op.extract_sub(iss[i], iss[j])
+        self.sub_ops = [block(i, i) for i in range(ns)]
+        if self.fs_type != "schur":
+            lower = self.fs_type == "multiplicative"
+            self.sweep = [_Step(i, [(j, block(i, j))
+                                    for j in range(i if lower else 0)])
+                          for i in range(ns)]
+            self.sub_ksps = [maker(i, self.sub_ops[i]) for i in range(ns)]
+            return
+        if ns != 2:
+            raise ValueError(f"{self.name}: schur fieldsplit needs "
+                             f"exactly two splits")
+        a01, a10 = block(0, 1), block(1, 0)
+        f_ksp = maker(0, self.sub_ops[0])
+        self.sub_ops[1] = SchurOperator(self.sub_ops[1], a10, a01, f_ksp,
+                                        self.sub_ops[0])
+        self.sub_ksps = [f_ksp, maker(1, self.sub_ops[1])]
+        lower = [_Step(0, []), _Step(1, [(0, a10)])]
+        self.sweep = {"diag": [_Step(0, []), _Step(1, [])], "lower": lower,
+                      "upper": [_Step(1, []), _Step(0, [(1, a01)])],
+                      "full": lower + [_Step(0, [(1, a01)], False)],
+                      }[self.fact_type]
 
     def apply(self, r):
         iss = self.index_sets
         z = np.zeros_like(r)
-        if self.fs_type == "additive":
-            for i, idx in enumerate(iss):
-                z[idx] = self._sub_solve(i, r[idx])
-        elif self.fs_type == "multiplicative":
-            parts = []
-            for i, idx in enumerate(iss):
-                rhs = r[idx].copy()
-                for j in range(i):
-                    rhs -= self.off_ops[(i, j)].apply(parts[j])
-                parts.append(self._sub_solve(i, rhs))
-                z[idx] = parts[i]
-        else:
-            z0, z1 = self._apply_schur(r[iss[0]], r[iss[1]])
-            z[iss[0]] = z0
-            z[iss[1]] = z1
+        for i, blocks, takes_r in self.sweep:
+            rhs = r[iss[i]] if takes_r else np.zeros(len(iss[i]))
+            for j, a_ij in blocks:
+                rhs = rhs - a_ij.apply(z[iss[j]])
+            # on the operator its sub-KSP was built on
+            x, _ = self.sub_ksps[i].solve(self.sub_ops[i], rhs)
+            z[iss[i]] += x
         return z
-
-    def _apply_schur(self, r0, r1):
-        fact = self.fact_type
-        A01, A10 = self.off_ops[(0, 1)], self.off_ops[(1, 0)]
-        if fact == "diag":
-            return (self._sub_solve(0, r0),
-                    self._sub_solve(1, r1))
-        if fact == "upper":
-            z1 = self._sub_solve(1, r1)
-            z0 = self._sub_solve(0, r0 - A01.apply(z1))
-            return z0, z1
-        z0 = self._sub_solve(0, r0)
-        z1 = self._sub_solve(1, r1 - A10.apply(z0))
-        if fact == "lower":
-            return z0, z1
-        # full LDU: one extra velocity-block solve against the upper factor
-        z0 = z0 - self._sub_solve(0, A01.apply(z1))
-        return z0, z1
 
     def _view_body(self, indent):
         pad = " " * indent

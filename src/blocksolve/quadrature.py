@@ -50,30 +50,25 @@ def _build_rule(dim, degree):
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"unsupported quadrature degree {degree}")
 
-    vol = 0.5 if dim == 2 else 1.0 / 6.0
+    vol = 1.0 / math.factorial(dim)
     if degree == 1:
         centroid = np.full((1, dim), 1.0 / (dim + 1))
         return QuadratureRule(dim, 1, centroid, np.array([vol]))
 
-    if dim == 2:
-        m = math.ceil((degree + 2) / 2)
-        u, wu = _gauss01(m)
-        v, wv = _gauss01(m)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        WU, WV = np.meshgrid(wu, wv, indexing="ij")
-        x = U
-        y = V * (1.0 - U)
-        w = WU * WV * (1.0 - U)
-        pts = np.column_stack([x.ravel(), y.ravel()])
-        return QuadratureRule(dim, degree, pts, w.ravel())
-
-    m = math.ceil((degree + 3) / 2)
+    # Gauss-Legendre in u on the unit box, collapsed onto the simplex:
+    # x_k = u_k (1 - u_0) ... (1 - u_{k-1}), with the Jacobian
+    # (1 - u_0)^(dim-1) (1 - u_1)^(dim-2) ... in the weights
+    m = math.ceil((degree + dim) / 2)
     u, wu = _gauss01(m)
-    U, V, W = np.meshgrid(u, u, u, indexing="ij")
-    WU, WV, WW = np.meshgrid(wu, wu, wu, indexing="ij")
-    x = U
-    y = V * (1.0 - U)
-    z = W * (1.0 - U) * (1.0 - V)
-    w = WU * WV * WW * (1.0 - U) ** 2 * (1.0 - V)
-    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    return QuadratureRule(dim, degree, pts, w.ravel())
+    U = np.meshgrid(*[u] * dim, indexing="ij")
+    WU = np.meshgrid(*[wu] * dim, indexing="ij")
+    w = functools.reduce(np.multiply, WU)
+    pts = []
+    for k in range(dim):
+        x = U[k]
+        for j in range(k):
+            x = x * (1.0 - U[j])
+        pts.append(x.ravel())
+        if k < dim - 1:
+            w = w * (1.0 - U[k]) ** (dim - 1 - k)
+    return QuadratureRule(dim, degree, np.column_stack(pts), w.ravel())

@@ -102,6 +102,18 @@ class TestBuildKSP:
         ksp2 = build_ksp(OptionsDB(), "", A)
         assert isinstance(ksp2.pc, NonePC)  # matrix-free default
 
+    # the default preconditioner suits the operator it is set up on, which
+    # may differ from the one the Krylov method applies
+    def test_default_pc_of_an_assembled_pmat(self):
+        A, _ = _poisson()
+        ksp = build_ksp(OptionsDB(), "", A, A.assemble())
+        assert isinstance(ksp.pc, JacobiPC)
+
+    def test_default_pc_of_a_matrix_free_pmat(self):
+        A, _ = _poisson()
+        ksp = build_ksp(OptionsDB(), "", A.assemble(), A)
+        assert isinstance(ksp.pc, NonePC)
+
 
 class TestBuildPC:
     def test_sor_options(self):

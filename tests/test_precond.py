@@ -237,6 +237,58 @@ class TestFieldSplit:
         assert np.allclose(z[i0], z0, atol=1e-8)
         assert np.allclose(z[i1], z1, atol=1e-8)
 
+    @pytest.mark.parametrize("fs_type, fact_type", [
+        ("additive", "full"), ("multiplicative", "full"),
+        ("schur", "diag"), ("schur", "lower"), ("schur", "upper"),
+        ("schur", "full")])
+    def test_sweep_is_the_block_factorisation_it_names(self, fs_type,
+                                                       fact_type):
+        # Stokes with a pressure penalty, so that A11 is nonsingular too;
+        # exact sub-solves: LU of the diagonal blocks, and the dense
+        # inverse of the Schur complement S = A11 - A10 inv(A00) A01
+        from blocksolve.forms import MassTerm
+        W = taylor_hood(build_unit_square(2))
+        blocks = {**stokes_form(W).blocks, (1, 1): [MassTerm(-0.1)]}
+        bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=[0.0, 0.0],
+                           field=0)]
+        A = ImplicitOperator(Form("penalised_stokes", W, W, blocks),
+                             bcs=bcs).assemble()
+
+        class SchurInverse(precond.Preconditioner):
+            def _set_up(self, op):
+                cols = [op.apply(e) for e in np.eye(op.shape[1])]
+                self.inv = np.linalg.inv(np.column_stack(cols))
+
+            def apply(self, r):
+                return self.inv @ r
+
+        def maker(i, sub):
+            pc = SchurInverse() if hasattr(sub, "a11") else LUPC()
+            return KSP("preonly", pc=pc.set_up(sub))
+
+        pc = FieldSplitPC(fs_type=fs_type, fact_type=fact_type,
+                          sub_ksp_maker=maker).set_up(A)
+        K = A.A.toarray()
+        i0, i1 = W.field_index_set(0), W.field_index_set(1)
+        A00, A01 = K[np.ix_(i0, i0)], K[np.ix_(i0, i1)]
+        A10, A11 = K[np.ix_(i1, i0)], K[np.ix_(i1, i1)]
+        S = A11 - A10 @ np.linalg.solve(A00, A01)
+        O01, O10 = np.zeros_like(A01), np.zeros_like(A10)
+        M = {("additive", "full"): [[A00, O01], [O10, A11]],
+             ("multiplicative", "full"): [[A00, O01], [A10, A11]],
+             ("schur", "diag"): [[A00, O01], [O10, S]],
+             ("schur", "lower"): [[A00, O01], [A10, S]],
+             ("schur", "upper"): [[A00, A01], [O10, S]],
+             # L D U with L = [[I, 0], [A10 inv(A00), I]] and
+             # U = [[I, inv(A00) A01], [0, I]] is A itself
+             ("schur", "full"): [[A00, A01], [A10, A11]]}[fs_type, fact_type]
+        order = np.concatenate([i0, i1])
+        r = np.random.default_rng(3).standard_normal(A.shape[0])
+        ref = np.empty_like(r)
+        ref[order] = np.linalg.solve(np.block(M), r[order])
+        z = pc.apply(r)
+        assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_schur_needs_two_splits(self):
         A, b, nsp, W = _stokes()
         pc = FieldSplitPC(fs_type="schur", splits=[(0, 1)],

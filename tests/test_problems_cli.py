@@ -104,6 +104,43 @@ class TestCLI:
                      "--", "-ksp_rtol", "1e-14", "-ksp_max_it", "2"])
         assert code == 1
 
+    def test_nonlinear_failure_exit_code(self, capsys):
+        code = main(["navier-stokes", "--n", "4", "--", "-snes_max_it", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--", "-ksp_max_it", "-1"], "max_it >= 0"),
+        (["--", "-ksp_type", "foo"], "unknown ksp type 'foo'"),
+        (["--", "-pc_type", "foo"], "option -pc_type 'foo'"),
+        (["--", "-ksp_rtol", "abc"], "cannot read 'abc' as a float"),
+        (["--", "-ksp_type", "cg", "stray"], "expected an option"),
+        (["--", "-pc_type", "fieldsplit", "-fieldsplit_0_pc_type", "sor",
+          "-fieldsplit_0_pc_sor_omega", "2"], "pc sor (-fieldsplit_0_)"),
+    ])
+    def test_bad_solver_option_is_one_line_and_exit_2(self, argv, message,
+                                                      capsys):
+        code = main(["poisson", "--n", "4"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("blocksolve: error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["poisson", "--n", "0"], "argument --n: must be at least 1"),
+        (["rayleigh-benard", "--n", "-2"], "argument --n: must be at least"),
+        (["poisson", "--degree", "5"], "argument --degree: invalid choice"),
+        (["navier-stokes", "--degree", "1"],
+         "argument --degree: invalid choice"),
+    ])
+    def test_bad_driver_argument_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert message in err.splitlines()[-1]
+
     @pytest.mark.parametrize("option", ["-mat_type", "-pmat_type"])
     def test_unknown_mat_type_rejected(self, option):
         with pytest.raises(ValueError, match="aijj"):
