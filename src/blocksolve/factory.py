@@ -15,14 +15,13 @@ warning naming the substitution.
 
 from __future__ import annotations
 
-import contextlib
 import sys
 import warnings
 
 import numpy as np
 
 from .krylov import KSP, Nullspace
-from .options import BadOptionValue
+from .options import option_values
 from .precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
                       MassSchurPC, SchwarzPC)
@@ -73,16 +72,6 @@ def _resolve_pc_type(db, prefix, default):
     return asked
 
 
-@contextlib.contextmanager
-def _option_values():
-    """A ValueError of a KSP or PC constructor raised again as the
-    BadOptionValue it is: every argument came from an option."""
-    try:
-        yield
-    except ValueError as exc:
-        raise BadOptionValue(str(exc)) from exc
-
-
 def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
               default_type="gmres", default_pc=None):
     """KSP configured from `<prefix>ksp_*` options with its (recursively
@@ -97,7 +86,7 @@ def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
     if monitor is None and o.get_bool("ksp_monitor"):
         monitor = lambda line: print(line, file=sys.stdout)
     # the KSP checks its own options before its preconditioner is set up
-    with _option_values():
+    with option_values():
         ksp = KSP(ksp_type,
                   rtol=o.get_float("ksp_rtol", 1e-5),
                   atol=o.get_float("ksp_atol", 1e-50),
@@ -123,7 +112,7 @@ def build_pc(db, prefix, A, Apc=None, default_pc=None):
         default_pc = "jacobi" if hasattr(op, "A") else "none"
     pc_type = _resolve_pc_type(db, prefix, default_pc)
 
-    with _option_values():
+    with option_values():
         if pc_type == "none":
             pc = NonePC(prefix=prefix)
         elif pc_type == "jacobi":

@@ -42,9 +42,13 @@ read-only, by every form over those spaces: the `extract_fields`
 sub-forms, PCD's forms and the residuals' Picard forms tabulate nothing
 of their own.
 
-State coefficients (the Newton wind and state gradients) are evaluated from
-`context["state"]` whenever D is built, so nothing can go stale.  Action
-and assembly agree to rounding.
+The action computes the D of each fixed term once per form and keeps it
+(`Form.coefficient`): a term that reads no Newton state and whose
+coefficients are numbers has the same cell-constant D at every apply.
+The D of every other term is built at each apply, so state coefficients
+(the Newton wind and state gradients) are evaluated from
+`context["state"]` per apply and nothing can go stale.  Assembly keeps
+nothing.  Action and assembly agree to rounding.
 
 A form carries no boundary conditions: `ImplicitOperator` holds the form
 with its Dirichlet rows and columns and applies them.
@@ -53,6 +57,7 @@ with its Dirichlet rows and columns and applies them.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,6 +223,15 @@ class Term:
     state = None
     couples = False
 
+    @property
+    def fixed(self):
+        """D is the same at every use of a form: the term reads no Newton
+        state and each of its coefficients is a number, not a callable, a
+        context name or an array that may change in place.  Such a D is
+        cell-constant."""
+        return self.state is None and all(
+            isinstance(v, numbers.Number) for v in vars(self).values())
+
     def coefficient(self, form, state):
         raise NotImplementedError
 
@@ -349,6 +363,7 @@ class Form:
         self.geom = self.mesh.geometry
         self.rule = make_quadrature(self.mesh.dim, quad_degree)
         self._tables = {}
+        self._fixed = {}  # term -> its D, for fixed terms
 
     # -- context helpers ---------------------------------------------------
 
@@ -356,6 +371,22 @@ class Form:
         if isinstance(coef, str):
             return self.context[coef]
         return coef
+
+    def coefficient(self, term, state):
+        """D of `term` for the action (see `Term`), with `state` the
+        `_StateAtPoints` of this apply; computed once and kept, read-only,
+        if the term is fixed."""
+        if not term.fixed:
+            return term.coefficient(self, state)
+        D = self._fixed.get(term)
+        if D is None:
+            D = self._fixed[term] = term.coefficient(self, state)
+            D.flags.writeable = False
+        return D
+
+    def memory_footprint(self):
+        """Bytes of the D kept for fixed terms."""
+        return sum(D.nbytes for D in self._fixed.values())
 
     def tabulation(self, space):
         """The `SpaceEval` of `space` at the form's rule, made once."""
@@ -574,7 +605,7 @@ class Form:
                 if u is None:
                     u = trial[j] = self.at_points(cs.fields[j],
                                                   x[cs.field_slice(j)])
-                yq = _contract(term.coefficient(self, state),
+                yq = _contract(self.coefficient(term, state),
                                u.slot(term.trial))
                 key = (i, term.test)
                 if key in acc:

@@ -4,7 +4,9 @@ The solver lifts Dirichlet data onto the initial iterate, so Newton
 corrections live in the homogeneous subspace and the unit-diagonal
 Dirichlet rows of the Jacobian keep them there.  The Jacobian can be kept
 matrix-free or assembled each step, independently for the operator the
-Krylov method applies and the one the preconditioner is built from.
+Krylov method applies and the one the preconditioner is built from.  The
+solver tree is built once, at the first linearisation, and updated at
+every later one (`Preconditioner.update`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .krylov import KrylovError
-from .operators import ImplicitOperator, select_operators
+from .operators import ImplicitOperator, mat_types, select_operators
 from .spaces import collect_bc_values
 
 __all__ = ["NewtonSolver", "NewtonReport", "NewtonError",
@@ -58,9 +60,12 @@ class NewtonSolver:
 
     residual_fn(state) evaluates F with Dirichlet rows holding the
     boundary defect; jacobian_form is the block form of J, whose context
-    state is updated before every linearisation.  ksp_maker(A, Apc)
-    returns the linear solver for one Newton step (rebuilt per step so
-    state-dependent preconditioners refresh)."""
+    state is set before every linearisation to a read-only copy of the
+    iterate, so a write into it raises instead of leaving the solver tree
+    stale.  ksp_maker(A, Apc) returns the linear solver; it is called at
+    the first linearisation only, and every later step updates the
+    solver's preconditioner, `ksp.pc.update(A, Apc)`, so state-free nodes
+    keep what they built."""
 
     def __init__(self, residual_fn, jacobian_form, bcs=(), *, ksp_maker,
                  rtol=1e-8, atol=1e-50, max_it=50, mat_type="matfree",
@@ -76,8 +81,7 @@ class NewtonSolver:
         self.rtol = rtol
         self.atol = atol
         self.max_it = max_it
-        self.mat_type = mat_type
-        self.pmat_type = pmat_type
+        self.mat_type, self.pmat_type = mat_types(mat_type, pmat_type)
         self.nullspace = nullspace
         self.monitor = monitor
         self.error_if_not_converged = error_if_not_converged
@@ -112,6 +116,7 @@ class NewtonSolver:
         implicit = ImplicitOperator(form, bcs=self.bcs)
         norms = []
         linear_its = 0
+        ksp = None
         for it in range(self.max_it + 1):
             r = self.residual_fn(x)
             norm = float(np.linalg.norm(r))
@@ -126,12 +131,17 @@ class NewtonSolver:
                 return self._finish(x, True, "rtol", it, linear_its, norms)
             if it == self.max_it:
                 break
-            form.context["state"] = x
+            state = x.copy()
+            state.flags.writeable = False
+            form.context["state"] = state
             A, Apc = select_operators(implicit, self.mat_type,
                                       self.pmat_type)
-            ksp = self.ksp_maker(A, Apc)
-            if ksp.nullspace is None:
-                ksp.nullspace = self.nullspace
+            if ksp is None:
+                ksp = self.ksp_maker(A, Apc)
+                if ksp.nullspace is None:
+                    ksp.nullspace = self.nullspace
+            else:
+                ksp.pc.update(A, Apc)
             try:
                 # the KSP projects its nullspace out of -r
                 d, lin_report = ksp.solve(A, -r)

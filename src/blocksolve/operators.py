@@ -27,7 +27,7 @@ from .forms import Form
 from .spaces import MixedSpace, collect_bc_dofs
 
 __all__ = ["LinearOperator", "ImplicitOperator", "AssembledOperator",
-           "NoFieldMatch", "match_fields", "select_operators",
+           "NoFieldMatch", "match_fields", "mat_types", "select_operators",
            "write_matrix_market"]
 
 MAT_TYPES = ("matfree", "aij")
@@ -223,8 +223,10 @@ class ImplicitOperator(LinearOperator):
                                  context=self.form.context)
 
     def memory_footprint(self):
-        """Bytes of coefficient and state storage (no matrix entries)."""
-        total = self.bc_rows.nbytes + self.bc_cols.nbytes
+        """Bytes of coefficient and state storage, the D the form keeps
+        for its fixed terms included (no matrix entries)."""
+        total = (self.bc_rows.nbytes + self.bc_cols.nbytes
+                 + self.form.memory_footprint())
         state = self.form.context.get("state")
         if state is not None:
             total += np.asarray(state).nbytes
@@ -236,15 +238,22 @@ class ImplicitOperator(LinearOperator):
         return self.form.flops_per_apply()
 
 
-def select_operators(implicit, mat_type, pmat_type=None):
-    """The operator a Krylov method applies and the one its preconditioner
-    is built from: `matfree` keeps the implicit operator, `aij` assembles
-    it (once, when both ask for it)."""
+def mat_types(mat_type, pmat_type=None):
+    """(mat_type, pmat_type), the second defaulting to the first; an
+    unknown type raises ValueError."""
     pmat_type = mat_type if pmat_type is None else pmat_type
     for kind, value in (("mat", mat_type), ("pmat", pmat_type)):
         if value not in MAT_TYPES:
             raise ValueError(f"unknown {kind} type {value!r}; "
                              f"expected one of {', '.join(MAT_TYPES)}")
+    return mat_type, pmat_type
+
+
+def select_operators(implicit, mat_type, pmat_type=None):
+    """The operator a Krylov method applies and the one its preconditioner
+    is built from: `matfree` keeps the implicit operator, `aij` assembles
+    it (once, when both ask for it)."""
+    mat_type, pmat_type = mat_types(mat_type, pmat_type)
     A = implicit if mat_type == "matfree" else implicit.assemble()
     if pmat_type == mat_type:
         return A, A

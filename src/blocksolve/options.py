@@ -11,9 +11,11 @@ that unused (usually misspelled) options can be reported.
 
 from __future__ import annotations
 
+import contextlib
 import re
 
-__all__ = ["OptionsDB", "ScopedOptions", "BadOptionName", "BadOptionValue"]
+__all__ = ["OptionsDB", "ScopedOptions", "BadOptionName", "BadOptionValue",
+           "option_values"]
 
 _KEY_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -27,6 +29,16 @@ class BadOptionName(Exception):
 
 class BadOptionValue(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def option_values():
+    """A ValueError raised in the block, where every argument checked came
+    from an option, raised again as the BadOptionValue it is."""
+    try:
+        yield
+    except ValueError as exc:
+        raise BadOptionValue(str(exc)) from exc
 
 
 def _is_option_token(tok):

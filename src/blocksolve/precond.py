@@ -2,10 +2,11 @@
 
 Every preconditioner is set up against a linear operator and exposes
 `apply` (one application of the inverse of its defining matrix M) plus a
-`view` tree for inspection.  Algebraic preconditioners (jacobi, sor, lu,
-ilu) demand an assembled operator; context-bearing ones (fieldsplit, pcd,
-mass, schwarz, assembled) read PDE-level information off implicit
-operators and raise MissingContext when it is not there.
+`view` tree for inspection; `update` refreshes it for a new
+linearisation (see `Preconditioner`).  Algebraic preconditioners (jacobi,
+sor, lu, ilu) demand an assembled operator; context-bearing ones
+(fieldsplit, pcd, mass, schwarz, assembled) read PDE-level information
+off implicit operators and raise MissingContext when it is not there.
 
 Nested solvers are supplied as maker callables so that option-driven
 construction (the solver factory) and direct library use share one code
@@ -73,6 +74,16 @@ def _factor(factorize, A, pc, **options):
 
 
 class Preconditioner:
+    """A node of the solver tree.  A subclass builds itself in
+    `_set_up(op)`, once, and applies M^-1 in `apply(r)`.  `update(A,
+    Apc)` refreshes it for a new linearisation of the same problem, the
+    operator of the set-up (or a new assembly of it) at a new state,
+    through `_update(op)`: by default a fresh set-up, which is always
+    correct.  A subclass whose pieces do not all read the state overrides
+    `_update` to rebuild only those that do, and a composite updates its
+    children, as Firedrake's `PCBase.update` refreshes what `initialize`
+    built."""
+
     type_name = "none"
 
     def __init__(self, prefix=""):
@@ -92,6 +103,19 @@ class Preconditioner:
 
     def _set_up(self, op):
         pass
+
+    def update(self, A, Apc=None):
+        """Refresh for a new linearisation on A (Apc when given), which
+        may be the operator of the set-up with a new state in its
+        context.  Returns self."""
+        op = Apc if Apc is not None else A
+        self._update(op)
+        self.op = op
+        return self
+
+    def _update(self, op):
+        """A fresh set-up on op; `self.op` is still the last operator."""
+        self.set_up(op)
 
     def apply(self, r):
         raise NotImplementedError
@@ -249,6 +273,9 @@ class KSPPC(Preconditioner):
     def _set_up(self, op):
         self.ksp = self.ksp_maker(op)
 
+    def _update(self, op):
+        self.ksp.pc.update(op)
+
     def apply(self, r):
         x, _ = self.ksp.solve(self.op, r)
         return x
@@ -268,12 +295,15 @@ class AssembledPC(Preconditioner):
         self.inner_maker = inner_maker
 
     def _set_up(self, op):
+        self.inner = self.inner_maker(self._assemble(op))
+
+    def _update(self, op):
+        self.inner.update(self._assemble(op))
+
+    def _assemble(self, op):
         if isinstance(op, AssembledOperator):
-            target = op
-        else:
-            target = _implicit(op, self).assemble()
-        self.assembled_op = target
-        self.inner = self.inner_maker(target)
+            return op
+        return _implicit(op, self).assemble()
 
     def apply(self, r):
         return self.inner.apply(r)
@@ -295,6 +325,9 @@ class TelescopePC(Preconditioner):
 
     def _set_up(self, op):
         self.inner = self.inner_maker(op)
+
+    def _update(self, op):
+        self.inner.update(op)
 
     def apply(self, r):
         return self.inner.apply(r)
@@ -391,26 +424,50 @@ class FieldSplitPC(Preconditioner):
         return [np.concatenate([fields[f] for f in s]) for s in self.splits]
 
     def _set_up(self, op):
+        self.sub_ksps = []
+        self._split(op)
+
+    def _update(self, op):
+        """The sub-KSPs are kept.  On the operator of the set-up the
+        blocks read the new state through its context, so only the
+        sub-KSPs' PCs are updated; a new operator (an assembled one, say)
+        has its blocks, sweep and Schur complement extracted again."""
+        if op is not self.op:
+            self._split(op)
+            return
+        for ksp, sub in zip(self.sub_ksps, self.sub_ops):
+            ksp.pc.update(sub)
+
+    def _split(self, op):
+        """Index sets, blocks and sweep of op, and the sub-KSP of each
+        split on its operator: made at set-up, updated after."""
         iss = self.index_sets = self._index_sets(op)
         ns = len(iss)
-        maker = self.sub_ksp_maker
         block = lambda i, j: op.extract_sub(iss[i], iss[j])
         self.sub_ops = [block(i, i) for i in range(ns)]
+
+        def solver(i):
+            if i < len(self.sub_ksps):
+                self.sub_ksps[i].pc.update(self.sub_ops[i])
+            else:
+                self.sub_ksps.append(self.sub_ksp_maker(i, self.sub_ops[i]))
+            return self.sub_ksps[i]
+
         if self.fs_type != "schur":
             lower = self.fs_type == "multiplicative"
             self.sweep = [_Step(i, [(j, block(i, j))
                                     for j in range(i if lower else 0)])
                           for i in range(ns)]
-            self.sub_ksps = [maker(i, self.sub_ops[i]) for i in range(ns)]
+            for i in range(ns):
+                solver(i)
             return
         if ns != 2:
             raise ValueError(f"{self.name}: schur fieldsplit needs "
                              f"exactly two splits")
         a01, a10 = block(0, 1), block(1, 0)
-        f_ksp = maker(0, self.sub_ops[0])
-        self.sub_ops[1] = SchurOperator(self.sub_ops[1], a10, a01, f_ksp,
+        self.sub_ops[1] = SchurOperator(self.sub_ops[1], a10, a01, solver(0),
                                         self.sub_ops[0])
-        self.sub_ksps = [f_ksp, maker(1, self.sub_ops[1])]
+        solver(1)
         lower = [_Step(0, []), _Step(1, [(0, a10)])]
         self.sweep = {"diag": [_Step(0, []), _Step(1, [])], "lower": lower,
                       "upper": [_Step(1, []), _Step(0, [(1, a01)])],
@@ -461,7 +518,9 @@ class PCDPC(Preconditioner):
     """Pressure convection-diffusion Schur approximation
     z = inv(Kp) Fp inv(Mp) r with Mp the pressure mass matrix, Kp the
     pressure Laplacian (pure Neumann, one pinned dof), and Fp the pressure
-    convection-diffusion operator linearised at the current state."""
+    convection-diffusion operator linearised at the current state.  As in
+    Firedrake's PCD, Mp, Kp and their solvers are built once at set-up;
+    `update` reassembles only Fp, at the new state."""
 
     type_name = "pcd"
 
@@ -484,13 +543,17 @@ class PCDPC(Preconditioner):
                               bc_cols=pin).assemble()
         self.fp_form = pcd_form(p_space, Re, StateWind(vf), context=ctx,
                                 state_space=state_space)
+        self.Fp = self.fp_form.assemble()
         self.mp_op, self.kp_op = Mp, Kp
         self.mp_ksp = self.mp_maker(Mp)
         self.kp_ksp = self.kp_maker(Kp)
 
+    def _update(self, op):
+        self.Fp = self.fp_form.assemble()
+
     def apply(self, r):
         y, _ = self.mp_ksp.solve(self.mp_op, r)
-        y = self.fp_form.action(y)
+        y = self.Fp @ y
         y[0] = 0.0  # pinned pressure dof fixes the constant mode
         z, _ = self.kp_ksp.solve(self.kp_op, y)
         return z
@@ -503,7 +566,8 @@ class PCDPC(Preconditioner):
 
 class MassSchurPC(Preconditioner):
     """Viscosity-scaled pressure mass approximation of the Schur
-    complement: z = (1/Re) inv(Mp) r."""
+    complement: z = (1/Re) inv(Mp) r.  Nothing in it reads the state, so
+    `update` keeps Mp and its solver."""
 
     type_name = "mass"
 
@@ -516,6 +580,9 @@ class MassSchurPC(Preconditioner):
         self.scale = 1.0 / float(ctx.get("Re", 1.0))
         self.mp_op = AssembledOperator(pressure_mass_form(p_space).assemble())
         self.mp_ksp = self.mp_maker(self.mp_op)
+
+    def _update(self, op):
+        pass
 
     def apply(self, r):
         z, _ = self.mp_ksp.solve(self.mp_op, r)

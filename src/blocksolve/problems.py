@@ -22,7 +22,7 @@ from .krylov import Nullspace
 from .mesh import build_unit_square, build_unit_cube
 from .newton import NewtonSolver
 from .operators import ImplicitOperator, select_operators
-from .options import _FALSE, _TRUE
+from .options import _FALSE, _TRUE, option_values
 from .precond import view_ksp
 from .quadrature import make_quadrature, MAX_DEGREE
 from .spaces import (build_space, taylor_hood, MixedSpace, DirichletBC,
@@ -105,8 +105,9 @@ def run_poisson(cfg, db, stdout=None):
     b[bc.dofs] = bc.values
 
     mat_type = db.get("mat_type", "matfree")
-    A, Apc = select_operators(ImplicitOperator(form, bcs=[bc]), mat_type,
-                              db.get("pmat_type", mat_type))
+    with option_values():
+        A, Apc = select_operators(ImplicitOperator(form, bcs=[bc]),
+                                  mat_type, db.get("pmat_type", mat_type))
 
     ksp = build_ksp(db, "", A, Apc, default_type="cg")
     _show_view(db, ksp, stdout)
@@ -133,24 +134,22 @@ def _newton_from_options(db, resid, form, bcs, nullspace, stdout,
         monitor = lambda line: print(line, file=stdout)
     mat_type = db.get("mat_type", default_mat)
     pmat_type = db.get("pmat_type", mat_type)
-    shown = []
 
     def maker(A, Apc):
         ksp = build_ksp(db, "", A, Apc,
                         default_type="preonly", default_pc="lu")
-        if not shown:
-            shown.append(True)
-            _show_view(db, ksp, stdout)
+        _show_view(db, ksp, stdout)
         return ksp
 
-    return NewtonSolver(resid, form, bcs, ksp_maker=maker,
-                        rtol=db.get_float("snes_rtol", 1e-8),
-                        atol=db.get_float("snes_atol", 1e-50),
-                        max_it=db.get_int("snes_max_it", 50),
-                        mat_type=mat_type, pmat_type=pmat_type,
-                        nullspace=nullspace, monitor=monitor,
-                        error_if_not_converged=db.get_bool(
-                            "snes_error_if_not_converged"))
+    with option_values():
+        return NewtonSolver(resid, form, bcs, ksp_maker=maker,
+                            rtol=db.get_float("snes_rtol", 1e-8),
+                            atol=db.get_float("snes_atol", 1e-50),
+                            max_it=db.get_int("snes_max_it", 50),
+                            mat_type=mat_type, pmat_type=pmat_type,
+                            nullspace=nullspace, monitor=monitor,
+                            error_if_not_converged=db.get_bool(
+                                "snes_error_if_not_converged"))
 
 
 def run_cavity(cfg, db, stdout=None):

@@ -452,6 +452,65 @@ def test_callable_and_state_terms_keep_every_point():
             assert term.coefficient(form, state).shape[5] == nq
 
 
+class TestFixedTermsKeepTheirD:
+    def test_only_terms_that_read_nothing_variable_are_fixed(self):
+        fixed = [forms.MassTerm(2.0), forms.StiffnessTerm(),
+                 forms.PressureGradientTerm(), forms.DivergenceTerm(),
+                 forms.BuoyancyTerm(np.float64(3.0))]
+        # an array can change in place, as can a list
+        varying = [forms.MassTerm("c"), forms.StiffnessTerm(_coef),
+                   forms.AdvectionTerm(lambda x: np.array([x[1], -x[0]])),
+                   forms.AdvectionTerm(np.array([1.0, 0.5])),
+                   forms.AdvectionTerm([1.0, 0.5]),
+                   forms.AdvectionTerm(StateWind(0)),
+                   forms.VectorReactionTerm(0), forms.BuoyancyTerm("Ra")]
+        assert all(t.fixed for t in fixed)
+        assert not any(t.fixed for t in varying)
+
+    def test_array_wind_changed_in_place_is_read(self):
+        V = build_space(build_unit_square(3), 2)
+        x = np.random.default_rng(3).standard_normal(V.num_dofs)
+        wind = np.array([1.0, 0.5])
+        form = convection_diffusion_form(V, wind=wind)
+        form.action(x)
+        wind[:] = [-0.25, 2.0]
+        fresh = convection_diffusion_form(V, wind=[-0.25, 2.0])
+        assert np.array_equal(form.action(x), fresh.action(x))
+
+    def test_context_coefficient_never_goes_stale(self):
+        V = build_space(build_unit_square(3), 2)
+        x = np.random.default_rng(2).standard_normal(V.num_dofs)
+        form = mass_form(V, coef="c", context={"c": 1.0})
+        form.action(x)
+        form.context["c"] = 2.5
+        fresh = mass_form(V, coef="c", context={"c": 2.5})
+        assert np.array_equal(form.action(x), fresh.action(x))
+        assert form.memory_footprint() == 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fixed_d_computed_once_and_counted(self, dim, monkeypatch):
+        op = _rb_operator(dim)
+        form = op.form
+        x = np.random.default_rng(4).standard_normal(op.shape[1])
+        before = op.memory_footprint()
+        y = op.apply(x)
+        terms = [t for ts in form.blocks.values() for t in ts]
+        kept = form._fixed
+        assert set(kept) == {t for t in terms if t.fixed}
+        assert all(D.shape[5] == 1 and not D.flags.writeable
+                   for D in kept.values())
+        assert op.memory_footprint() == before + sum(
+            D.nbytes for D in kept.values())
+        calls = []
+        for cls in {type(t) for t in terms}:
+            def counted(term, *args, _coefficient=cls.coefficient):
+                calls.append(term)
+                return _coefficient(term, *args)
+            monkeypatch.setattr(cls, "coefficient", counted)
+        assert np.array_equal(op.apply(x), y)
+        assert calls and not set(calls) & set(kept)
+
+
 def _peak_bytes(fn):
     """tracemalloc peak of one call of fn, with its result."""
     tracemalloc.start()

@@ -143,3 +143,51 @@ class TestDiagnostics:
         x, rep = solver.solve()
         assert rep.converged
         assert rep.linear_iterations >= rep.iterations
+
+
+class TestTreeReuse:
+    def test_maker_called_once_and_pc_updated_per_step(self):
+        form, residual, bcs, nsp, W = _cavity(Re=50.0)
+        made, updates = [], []
+
+        class CountingLU(LUPC):
+            def update(self, A, Apc=None):
+                updates.append(form.context["state"])
+                return super().update(A, Apc)
+
+        def maker(A, Apc):
+            made.append(form.context["state"])
+            return KSP("preonly", pc=CountingLU().set_up(Apc))
+
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=maker,
+                              mat_type="aij", rtol=1e-10, nullspace=nsp)
+        x, rep = solver.solve()
+        assert rep.converged and rep.iterations >= 3
+        assert len(made) == 1 and len(updates) == rep.iterations - 1
+        states = made + updates
+        assert len({id(s) for s in states}) == len(states)
+        assert not any(s.flags.writeable for s in states)
+        # the returned solution is the caller's to change
+        assert x.flags.writeable
+        x[0] += 1.0
+
+    @pytest.mark.parametrize("hook", ["maker", "monitor"])
+    def test_writing_into_the_state_mid_solve_raises(self, hook):
+        form, residual, bcs, nsp, W = _cavity(Re=50.0)
+
+        def write(*_):
+            form.context["state"][0] = 1.0
+
+        def maker(A, Apc):
+            if hook == "maker":
+                write()
+            return _direct(A, Apc)
+
+        # the monitor's first call comes before the first linearisation
+        monitor = (lambda line: line.startswith("0 ") or write()) \
+            if hook == "monitor" else None
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=maker,
+                              mat_type="aij", rtol=1e-10, nullspace=nsp,
+                              monitor=monitor)
+        with pytest.raises(ValueError, match="read-only"):
+            solver.solve()

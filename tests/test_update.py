@@ -1,0 +1,162 @@
+"""A solver tree set up once and updated per linearisation equals one set up
+fresh at the new state, and a Newton solve builds its tree once."""
+
+import io
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from blocksolve import problems
+from blocksolve.factory import PC_TYPES, build_pc
+from blocksolve.forms import ns_jacobian_form
+from blocksolve.mesh import build_unit_square
+from blocksolve.operators import ImplicitOperator
+from blocksolve.options import OptionsDB
+from blocksolve.precond import FieldSplitPC, PCDPC
+from blocksolve.problems import (CavityConfig, ConvectionConfig, run_cavity,
+                                 run_convection)
+from blocksolve.spaces import DirichletBC, taylor_hood
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _schur(mat):
+    """A Schur fieldsplit of the cavity Jacobian: the velocity block by an
+    assembled LU, the Schur complement by PCD (no PC on an assembled
+    operator, which carries no pressure form)."""
+    return {"pc_type": "fieldsplit", "pc_fieldsplit_type": "schur",
+            "pc_fieldsplit_schur_fact_type": "lower",
+            "fieldsplit_0_pc_type": "assembled",
+            "fieldsplit_1_pc_type": "pcd" if mat == "matfree" else "none"}
+
+
+def _on_velocity(pc_type, **extra):
+    return dict({"fieldsplit_0_pc_type": pc_type}, **extra)
+
+
+# case -> (the PC types it sets up, options over `_schur`, matrix-free only)
+CASES = {
+    "none": ({"none"}, {"fieldsplit_1_pc_type": "none"}, False),
+    "jacobi": ({"assembled", "jacobi"},
+               _on_velocity("assembled", fieldsplit_0_assembled_pc_type=
+                            "jacobi"), False),
+    "sor": ({"assembled", "sor"},
+            _on_velocity("assembled", fieldsplit_0_assembled_pc_type="sor"),
+            False),
+    "lu": ({"assembled", "lu"}, {}, False),
+    "ilu": ({"assembled", "ilu"},
+            _on_velocity("assembled", fieldsplit_0_assembled_pc_type="ilu"),
+            False),
+    "ksp": ({"ksp", "assembled"},
+            _on_velocity("ksp", fieldsplit_0_ksp_ksp_max_it="3",
+                         fieldsplit_0_ksp_pc_type="assembled"), False),
+    "telescope": ({"telescope", "assembled"},
+                  _on_velocity("telescope",
+                               fieldsplit_0_telescope_pc_type="assembled"),
+                  False),
+    "fieldsplit-additive": ({"fieldsplit"},
+                            {"pc_fieldsplit_type": "additive"}, False),
+    "fieldsplit-multiplicative": ({"fieldsplit"},
+                                  {"pc_fieldsplit_type": "multiplicative"},
+                                  False),
+    **{f"fieldsplit-schur-{fact}": (
+        {"fieldsplit"}, {"pc_fieldsplit_schur_fact_type": fact}, False)
+       for fact in ("diag", "lower", "upper", "full")},
+    "schwarz": ({"schwarz"}, _on_velocity("schwarz"), True),
+    "pcd": ({"pcd"}, {}, True),
+    "mass": ({"mass"}, {"fieldsplit_1_pc_type": "mass"}, True),
+}
+
+PARAMS = [(name, mat) for name, (_, _, matfree_only) in CASES.items()
+          for mat in ("matfree", "aij") if mat == "matfree" or
+          not matfree_only]
+
+
+def _cavity(n=3, Re=10.0):
+    W = taylor_hood(build_unit_square(n))
+    lid = lambda x: [np.where(x[1] > 1.0 - 1e-12, 1.0, 0.0),
+                     np.zeros_like(x[1])]
+    bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
+    return W, bcs, lambda: ns_jacobian_form(W, Re=Re)
+
+
+def _operator(make_form, bcs, state, mat):
+    form = make_form()
+    form.context["state"] = state
+    implicit = ImplicitOperator(form, bcs=bcs)
+    return form, implicit, (implicit if mat == "matfree"
+                            else implicit.assemble())
+
+
+def test_cases_cover_every_pc_type():
+    assert set().union(*(types for types, _, _ in CASES.values())) == \
+        set(PC_TYPES)
+
+
+@pytest.mark.parametrize("name, mat", PARAMS)
+def test_update_equals_a_fresh_set_up(name, mat):
+    W, bcs, make_form = _cavity()
+    opts = dict(_schur(mat), **CASES[name][1])
+    argv = [t for k, v in opts.items() for t in ("-" + k, v)]
+    rng = np.random.default_rng(7)
+    s0, s1, r = (rng.standard_normal(W.num_dofs) for _ in range(3))
+
+    form, implicit, op = _operator(make_form, bcs, s0, mat)
+    pc = build_pc(OptionsDB().parse_args(argv), "", op)
+    z0 = pc.apply(r)
+    form.context["state"] = s1
+    # the same operator object when matrix-free, a new assembled one if aij
+    pc.update(implicit if mat == "matfree" else implicit.assemble())
+
+    _, _, fresh_op = _operator(make_form, bcs, s1, mat)
+    fresh = build_pc(OptionsDB().parse_args(argv), "", fresh_op)
+    z1 = pc.apply(r)
+    assert np.array_equal(z1, fresh.apply(r))
+    assert not np.array_equal(z1, z0)
+
+
+class _Count:
+    """Wraps a function and counts the calls whose `key` is true."""
+
+    def __init__(self, fn, key=lambda *args: True):
+        self.fn, self.key, self.calls = fn, key, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += bool(self.key(*args))
+        return self.fn(*args, **kwargs)
+
+
+def test_newton_builds_the_tree_once(monkeypatch):
+    builds = _Count(problems.build_ksp, key=lambda db, prefix, *a: not prefix)
+    pcd_set_ups = _Count(PCDPC._set_up)
+    monkeypatch.setattr(problems, "build_ksp", builds)
+    monkeypatch.setattr(PCDPC, "_set_up",
+                        lambda self, op: pcd_set_ups(self, op))
+    db = OptionsDB()
+    db.parse_file(CONFIGS / "rb-iterative.opts")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run_convection(ConvectionConfig(n=4), db, stdout=io.StringIO())
+    assert res["report"].converged and res["report"].iterations == 2
+    assert builds.calls == 1
+    assert pcd_set_ups.calls == 1
+
+
+@pytest.mark.parametrize("mat, extractions", [("aij", "per step"),
+                                              ("matfree", "once")])
+def test_fieldsplit_extracts_blocks_again_only_from_a_new_operator(
+        monkeypatch, mat, extractions):
+    splits = _Count(FieldSplitPC._split)
+    monkeypatch.setattr(FieldSplitPC, "_split",
+                        lambda self, op: splits(self, op))
+    db = OptionsDB().parse_args([
+        "-mat_type", mat, "-ksp_type", "fgmres", "-pc_type", "fieldsplit",
+        "-pc_fieldsplit_type", "schur", "-pc_fieldsplit_schur_fact_type",
+        "full", "-fieldsplit_0_pc_type", "assembled",
+        "-fieldsplit_1_ksp_type", "gmres", "-fieldsplit_1_pc_type", "none"])
+    res = run_cavity(CavityConfig(n=4, re=10.0), db, stdout=io.StringIO())
+    its = res["report"].iterations
+    assert res["report"].converged and its >= 2
+    assert splits.calls == (its if extractions == "per step" else 1)
