@@ -19,7 +19,7 @@ from .precond import (Preconditioner, MissingContext, NonePC, JacobiPC,
                       SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
                       MassSchurPC, SchwarzPC, SchurOperator, view_ksp)
-from .options import OptionsDB, ScopedOptions, BadOptionName, BadOptionValue
+from .options import OptionsDB, BadOptionName, BadOptionValue
 from .factory import build_ksp, build_pc, UnknownType, report_unused
 from .newton import (NewtonSolver, NewtonReport, NewtonError,
                      NewtonDivergedMaxIts, LinearSolveFailed)

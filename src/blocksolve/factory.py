@@ -76,36 +76,35 @@ def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
               default_type="gmres", default_pc=None):
     """KSP configured from `<prefix>ksp_*` options with its (recursively
     built) preconditioner set up against A (or Apc when given)."""
-    o = db.scoped(prefix)
-    ksp_type = o.get("ksp_type", default_type)
-    side = o.get("ksp_pc_side")
-    ortho = ("modified" if o.get_bool("ksp_gmres_modifiedgramschmidt")
+    ksp_type = db.get(prefix + "ksp_type", default_type)
+    side = db.get(prefix + "ksp_pc_side")
+    ortho = ("modified"
+             if db.get_bool(prefix + "ksp_gmres_modifiedgramschmidt")
              else "classical")
-    if nullspace is None and o.get_bool("ksp_constant_nullspace"):
+    if nullspace is None and db.get_bool(prefix + "ksp_constant_nullspace"):
         nullspace = Nullspace([np.ones(A.shape[1])])
-    if monitor is None and o.get_bool("ksp_monitor"):
+    if monitor is None and db.get_bool(prefix + "ksp_monitor"):
         monitor = lambda line: print(line, file=sys.stdout)
     # the KSP checks its own options before its preconditioner is set up
     with option_values():
         ksp = KSP(ksp_type,
-                  rtol=o.get_float("ksp_rtol", 1e-5),
-                  atol=o.get_float("ksp_atol", 1e-50),
-                  max_it=o.get_int("ksp_max_it", 10000),
-                  restart=o.get_int("ksp_gmres_restart", 30),
+                  rtol=db.get_float(prefix + "ksp_rtol", 1e-5),
+                  atol=db.get_float(prefix + "ksp_atol", 1e-50),
+                  max_it=db.get_int(prefix + "ksp_max_it", 10000),
+                  restart=db.get_int(prefix + "ksp_gmres_restart", 30),
                   orthogonalization=ortho,
                   side=side,
                   nullspace=nullspace,
                   monitor=monitor,
                   prefix=prefix,
-                  error_if_not_converged=o.get_bool(
-                      "ksp_error_if_not_converged"))
+                  error_if_not_converged=db.get_bool(
+                      prefix + "ksp_error_if_not_converged"))
     ksp.pc = build_pc(db, prefix, A, Apc, default_pc=default_pc)
     return ksp
 
 
 def build_pc(db, prefix, A, Apc=None, default_pc=None):
     """Preconditioner configured from `<prefix>pc_*` options, set up."""
-    o = db.scoped(prefix)
     # the default suits the operator the preconditioner is set up on
     op = Apc if Apc is not None else A
     if default_pc is None:
@@ -118,21 +117,23 @@ def build_pc(db, prefix, A, Apc=None, default_pc=None):
         elif pc_type == "jacobi":
             pc = JacobiPC(prefix=prefix)
         elif pc_type == "sor":
-            pc = SORPC(omega=o.get_float("pc_sor_omega", 1.0),
-                       its=o.get_int("pc_sor_its", 1),
-                       symmetric=o.get_bool("pc_sor_symmetric", True),
+            pc = SORPC(omega=db.get_float(prefix + "pc_sor_omega", 1.0),
+                       its=db.get_int(prefix + "pc_sor_its", 1),
+                       symmetric=db.get_bool(prefix + "pc_sor_symmetric",
+                                             True),
                        prefix=prefix)
         elif pc_type == "lu":
-            solver = o.get("pc_factor_mat_solver_type",
-                           o.get("pc_factor_mat_solver_package"))
+            solver = db.get(prefix + "pc_factor_mat_solver_type",
+                            db.get(prefix + "pc_factor_mat_solver_package"))
             if solver not in (None, "default"):
                 warnings.warn(f"option -{prefix}pc_factor_mat_solver_type "
                               f"{solver}: using the built-in sparse LU")
             pc = LUPC(prefix=prefix)
         elif pc_type == "ilu":
-            pc = ILUPC(drop_tol=o.get_float("pc_factor_drop_tol", 1e-4),
-                       fill_factor=o.get_float("pc_factor_fill", 10.0),
-                       prefix=prefix)
+            pc = ILUPC(
+                drop_tol=db.get_float(prefix + "pc_factor_drop_tol", 1e-4),
+                fill_factor=db.get_float(prefix + "pc_factor_fill", 10.0),
+                prefix=prefix)
         elif pc_type == "ksp":
             pc = KSPPC(ksp_maker=lambda sub: build_ksp(
                 db, prefix + "ksp_", sub, default_type="gmres"), prefix=prefix)
@@ -146,8 +147,9 @@ def build_pc(db, prefix, A, Apc=None, default_pc=None):
             splits = _read_splits(db, prefix)
             pc = FieldSplitPC(
                 splits=splits,
-                fs_type=o.get("pc_fieldsplit_type", "additive"),
-                fact_type=o.get("pc_fieldsplit_schur_fact_type", "full"),
+                fs_type=db.get(prefix + "pc_fieldsplit_type", "additive"),
+                fact_type=db.get(prefix + "pc_fieldsplit_schur_fact_type",
+                                 "full"),
                 sub_ksp_maker=lambda i, sub: build_ksp(
                     db, f"{prefix}fieldsplit_{i}_", sub,
                     default_type="preonly", default_pc=None),

@@ -1,13 +1,13 @@
-"""Linear operators: implicit (matrix-free, context-bearing) and assembled.
+"""Linear operators: implicit (matrix-free, form-bearing) and assembled.
 
 An implicit operator wraps a block form and the Dirichlet dofs of its rows
 and columns, `bc_rows` and `bc_cols` (given, or collected from
-DirichletBCs, which are not kept), and exposes apply / extract_sub /
-assemble.  Submatrix extraction is
-field-based: an index set is accepted only if it is a concatenation of a
-subset of the field index sets, and the extracted operator is again
-implicit, built from the restriction of the block form to those fields
-and of the Dirichlet dofs to their index ranges.
+DirichletBCs, which are not kept); the PDE context is its form's,
+`op.form.context`.  Both kinds give the index sets of their column fields,
+and submatrix extraction is field-based on both: an index set is accepted
+only if it is a concatenation of a subset of the fields, and the block is
+an operator of the same kind with the column fields it matched, re-offset
+(an implicit block restricts the form and the Dirichlet dofs to them).
 
 Boundary conditions are applied here and nowhere else, by one convention:
 the Dirichlet columns are zeroed, and the Dirichlet rows are zeroed with a
@@ -77,13 +77,13 @@ class LinearOperator:
 
 
 class AssembledOperator(LinearOperator):
-    """CSR-backed operator."""
+    """CSR-backed operator, with the index sets of its column fields when
+    it has fields."""
 
-    def __init__(self, A, fields=None, context=None):
+    def __init__(self, A, fields=None):
         self.A = sp.csr_matrix(A)
         self.shape = self.A.shape
         self._fields = fields
-        self.context = context or {}
 
     def apply(self, x):
         self.check_shape(x)
@@ -93,12 +93,16 @@ class AssembledOperator(LinearOperator):
         return self._fields
 
     def extract_sub(self, row_is, col_is):
+        fields = None
         if self._fields is not None:
             # raises NoFieldMatch for an index set straddling fields
             match_fields(row_is, self._fields)
-            match_fields(col_is, self._fields)
+            sizes = [len(self._fields[f])
+                     for f in match_fields(col_is, self._fields)]
+            ends = np.cumsum(sizes)
+            fields = [np.arange(e - n, e) for n, e in zip(sizes, ends)]
         sub = self.A[np.ix_(np.asarray(row_is), np.asarray(col_is))]
-        return AssembledOperator(sub, context=self.context)
+        return AssembledOperator(sub, fields=fields)
 
     def assemble(self):
         return self
@@ -148,10 +152,6 @@ class ImplicitOperator(LinearOperator):
         self.shape = (form.row_space.num_dofs, form.col_space.num_dofs)
         # Dirichlet rows are identity on a diagonal block, zero elsewhere
         self._identity_rows = form.row_space is form.col_space
-
-    @property
-    def context(self):
-        return self.form.context
 
     def apply(self, x):
         self.check_shape(x)
@@ -219,8 +219,7 @@ class ImplicitOperator(LinearOperator):
         A = self.form.assemble()
         if len(self.bc_rows) or len(self.bc_cols):
             A = _apply_bcs(A, self.bc_rows, self.bc_cols, self._identity_rows)
-        return AssembledOperator(A, fields=self.field_index_sets(),
-                                 context=self.form.context)
+        return AssembledOperator(A, fields=self.field_index_sets())
 
     def memory_footprint(self):
         """Bytes of coefficient and state storage, the D the form keeps

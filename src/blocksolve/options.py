@@ -14,8 +14,7 @@ from __future__ import annotations
 import contextlib
 import re
 
-__all__ = ["OptionsDB", "ScopedOptions", "BadOptionName", "BadOptionValue",
-           "option_values"]
+__all__ = ["OptionsDB", "BadOptionName", "BadOptionValue", "option_values"]
 
 _KEY_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -156,9 +155,6 @@ class OptionsDB:
         except ValueError:
             raise BadOptionValue(f"option -{key}: cannot read {v!r} as a float")
 
-    def scoped(self, prefix):
-        return ScopedOptions(self, prefix)
-
     # -- bookkeeping -------------------------------------------------------
 
     def unused(self):
@@ -175,25 +171,3 @@ class OptionsDB:
     def __repr__(self):
         return f"OptionsDB({len(self._values)} options)"
 
-
-class ScopedOptions:
-    """Typed accessors under a fixed prefix."""
-
-    def __init__(self, db, prefix):
-        self.db = db
-        self.prefix = prefix
-
-    def __contains__(self, key):
-        return self.prefix + key in self.db
-
-    def get(self, key, default=None):
-        return self.db.get(self.prefix + key, default)
-
-    def get_bool(self, key, default=False):
-        return self.db.get_bool(self.prefix + key, default)
-
-    def get_int(self, key, default=None):
-        return self.db.get_int(self.prefix + key, default)
-
-    def get_float(self, key, default=None):
-        return self.db.get_float(self.prefix + key, default)

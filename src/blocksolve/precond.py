@@ -4,9 +4,10 @@ Every preconditioner is set up against a linear operator and exposes
 `apply` (one application of the inverse of its defining matrix M) plus a
 `view` tree for inspection; `update` refreshes it for a new
 linearisation (see `Preconditioner`).  Algebraic preconditioners (jacobi,
-sor, lu, ilu) demand an assembled operator; context-bearing ones
-(fieldsplit, pcd, mass, schwarz, assembled) read PDE-level information
-off implicit operators and raise MissingContext when it is not there.
+sor, lu, ilu) demand an assembled operator, fieldsplit an operator of
+either kind with fields, and context-bearing ones (pcd, mass, schwarz,
+assembled) read the form off an implicit operator and raise
+MissingContext when there is none.
 
 Nested solvers are supplied as maker callables so that option-driven
 construction (the solver factory) and direct library use share one code
@@ -342,7 +343,7 @@ class SchurOperator(LinearOperator):
     """Matrix-free Schur complement S = A11 - A10 inv(A00) A01, where the
     inner inverse is realised by a solver on the (0,0) block.  The
     operator keeps the (1,1) sub-operator around so that preconditioners
-    built on S can still reach the PDE context."""
+    built on S can still reach its form."""
 
     def __init__(self, a11, a10, a01, a00_ksp, a00):
         self.a11 = a11
@@ -351,10 +352,6 @@ class SchurOperator(LinearOperator):
         self.a00_ksp = a00_ksp
         self.a00 = a00
         self.shape = a11.shape
-
-    @property
-    def context(self):
-        return getattr(self.a11, "context", {})
 
     def inner_solve(self, v):
         x, _ = self.a00_ksp.solve(self.a00, v)
@@ -376,10 +373,11 @@ class FieldSplitPC(Preconditioner):
     factorisation (diag / lower / upper / full).  The splits must put each
     field in exactly one split.
 
-    Every type is one block-triangular sweep, built at set-up: the splits
-    i in solve order, each with the off-diagonal blocks A_ij that carry
-    earlier splits j into its right-hand side; a step adds to z_i the
-    sub-solve of r_i - sum_j A_ij z_j.  Additive steps carry no blocks,
+    Every type is one block-triangular sweep, built from the operator at
+    set-up and at each update: the splits i in solve order, each with the
+    off-diagonal blocks A_ij that carry earlier splits j into its
+    right-hand side; a step adds to z_i the sub-solve of r_i - sum_j A_ij
+    z_j.  Additive steps carry no blocks,
     multiplicative ones every lower block.  A Schur sweep has the
     SchurOperator as the operator of split 1: `diag` carries no blocks,
     `lower` carries A10, `upper` solves split 1 first and carries A01, and
@@ -428,15 +426,9 @@ class FieldSplitPC(Preconditioner):
         self._split(op)
 
     def _update(self, op):
-        """The sub-KSPs are kept.  On the operator of the set-up the
-        blocks read the new state through its context, so only the
-        sub-KSPs' PCs are updated; a new operator (an assembled one, say)
-        has its blocks, sweep and Schur complement extracted again."""
-        if op is not self.op:
-            self._split(op)
-            return
-        for ksp, sub in zip(self.sub_ksps, self.sub_ops):
-            ksp.pc.update(sub)
+        """The blocks, sweep and Schur complement are extracted again from
+        op, of either kind, and the kept sub-KSPs updated on them."""
+        self._split(op)
 
     def _split(self, op):
         """Index sets, blocks and sweep of op, and the sub-KSP of each
@@ -697,14 +689,18 @@ class SchwarzPC(Preconditioner):
         cbc = np.unique(self.P[self.bc_dofs].indices)
         self.coarse_bc = cbc
         Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()
-        self.coarse_fact = spla.splu(sp.csc_matrix(Ac.A))
+        self.coarse_fact = _factor(spla.splu, Ac.A, self)
 
         E = form.block_local_matrices(0, 0)
         self.patches = []
         for group in groups:
             inv = np.empty(group.dofs.shape + group.dofs.shape[1:])
             for rows, blocks in group.blocks(E):
-                inv[rows] = np.linalg.inv(blocks)
+                try:
+                    inv[rows] = np.linalg.inv(blocks)
+                except np.linalg.LinAlgError as exc:
+                    raise np.linalg.LinAlgError(f"{self.name}: {exc}") \
+                        from exc
             self.patches.append((group.dofs, inv))
 
     @staticmethod

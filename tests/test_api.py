@@ -1,7 +1,7 @@
 """The public names of the package resolve: each module's `__all__`, every
 name `blocksolve/__init__.py` imports, and every entry point the benchmark's
 tracer (`perfbench/tracer.py`) wraps.  No module imports inside a
-function."""
+function, and every preconditioner type defines its own `apply`."""
 
 import ast
 import importlib
@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import blocksolve
+from blocksolve import precond
+from blocksolve.factory import PC_TYPES
 from blocksolve.krylov import KSP
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(blocksolve.__path__))
@@ -77,3 +79,15 @@ def test_ksp_solve_signature():
     # perfbench/case.py reads b as the second positional argument of the
     # outermost KSP.solve and takes b as its initial residual, x = 0
     assert str(inspect.signature(KSP.solve)) == "(self, A, b)"
+
+
+def test_every_pc_type_defines_its_own_apply():
+    # the tracer names each apply span after the class whose body defines
+    # `apply`, so an inherited apply would be counted under another type
+    classes = [cls for cls in vars(precond).values()
+               if isinstance(cls, type)
+               and issubclass(cls, precond.Preconditioner)
+               and cls is not precond.Preconditioner
+               and cls.type_name in PC_TYPES]
+    assert {cls.type_name for cls in classes} == set(PC_TYPES)
+    assert [cls.__name__ for cls in classes if "apply" not in vars(cls)] == []

@@ -147,7 +147,7 @@ class TestImplicitOperator:
         A, W = _ns_operator()
         ip = W.field_index_set(1)
         sub = A.extract_sub(ip, ip)
-        assert sub.context is A.context
+        assert sub.form.context is A.form.context
 
     def test_rb_sub_equals_standalone_ns(self):
         mesh = build_unit_square(2)
@@ -184,6 +184,23 @@ class TestAssembledOperator:
         sub = Aasm.extract_sub(iu, iu)
         x = np.random.default_rng(1).standard_normal(nu)
         assert np.allclose(sub.apply(x), Aasm.A[:nu, :nu] @ x)
+
+    def test_block_keeps_its_fields(self):
+        # the assembled (u, p) block of the RB Jacobian has the fields of
+        # the implicit one, so a fieldsplit can split it again
+        for dim in (2, 3):
+            A, W = _rb_operator(dim)
+            iup = np.arange(W.offsets[2])
+            for ris in (iup, W.field_index_set(2)):
+                got = A.assemble().extract_sub(ris, iup).field_index_sets()
+                expect = A.extract_sub(ris, iup).field_index_sets()
+                assert len(got) == len(expect) == 2
+                for g, e in zip(got, expect):
+                    assert np.array_equal(g, e)
+                    assert g.dtype == e.dtype
+            sub = A.assemble().extract_sub(iup, iup)
+            with pytest.raises(NoFieldMatch):
+                sub.extract_sub(np.arange(3), np.arange(3))
 
     def test_flops_counts_nonzeros(self):
         A, _ = _ns_operator()

@@ -85,12 +85,6 @@ class TestTypedAccess:
         assert db.get_int("missing", 5) == 5
         assert db.get_bool("missing", True) is True
 
-    def test_scoped(self):
-        db = OptionsDB().parse_args(["-sub_ksp_rtol", "1e-3"])
-        sub = db.scoped("sub_")
-        assert sub.get_float("ksp_rtol") == 1e-3
-        assert "ksp_rtol" in sub
-
 
 class TestBookkeeping:
     def test_usage_tracking(self):

@@ -9,7 +9,7 @@ from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, collect_bc_dofs, interpolate)
 from blocksolve.forms import (Form, StateWind, VectorReactionTerm,
-                              stiffness_form, stokes_form,
+                              mass_form, stiffness_form, stokes_form,
                               convection_diffusion_form,
                               ns_jacobian_form, pressure_mass_form)
 from blocksolve.operators import ImplicitOperator, AssembledOperator
@@ -438,6 +438,23 @@ class TestSchwarz:
         A, b, _ = _poisson()
         with pytest.raises(MissingContext):
             SchwarzPC().set_up(A.assemble())
+
+    def test_singular_set_up_names_its_node(self):
+        V = build_space(build_unit_square(4), 2)
+        bcs = [DirichletBC(V, _walls(2))]
+        # a zero form stops at the coarse factorisation; a mass vanishing on
+        # the cells at a corner leaves the coarse operator nonsingular and
+        # stops at the patch inverses there
+        corner = lambda x: np.where(x[0] + x[1] < 0.5, 0.0, 1.0)
+        for form, error, message in (
+                (stiffness_form(V, kappa=0.0), RuntimeError,
+                 "Factor is exactly singular"),
+                (mass_form(V, coef=corner), np.linalg.LinAlgError,
+                 "Singular matrix")):
+            A = ImplicitOperator(form, bcs=bcs)
+            with pytest.raises(error, match=r"^pc schwarz \(-fieldsplit_0_"
+                                            r"\): " + message):
+                SchwarzPC(prefix="fieldsplit_0_").set_up(A)
 
     def test_dirichlet_identity(self):
         A, b, bc = _poisson(n=4, degree=2)

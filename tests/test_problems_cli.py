@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from blocksolve.cli import main
 from blocksolve.options import OptionsDB
+from blocksolve.precond import MissingContext
 from blocksolve.problems import (PoissonConfig, CavityConfig,
                                  ConvectionConfig, BenchConfig,
                                  run_poisson, run_cavity, run_convection,
@@ -252,6 +254,24 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("problem,dim,degree,dofs,mode,")
+
+    RB_AIJ = ["rayleigh-benard", "--n", "4", "--options-file",
+              f"{ROOT}/configs/rb-iterative.opts", "--", "-mat_type", "aij"]
+
+    def test_nested_fieldsplit_on_assembled_operator(self):
+        buf = io.StringIO()
+        code = main(self.RB_AIJ + [
+            "-fieldsplit_0_fieldsplit_1_ksp_type", "gmres",
+            "-fieldsplit_0_fieldsplit_1_pc_type", "none"], stdout=buf)
+        assert code == 0
+        assert "newton_its=2 " in buf.getvalue()
+
+    def test_pcd_on_assembled_operator_names_its_node(self):
+        # the inner fieldsplit splits the assembled block; PCD, which reads
+        # the form, is the node that stops
+        with pytest.raises(MissingContext, match=re.escape(
+                "pc pcd (-fieldsplit_0_fieldsplit_1_)")):
+            main(self.RB_AIJ, stdout=io.StringIO())
 
     def test_sor_to_schwarz_switch_same_driver(self):
         # identical driver invocation, solver swapped purely via options
