@@ -18,6 +18,7 @@ from .elements import MAX_LAGRANGE_DEGREE
 from .factory import UnknownType, report_unused
 from .operators import write_matrix_market
 from .options import BadOptionName, BadOptionValue, OptionsDB
+from .precond import MissingContext
 from .problems import (PoissonConfig, CavityConfig, ConvectionConfig,
                        BenchConfig, run_poisson, run_cavity,
                        run_convection, run_bench)
@@ -154,7 +155,8 @@ def _bench(args, db, stdout):
 def main(argv=None, stdout=None):
     """Run one command; returns 0 when its solve converged, 1 when it did
     not, and 2, with a one-line message on stderr, for a bad solver
-    option (argparse exits with 2 for a bad driver argument)."""
+    option or a solver tree node its operator cannot serve (argparse
+    exits with 2 for a bad driver argument)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     driver_argv, option_argv = _split_argv(argv)
@@ -174,7 +176,8 @@ def main(argv=None, stdout=None):
             db.parse_file(path)
         db.parse_args(option_argv)
         ok = handlers[args.command](args, db, stdout)
-    except (BadOptionName, BadOptionValue, UnknownType) as exc:
+    except (BadOptionName, BadOptionValue, UnknownType,
+            MissingContext) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     report_unused(db)

@@ -12,16 +12,11 @@ preconditioning and on the true residual norm for right/flexible
 preconditioning.  A registered nullspace is projected out of the right-hand
 side, of every operator application, and of every preconditioned direction.
 
-The true residual norm ||b - A x|| of the result is computed only where
-someone reads it: by a solve with a monitor, and by the outermost solve,
-the one not running inside another KSP's `solve`.  A nested solve without
-a monitor (an inner solve of a preconditioner, a `preonly` Schur solve)
-costs only its own iterations, as PETSc's KSPPREONLY only applies the
-preconditioner; its report holds None for each norm it did not compute.
-GMRES and Richardson take that norm from the residual b - A x they
-recomputed for their last x (before M^-1 on the left, with the nullspace
-projected out of A x), at no further apply; CG, whose residual is
-updated rather than recomputed, and `preonly` apply A once more for it.
+A solve reports the norm its method tests and computes no other, since
+||b - A x|| would cost an operator apply (for a Schur complement, a full
+inner solve).  As PETSc's KSPPREONLY, `preonly` tests no norm: it applies
+the preconditioner once and computes ||b - A x|| only for its monitor, so
+without one its report holds None.
 """
 
 from __future__ import annotations
@@ -34,9 +29,6 @@ __all__ = ["KSP", "SolveReport", "Nullspace", "KrylovError",
            "DivergedMaxIts", "DivergedNaN", "IndefiniteOperator"]
 
 KSP_TYPES = ("cg", "gmres", "fgmres", "richardson", "preonly")
-
-# KSP.solve calls in progress: 1 inside the outermost solve
-_active_solves = 0
 
 
 class KrylovError(Exception):
@@ -59,18 +51,14 @@ class IndefiniteOperator(KrylovError):
 
 class SolveReport:
     """Outcome of one solve.  `residual_norm` is the norm the method tests
-    convergence on (for `preonly`, the true residual norm);
-    `true_residual_norm` is ||b - A x||.  Either is None when the solve
-    did not compute it (a nested solve without a monitor, see the module
-    docstring), never a stale or estimated value."""
+    convergence on; for `preonly` it is ||b - A x|| when a monitor printed
+    it and None otherwise, never a stale or estimated value."""
 
-    def __init__(self, converged, reason, iterations, residual_norm,
-                 true_residual_norm=None):
+    def __init__(self, converged, reason, iterations, residual_norm):
         self.converged = converged
         self.reason = reason
         self.iterations = iterations
         self.residual_norm = residual_norm
-        self.true_residual_norm = true_residual_norm
 
     def __repr__(self):
         tag = "converged" if self.converged else "diverged"
@@ -156,18 +144,8 @@ class KSP:
                 f"{self.prefix or 'ksp'}: non-finite residual at iteration {it}",
                 SolveReport(False, "diverged_nan", it, rnorm))
 
-    def _reports_true_residual(self):
-        """Whether this solve computes ||b - A x||: it has a monitor or is
-        the outermost solve."""
-        return self.monitor is not None or _active_solves == 1
-
-    def _finish(self, x, converged, reason, it, rnorm, A, b, r=None):
-        """Report the solve; `r` is the residual b - A x the method holds,
-        if it holds one, before any M^-1."""
-        true_norm = None
-        if self._reports_true_residual():
-            true_norm = np.linalg.norm(b - A.apply(x) if r is None else r)
-        report = SolveReport(converged, reason, it, rnorm, true_norm)
+    def _finish(self, x, converged, reason, it, rnorm):
+        report = SolveReport(converged, reason, it, rnorm)
         if not converged and self.error_if_not_converged:
             raise DivergedMaxIts(
                 f"{self.prefix or 'ksp'}: {reason} after {it} iterations "
@@ -177,25 +155,17 @@ class KSP:
     # -- drivers ----------------------------------------------------------
 
     def solve(self, A, b):
-        global _active_solves
         b = self._project(np.asarray(b, dtype=float))
-        method = getattr(self, "_solve_" + self.type)
-        _active_solves += 1
-        try:
-            return method(A, b)
-        finally:
-            _active_solves -= 1
+        return getattr(self, "_solve_" + self.type)(A, b)
 
     def _solve_preonly(self, A, b):
         x = self._apply_pc(b)
-        r = rnorm = None
-        if self._reports_true_residual():
-            # for a Schur complement, this apply is a full inner solve;
-            # _finish reuses the residual
-            r = b - A.apply(x)
-            rnorm = np.linalg.norm(r)
+        rnorm = None
+        if self.monitor is not None:
+            # for a Schur complement, this apply is a full inner solve
+            rnorm = np.linalg.norm(b - A.apply(x))
             self._monitor(0, rnorm)
-        return self._finish(x, True, "preonly", 1, rnorm, A, b, r)
+        return self._finish(x, True, "preonly", 1, rnorm)
 
     def _solve_richardson(self, A, b):
         left = self.side == "left"
@@ -213,8 +183,8 @@ class KSP:
             self._check_nan(rnorm, it)
             self._monitor(it, rnorm)
             if rnorm <= tol:
-                return self._finish(x, True, "rtol", it, rnorm, A, b, r)
-        return self._finish(x, False, "max_its", self.max_it, rnorm, A, b, r)
+                return self._finish(x, True, "rtol", it, rnorm)
+        return self._finish(x, False, "max_its", self.max_it, rnorm)
 
     def _solve_cg(self, A, b):
         x = np.zeros_like(b)
@@ -225,7 +195,7 @@ class KSP:
         self._monitor(0, rnorm)
         tol = max(self.rtol * rnorm0, self.atol)
         if rnorm0 <= self.atol:
-            return self._finish(x, True, "atol", 0, rnorm, A, b)
+            return self._finish(x, True, "atol", 0, rnorm)
         p = z
         for it in range(1, self.max_it + 1):
             Ap = self._apply_op(A, p)
@@ -248,32 +218,29 @@ class KSP:
             self._check_nan(rnorm, it)
             self._monitor(it, rnorm)
             if rnorm <= tol:
-                return self._finish(x, True, "rtol", it, rnorm, A, b)
+                return self._finish(x, True, "rtol", it, rnorm)
             beta = rz_new / rz
             rz = rz_new
             p = z + beta * p
-        return self._finish(x, False, "max_its", self.max_it, rnorm, A, b)
+        return self._finish(x, False, "max_its", self.max_it, rnorm)
 
     def _solve_gmres(self, A, b):
         left = self.side == "left"
         x = np.zeros_like(b)
-        res = b     # b - A x, before M^-1
-        r = self._apply_pc(res) if left else res
+        r = self._apply_pc(b) if left else b
         beta = np.linalg.norm(r)
         self._check_nan(beta, 0)
         self._monitor(0, beta)
         if beta <= self.atol:
-            return self._finish(x, True, "atol", 0, beta, A, b, res)
+            return self._finish(x, True, "atol", 0, beta)
         tol = max(self.rtol * beta, self.atol)
         total_it = 0
         while True:
             # the residual of each cycle's start decides how the solve ends
             if beta <= tol:
-                return self._finish(x, True, "rtol", total_it, beta, A, b,
-                                    res)
+                return self._finish(x, True, "rtol", total_it, beta)
             if total_it >= self.max_it:
-                return self._finish(x, False, "max_its", total_it, beta, A,
-                                    b, res)
+                return self._finish(x, False, "max_its", total_it, beta)
 
             m = self.restart
             V = [r / beta]
@@ -327,8 +294,8 @@ class KSP:
             y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
             basis = V if left else Z
             x = self._project(x + sum(y[i] * basis[i] for i in range(k)))
-            res = b - self._apply_op(A, x)
-            r = self._apply_pc(res) if left else res
+            r = b - self._apply_op(A, x)
+            r = self._apply_pc(r) if left else r
             beta = np.linalg.norm(r)
             self._check_nan(beta, total_it)
 

@@ -37,6 +37,16 @@ def test_no_function_level_imports():
     assert sorted(found) == []
 
 
+def test_no_global_statements():
+    # a function that rebinds module state (a call-depth counter, say)
+    # makes a solve depend on what ran before or around it
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(blocksolve.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
+
+
 def test_package_imports_resolve():
     tree = ast.parse(Path(blocksolve.__file__).read_text())
     names = [alias.asname or alias.name for node in ast.walk(tree)

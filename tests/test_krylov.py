@@ -86,7 +86,9 @@ class TestGMRES:
         x, rep = KSP("gmres", rtol=1e-10, side="right", pc=pc,
                      max_it=200).solve(A, b)
         assert rep.converged
-        assert rep.true_residual_norm < 1e-7
+        true_norm = np.linalg.norm(b - A.apply(x))
+        assert true_norm < 1e-7
+        assert rep.residual_norm == pytest.approx(true_norm, rel=1e-12)
 
 
 @pytest.mark.parametrize("ksp_type, side", [
@@ -116,24 +118,24 @@ class TestOtherTypes:
         b = np.random.default_rng(10).standard_normal(15)
         x, rep = KSP("preonly", pc=pc).solve(A, b)
         assert rep.converged
-        assert rep.true_residual_norm < 1e-9
+        assert np.linalg.norm(b - A.apply(x)) < 1e-9
 
     def test_preonly_applies_operator_once(self):
-        # the reported true residual is the one preonly computed; a Schur
-        # complement operator pays a full inner solve per apply
-        class Counting(AssembledOperator):
-            applies = 0
-
-            def apply(self, x):
-                Counting.applies += 1
-                return super().apply(x)
-
+        # preonly tests no norm: only its monitor makes it apply the
+        # operator, once, for ||b - A x||; a Schur complement operator pays
+        # a full inner solve per apply
         A = _spd(15, seed=9)
         op = Counting(A.A)
         b = np.random.default_rng(10).standard_normal(15)
         x, rep = KSP("preonly", pc=LUPC().set_up(A)).solve(op, b)
-        assert Counting.applies == 1
-        assert rep.true_residual_norm == rep.residual_norm
+        assert op.applies == 0
+        assert rep.residual_norm is None
+        lines = []
+        x, rep = KSP("preonly", pc=LUPC().set_up(A),
+                     monitor=lines.append).solve(op, b)
+        assert op.applies == 1
+        assert rep.residual_norm == np.linalg.norm(b - A.apply(x))
+        assert lines == [f"  0 KSP Residual norm {rep.residual_norm:.12e}"]
 
     def test_richardson_with_pc(self):
         A = _spd(10, seed=11)
@@ -201,10 +203,8 @@ class CountingJacobi(JacobiPC):
 @pytest.mark.parametrize("side, pc_applies", [("left", 4), ("right", 3)])
 def test_richardson_applies_each_operator_once_per_residual(side,
                                                             pc_applies):
-    # from x = 0 the first residual is b: three steps apply A three times,
-    # and the outermost solve takes ||b - A x|| from the last of those
-    # residuals.  Left
-    # preconditioning steps with the M^-1 r it took the norm of, so it
+    # from x = 0 the first residual is b: three steps apply A three times.
+    # Left preconditioning steps with the M^-1 r it took the norm of, so it
     # applies M^-1 once per residual, the last one included; right
     # preconditioning applies it once per step
     A = Counting(_spd(12, seed=5).A)
@@ -230,46 +230,7 @@ def _nested(inner, n=15, seed=9):
 
 class TestTrueResidualOnlyWhenRead:
     def test_nested_preonly_applies_operator_zero_times(self):
-        op, inner, rep = _nested(
-            lambda op: Recording("preonly", pc=LUPC().set_up(op)))
-        assert rep.converged
-        assert inner.records and op.applies == 0
-        for inner_rep, _ in inner.records:
-            assert inner_rep.residual_norm is None
-            assert inner_rep.true_residual_norm is None
-
-    def test_nested_gmres_stops_applying_at_its_last_check(self):
-        # from x = 0 the first residual is b: one apply per iteration,
-        # and one to confirm convergence before returning
-        op, inner, rep = _nested(
-            lambda op: Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(op)))
-        assert rep.converged
-        for inner_rep, applies in inner.records:
-            assert inner_rep.converged
-            assert applies == inner_rep.iterations + 1
-            assert inner_rep.true_residual_norm is None
-        # the outermost solve of the same kind also reports ||b - A x||,
-        # taken from the residual of that last check
-        A = Counting(_spd(15, seed=9).A)
-        solo = Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(A))
-        _, solo_rep = solo.solve(A, np.ones(15))
-        assert solo.records[0][1] == solo_rep.iterations + 1
-        assert solo_rep.true_residual_norm < 1e-5
-
-    def test_monitored_nested_solve_computes_its_norm(self):
-        lines = []
-        op, inner, rep = _nested(
-            lambda op: Recording("preonly", pc=LUPC().set_up(op),
-                                 monitor=lines.append))
-        assert len(lines) == len(inner.records) == op.applies
-        assert all(line.startswith("  0 KSP Residual norm ")
-                   for line in lines)
-        for inner_rep, applies in inner.records:
-            assert applies == 1
-            assert inner_rep.true_residual_norm == inner_rep.residual_norm
-            assert inner_rep.residual_norm < 1e-9
-
-    def test_nesting_is_restored_after_an_inner_failure(self):
+        # a failed inner solve leaves nothing behind for the next solve
         class Broken(Counting):
             def apply(self, x):
                 super().apply(x)
@@ -280,13 +241,49 @@ class TestTrueResidualOnlyWhenRead:
             A, Broken(A.A))
         with pytest.raises(DivergedNaN):
             KSP("fgmres", pc=pc).solve(A, np.ones(10))
-        assert krylov._active_solves == 0
-        x, rep = KSP("gmres", rtol=1e-10).solve(A, np.ones(10))
-        assert rep.true_residual_norm is not None
-        assert rep.true_residual_norm < 1e-8
-        op = Counting(A.A)
-        KSP("preonly", pc=LUPC().set_up(A)).solve(op, np.ones(10))
-        assert op.applies == 1
+        op, inner, rep = _nested(
+            lambda op: Recording("preonly", pc=LUPC().set_up(op)))
+        assert rep.converged
+        assert inner.records and op.applies == 0
+        for inner_rep, _ in inner.records:
+            assert inner_rep.residual_norm is None
+
+    def test_nested_gmres_stops_applying_at_its_last_check(self):
+        # from x = 0 the first residual is b: one apply per iteration,
+        # and one to confirm convergence before returning
+        op, inner, rep = _nested(
+            lambda op: Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(op)))
+        assert rep.converged
+        for inner_rep, applies in inner.records:
+            assert inner_rep.converged
+            assert applies == inner_rep.iterations + 1
+        # the outermost solve of the same kind applies the same
+        A = Counting(_spd(15, seed=9).A)
+        solo = Recording("gmres", rtol=1e-6, pc=JacobiPC().set_up(A))
+        _, solo_rep = solo.solve(A, np.ones(15))
+        assert solo.records[0][1] == solo_rep.iterations + 1
+
+    def test_outermost_cg_applies_operator_once_per_iteration(self):
+        # CG updates its residual rather than recomputing it, and applies
+        # no further A to report ||b - A x|| at the end
+        A = Counting(_spd(15, seed=9).A)
+        _, rep = KSP("cg", rtol=1e-8, pc=JacobiPC().set_up(A)).solve(
+            A, np.ones(15))
+        assert rep.converged and rep.iterations > 1
+        assert A.applies == rep.iterations
+
+    def test_monitored_nested_solve_computes_its_norm(self):
+        lines = []
+        op, inner, rep = _nested(
+            lambda op: Recording("preonly", pc=LUPC().set_up(op),
+                                 monitor=lines.append))
+        assert len(lines) == len(inner.records) == op.applies
+        assert all(line.startswith("  0 KSP Residual norm ")
+                   for line in lines)
+        for line, (inner_rep, applies) in zip(lines, inner.records):
+            assert applies == 1
+            assert line.endswith(f" {inner_rep.residual_norm:.12e}")
+            assert inner_rep.residual_norm < 1e-9
 
     def test_report_repr_without_a_norm(self):
         rep = SolveReport(True, "preonly", 1, None)

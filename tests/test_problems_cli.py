@@ -1,6 +1,5 @@
 import io
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +8,9 @@ import numpy as np
 import pytest
 
 from blocksolve.cli import main
+from blocksolve.krylov import KSP
+from blocksolve.operators import AssembledOperator, ImplicitOperator
 from blocksolve.options import OptionsDB
-from blocksolve.precond import MissingContext
 from blocksolve.problems import (PoissonConfig, CavityConfig,
                                  ConvectionConfig, BenchConfig,
                                  run_poisson, run_cavity, run_convection,
@@ -131,6 +131,9 @@ class TestCLI:
          "unknown mat type 'aijj'"),
         (["poisson", "--n", "2", "--", "-pmat_type", "aijj"],
          "unknown pmat type 'aijj'"),
+        # a node its operator cannot serve, found at tree set-up
+        (["poisson", "--n", "4", "--", "-pc_type", "sor"],
+         "pc sor (-) needs an assembled operator"),
     ])
     def test_bad_solver_option_is_one_line_and_exit_2(self, argv, message,
                                                       capsys):
@@ -242,6 +245,29 @@ class TestCLI:
         assert "navier-stokes: dofs=" in out
         assert "newton_its=" in out
 
+    def test_default_newton_tree_applies_no_operator_in_its_solves(
+            self, monkeypatch):
+        # the default preonly/lu solve factors the Jacobian and tests no
+        # norm, so no Newton step's linear solve applies an operator
+        applies = []
+        for cls in (AssembledOperator, ImplicitOperator):
+            def counting(op, x, _apply=cls.apply):
+                applies.append(op)
+                return _apply(op, x)
+            monkeypatch.setattr(cls, "apply", counting)
+        per_solve = []
+
+        def recording(ksp, A, b, _solve=KSP.solve):
+            before = len(applies)
+            out = _solve(ksp, A, b)
+            per_solve.append((ksp.type, len(applies) - before))
+            return out
+        monkeypatch.setattr(KSP, "solve", recording)
+        buf = io.StringIO()
+        assert main(["navier-stokes", "--n", "8"], stdout=buf) == 0
+        newton_its = int(buf.getvalue().split("newton_its=")[1].split()[0])
+        assert per_solve == [("preonly", 0)] * newton_its
+
     def test_rayleigh_benard_subcommand(self, capsys):
         code = main(["rayleigh-benard", "--n", "4"])
         out = capsys.readouterr().out
@@ -266,12 +292,14 @@ class TestCLI:
         assert code == 0
         assert "newton_its=2 " in buf.getvalue()
 
-    def test_pcd_on_assembled_operator_names_its_node(self):
+    def test_pcd_on_assembled_operator_names_its_node(self, capsys):
         # the inner fieldsplit splits the assembled block; PCD, which reads
-        # the form, is the node that stops
-        with pytest.raises(MissingContext, match=re.escape(
-                "pc pcd (-fieldsplit_0_fieldsplit_1_)")):
-            main(self.RB_AIJ, stdout=io.StringIO())
+        # the form, is the node that stops, as a configuration error
+        code = main(self.RB_AIJ, stdout=io.StringIO())
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "blocksolve: error: pc pcd (-fieldsplit_0_fieldsplit_1_) needs "
+            "an implicit operator carrying a form\n")
 
     def test_sor_to_schwarz_switch_same_driver(self):
         # identical driver invocation, solver swapped purely via options
