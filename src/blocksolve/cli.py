@@ -18,7 +18,9 @@ from .elements import MAX_LAGRANGE_DEGREE
 from .factory import UnknownType, report_unused
 from .operators import write_matrix_market
 from .options import BadOptionName, BadOptionValue, OptionsDB
-from .precond import MissingContext
+from .krylov import KrylovError
+from .newton import NewtonError
+from .precond import CompositionError, MissingContext, SingularFactor
 from .problems import (PoissonConfig, CavityConfig, ConvectionConfig,
                        BenchConfig, run_poisson, run_cavity,
                        run_convection, run_bench)
@@ -153,10 +155,13 @@ def _bench(args, db, stdout):
 
 
 def main(argv=None, stdout=None):
-    """Run one command; returns 0 when its solve converged, 1 when it did
-    not, and 2, with a one-line message on stderr, for a bad solver
-    option or a solver tree node its operator cannot serve (argparse
-    exits with 2 for a bad driver argument)."""
+    """Run one command.  Returns 0 when its solve converged and 1 when it
+    did not; a breakdown (a singular factor or patch block, a Krylov or
+    Newton error) also returns 1, after a one-line message on stderr that
+    names its node.  Returns 2, with such a line, for a bad solver option
+    or a tree that does not fit its operator: a node the operator cannot
+    serve or a composition error such as a zero diagonal under sor
+    (argparse exits with 2 for a bad driver argument)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     driver_argv, option_argv = _split_argv(argv)
@@ -176,10 +181,13 @@ def main(argv=None, stdout=None):
             db.parse_file(path)
         db.parse_args(option_argv)
         ok = handlers[args.command](args, db, stdout)
-    except (BadOptionName, BadOptionValue, UnknownType,
-            MissingContext) as exc:
+    except (BadOptionName, BadOptionValue, UnknownType, MissingContext,
+            CompositionError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except (SingularFactor, KrylovError, NewtonError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     report_unused(db)
     return 0 if ok else 1
 

@@ -232,24 +232,39 @@ class Term:
         return self.state is None and all(
             isinstance(v, numbers.Number) for v in vars(self).values())
 
+    @property
+    def spd(self):
+        """The term alone is a symmetric form, positive definite on every
+        space of functions that vanish on the boundary of a region, such
+        as a Schwarz vertex patch, so its blocks there are SPD.  Only mass
+        and stiffness with a positive number as coefficient declare it: a
+        callable or a context name has no sign the form can know."""
+        return False
+
     def coefficient(self, form, state):
         raise NotImplementedError
 
 
-class MassTerm(Term):
+class _ScalarTerm(Term):
+    """A term scaled by one scalar coefficient: a number, a callable of
+    the coordinates or a context name."""
+
     def __init__(self, coef=1.0):
         self.coef = coef
 
+    @property
+    def spd(self):
+        return isinstance(self.coef, numbers.Real) and self.coef > 0
+
+
+class MassTerm(_ScalarTerm):
     def coefficient(self, form, state):
         c = form.geom.detJ[:, None] * form.coefficient_at_points(self.coef)
         return c[:, None, None, None, None]
 
 
-class StiffnessTerm(Term):
+class StiffnessTerm(_ScalarTerm):
     trial = test = "grads"
-
-    def __init__(self, coef=1.0):
-        self.coef = coef
 
     def coefficient(self, form, state):
         c = form.geom.detJ[:, None] * form.coefficient_at_points(self.coef)

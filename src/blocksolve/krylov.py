@@ -202,8 +202,8 @@ class KSP:
             pAp = np.dot(p, Ap)
             if pAp <= 0:
                 raise IndefiniteOperator(
-                    f"{self.prefix or 'ksp'}: indefinite operator in CG "
-                    f"(pAp = {pAp:.3e})",
+                    f"{self.prefix or 'ksp'}: indefinite operator in CG at "
+                    f"iteration {it} (pAp = {pAp:.3e})",
                     SolveReport(False, "indefinite_operator", it, rnorm))
             alpha = rz / pAp
             x = x + alpha * p
@@ -212,7 +212,8 @@ class KSP:
             rz_new = np.dot(r, z)
             if rz_new < 0:
                 raise IndefiniteOperator(
-                    f"{self.prefix or 'ksp'}: indefinite preconditioner in CG",
+                    f"{self.prefix or 'ksp'}: indefinite preconditioner in CG "
+                    f"at iteration {it}",
                     SolveReport(False, "indefinite_pc", it, rnorm))
             rnorm = np.sqrt(rz_new)
             self._check_nan(rnorm, it)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -31,7 +32,8 @@ from .operators import (AssembledOperator, ImplicitOperator, LinearOperator)
 from .spaces import build_space
 from .elements import lagrange_element, tabulate
 
-__all__ = ["Preconditioner", "MissingContext",
+__all__ = ["Preconditioner", "MissingContext", "CompositionError",
+           "SingularFactor",
            "NonePC", "JacobiPC", "SORPC", "LUPC", "ILUPC", "KSPPC",
            "AssembledPC", "TelescopePC", "FieldSplitPC", "PCDPC",
            "MassSchurPC", "SchwarzPC", "SchurOperator", "view_ksp"]
@@ -39,6 +41,20 @@ __all__ = ["Preconditioner", "MissingContext",
 
 class MissingContext(Exception):
     """The preconditioner needs PDE-level context the operator lacks."""
+
+
+class CompositionError(ValueError):
+    """The solver tree does not fit its operator, found at set-up: a zero
+    diagonal under jacobi or sor, a schur fieldsplit without two splits,
+    splits that do not cover the fields once each, a schwarz node on a
+    degree-1 space or with unequal Dirichlet rows and columns.  The
+    message names the node."""
+
+
+class SingularFactor(RuntimeError, np.linalg.LinAlgError):
+    """Set-up met an exactly singular matrix: a sparse LU factor (a
+    RuntimeError, as scipy raises it) or a batch of Schwarz patch blocks
+    (a LinAlgError, as numpy raises it).  The message names the node."""
 
 
 def _assembled(op, pc):
@@ -60,18 +76,20 @@ def _nonzero_diagonal(A, pc):
     d = A.diagonal()
     zero = np.flatnonzero(d == 0.0)
     if len(zero):
-        raise ValueError(f"{pc.name}: zero diagonal entry in row {zero[0]}")
+        raise CompositionError(f"{pc.name}: zero diagonal entry in row "
+                               f"{zero[0]}")
     return d
 
 
 def _factor(factorize, A, pc, **options):
     """`factorize` (splu or spilu) of A as CSC; scipy's RuntimeError on an
-    exactly singular factor is raised again naming the tree node."""
+    exactly singular factor is raised again as a `SingularFactor` naming
+    the tree node."""
     A = sp.csc_matrix(A)
     try:
         return factorize(A, **options)
     except RuntimeError as exc:
-        raise RuntimeError(f"{pc.name}: {exc}") from exc
+        raise SingularFactor(f"{pc.name}: {exc}") from exc
 
 
 class Preconditioner:
@@ -414,7 +432,7 @@ class FieldSplitPC(Preconditioner):
             shared = sorted({f for f in used if used.count(f) > 1})
             left_out = sorted(set(range(len(fields))) - set(used))
             unknown = sorted(set(used) - set(range(len(fields))))
-            raise ValueError(
+            raise CompositionError(
                 f"pc fieldsplit ({self.prefix or '-'}): splits "
                 f"{self.splits} must put each of the fields 0 to "
                 f"{len(fields) - 1} in exactly one split (in several: "
@@ -454,8 +472,8 @@ class FieldSplitPC(Preconditioner):
                 solver(i)
             return
         if ns != 2:
-            raise ValueError(f"{self.name}: schur fieldsplit needs "
-                             f"exactly two splits")
+            raise CompositionError(f"{self.name}: schur fieldsplit needs "
+                                   f"exactly two splits")
         a01, a10 = block(0, 1), block(1, 0)
         self.sub_ops[1] = SchurOperator(self.sub_ops[1], a10, a01, solver(0),
                                         self.sub_ops[0])
@@ -588,10 +606,13 @@ class MassSchurPC(Preconditioner):
 # --- two-level additive Schwarz -------------------------------------------
 
 # block entries per chunk of patches whose blocks are summed from element
-# matrices and inverted at once: bounds the set-up transients of a chunk,
-# its blocks and their inverses and, in proportion, the element-matrix
-# entries gathered to sum them
-_PATCH_CHUNK = 2 ** 13
+# matrices and inverted in one batched call.  It bounds the set-up
+# transients of a chunk: its blocks, their inverses and, in proportion,
+# the element-matrix entries gathered to sum them.  Fewer, larger chunks
+# cut the Python work per chunk; 2**14 entries (128 KB of blocks) keep the
+# set-up peak of 2D P4 n=16 under 1.7 times the bytes it keeps, where 2**15
+# would not
+_PATCH_CHUNK = 2 ** 14
 
 
 class _PatchGroup(namedtuple("_PatchGroup", "dofs pair_row cell loc")):
@@ -606,31 +627,36 @@ class _PatchGroup(namedtuple("_PatchGroup", "dofs pair_row cell loc")):
         matrices E (`Form.block_local_matrices`): a unit, a pair or, when E
         couples no components, a (pair, component), adds the entries
         between its local dofs in the patch, and only those, in one
-        bincount."""
+        bincount.  The index arithmetic is int32 when every entry of E has
+        an int32 offset, as `Form.assemble` chooses its index type."""
         k, m = self.dofs.shape
         K, nn = E.shape[1], E.shape[3]
+        itype = (np.int32 if E.size <= np.iinfo(np.int32).max
+                 else np.int64)
         step = max(1, _PATCH_CHUNK // (m * m))
         for s in range(0, k, step):
             rows = slice(s, min(s + step, k))
             p0, p1 = np.searchsorted(self.pair_row, (s, rows.stop))
             loc = self.loc[p0:p1]
             # items: the local dofs in the patch, by pair, component, node
-            item = np.flatnonzero(loc >= 0)
+            item = np.flatnonzero(loc >= 0).astype(itype)
             place = loc.ravel().take(item)
             pair, local = np.divmod(item, loc.shape[1] * nn)
             comp, node = np.divmod(local, nn)
             per = nn if K == 1 else loc.shape[1] * nn   # local dofs a unit
-            n = np.bincount(item // per, minlength=loc.size // per)
+            n = np.bincount(item // per,
+                            minlength=loc.size // per).astype(itype)
             reps = np.repeat(n, n)        # entries in an item's row
             # an item's row repeats it; col[e] is the column item of entry e
-            col = np.repeat(np.repeat(np.cumsum(n) - n, n)
-                            - (np.cumsum(reps) - reps), reps)
-            col += np.arange(len(col))
+            col = np.repeat(np.repeat(np.cumsum(n, dtype=itype) - n, n)
+                            - (np.cumsum(reps, dtype=itype) - reps), reps)
+            col += np.arange(len(col), dtype=itype)
             # row of each item in the (len*m, m) stack of the chunk's blocks
             row = ((self.pair_row[p0:p1] - s) * m)[pair] + place
             tgt = np.repeat(row * m, reps) + place[col]
             comp *= K > 1
-            src = ((self.cell[p0:p1] * K * K * nn * nn)[pair]
+            cell = self.cell[p0:p1].astype(itype)
+            src = ((cell * (K * K * nn * nn))[pair]
                    + (comp * K * nn + node) * nn)
             vals = E.ravel()[np.repeat(src, reps)
                              + (comp * nn * nn + node)[col]]
@@ -656,10 +682,16 @@ class SchwarzPC(Preconditioner):
     PCPATCH builds patch operators from cell integrals: every cell that
     couples two patch dofs is in the star, and no Dirichlet dof is in a
     patch.  Patches are grouped by size (`_PatchGroup`); set-up inverts
-    each group's blocks and keeps only its `(dofs, inverse)` in `patches`,
-    the inverses (k, m, m) the same bytes as LU factors.  An apply is one
-    gather, batched product and scatter per group, as PCPATCH's
-    dense-inverse mode applies patches."""
+    each group's blocks, a chunk at a time, and keeps only its `(dofs,
+    inverse)` in `patches`, the inverses (k, m, m) the same bytes as LU
+    factors.  When every term of the form declares itself SPD
+    (`Term.spd`: mass and stiffness with a positive number as
+    coefficient), the blocks are SPD and each batch is inverted from its
+    Cholesky factor (LAPACK potrf/potri), which also makes every inverse
+    exactly symmetric; otherwise by LU.  A singular block raises
+    `SingularFactor` on either path.  An apply is one gather, batched
+    product and scatter per group, as PCPATCH's dense-inverse mode applies
+    patches."""
 
     type_name = "schwarz"
 
@@ -671,13 +703,13 @@ class SchwarzPC(Preconditioner):
                                  f"single-field operator")
         V = form.col_space.fields[0]
         if V.element.degree < 2:
-            raise ValueError(f"{self.name} needs polynomial degree >= 2; "
-                             f"the coarse space would coincide with the fine "
-                             f"one")
+            raise CompositionError(f"{self.name} needs polynomial degree "
+                                   f">= 2; the coarse space would coincide "
+                                   f"with the fine one")
         self.bc_dofs = np.unique(impl.bc_rows)
         if not np.array_equal(self.bc_dofs, np.unique(impl.bc_cols)):
-            raise ValueError(f"{self.name} needs the same Dirichlet rows "
-                             f"and columns")
+            raise CompositionError(f"{self.name} needs the same Dirichlet "
+                                   f"rows and columns")
         groups = self._build_patches(V, self.bc_dofs)
 
         # coarse level: same form and Newton state on the degree-1 space
@@ -692,14 +724,17 @@ class SchwarzPC(Preconditioner):
         self.coarse_fact = _factor(spla.splu, Ac.A, self)
 
         E = form.block_local_matrices(0, 0)
+        spd = all(term.spd for term in form.blocks[0, 0])
         self.patches = []
         for group in groups:
             inv = np.empty(group.dofs.shape + group.dofs.shape[1:])
             for rows, blocks in group.blocks(E):
                 try:
-                    inv[rows] = np.linalg.inv(blocks)
+                    inv[rows] = (sla.inv(blocks, assume_a="pos",
+                                         check_finite=False) if spd
+                                 else np.linalg.inv(blocks))
                 except np.linalg.LinAlgError as exc:
-                    raise np.linalg.LinAlgError(f"{self.name}: {exc}") \
+                    raise SingularFactor(f"{self.name}: Singular matrix") \
                         from exc
             self.patches.append((group.dofs, inv))
 

@@ -467,6 +467,46 @@ class TestFixedTermsKeepTheirD:
         assert all(t.fixed for t in fixed)
         assert not any(t.fixed for t in varying)
 
+    def test_only_mass_and_stiffness_with_a_positive_number_are_spd(self):
+        spd = [forms.MassTerm(), forms.MassTerm(2.5), forms.StiffnessTerm(2),
+               forms.StiffnessTerm(np.float64(0.7))]
+        other = [forms.MassTerm(0.0), forms.MassTerm(-1.0),
+                 forms.StiffnessTerm(0), forms.StiffnessTerm(-1.0),
+                 forms.MassTerm(_coef), forms.StiffnessTerm(_coef),
+                 forms.MassTerm("c"), forms.StiffnessTerm("kappa"),
+                 forms.AdvectionTerm([1.0, 0.5]),
+                 forms.AdvectionTerm(StateWind(0)),
+                 forms.VectorReactionTerm(0), forms.PressureGradientTerm(),
+                 forms.DivergenceTerm(), forms.BuoyancyTerm(3.0)]
+        assert all(t.spd for t in spd)
+        assert not any(t.spd for t in other)
+
+    def test_catalogue_terms_declare_spd_by_kind(self):
+        # every term of every catalogue form, which covers every term type:
+        # SPD exactly when it is a mass or stiffness term, all of whose
+        # catalogue coefficients are positive numbers
+        mesh = build_unit_square(2)
+        V, Q = build_space(mesh, 2), build_space(mesh, 1)
+        W = taylor_hood(mesh)
+        Wrb = MixedSpace(list(W.fields) + [V])
+        catalogue = [mass_form(V), stiffness_form(V, kappa=0.5),
+                     convection_diffusion_form(V, wind=[1.0, 0.5]),
+                     stokes_form(W, Re=10.0), ns_jacobian_form(W),
+                     rb_jacobian_form(Wrb, 200.0, 6.18), pressure_mass_form(Q),
+                     forms.pressure_laplacian_form(Q),
+                     pcd_form(Q, 10.0, StateWind(0))]
+        terms = [t for form in catalogue for ts in form.blocks.values()
+                 for t in ts]
+        kinds = set(forms.Term.__subclasses__())
+        for kind in list(kinds):
+            kinds |= set(kind.__subclasses__())
+        assert {type(t) for t in terms} == {k for k in kinds
+                                           if k.__name__.endswith("Term")
+                                           and not k.__name__.startswith("_")}
+        for t in terms:
+            assert t.spd == isinstance(t, (forms.MassTerm,
+                                           forms.StiffnessTerm)), t
+
     def test_array_wind_changed_in_place_is_read(self):
         V = build_space(build_unit_square(3), 2)
         x = np.random.default_rng(3).standard_normal(V.num_dofs)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as dla
@@ -9,8 +11,9 @@ from blocksolve.mesh import build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, collect_bc_dofs, interpolate)
 from blocksolve.forms import (Form, StateWind, VectorReactionTerm,
-                              mass_form, stiffness_form, stokes_form,
-                              convection_diffusion_form,
+                              StiffnessTerm, PressureGradientTerm,
+                              DivergenceTerm, mass_form, stiffness_form,
+                              stokes_form, convection_diffusion_form,
                               ns_jacobian_form, pressure_mass_form)
 from blocksolve.operators import ImplicitOperator, AssembledOperator
 from blocksolve.krylov import KSP, Nullspace
@@ -487,6 +490,87 @@ class TestSchwarz:
         z = pc.apply(r)
         ref = _lu_loop_apply(pc, op, r)
         assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dim, degree, ncomp", _SCHWARZ_CASES)
+    def test_spd_blocks_get_symmetric_inverses(self, dim, degree, ncomp):
+        # the stiffness blocks are SPD, and the inverse potri forms from
+        # their Cholesky factor is exactly symmetric; an LU inverse is
+        # symmetric only to rounding (the apply of these cases is checked
+        # against LU by test_batched_apply_matches_lu_loop)
+        op = _schwarz_operator(dim, 3 if dim == 2 else 2, degree, ncomp)
+        for _, inv in SchwarzPC().set_up(op).patches:
+            assert np.array_equal(inv, inv.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("case", ["state wind", "convection",
+                                      "stokes callable", "kappa=-1"])
+    def test_other_blocks_keep_the_lu_inverse(self, case):
+        # a form with a term that is not declared SPD (a wind, a callable
+        # coefficient, a negative one) is inverted by LU, bit for bit
+        mesh = build_unit_square(3)
+        if case == "stokes callable":
+            W = taylor_hood(mesh, degree=3)
+            form = Form("stokes", W, W, {
+                (0, 0): [StiffnessTerm(lambda x: 1.0 + x[0] * x[1])],
+                (0, 1): [PressureGradientTerm()], (1, 0): [DivergenceTerm()]})
+            bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=[0.0, 0.0],
+                               field=0)]
+            db = OptionsDB().parse_args(["-pc_type", "fieldsplit",
+                                         "-fieldsplit_0_pc_type", "schwarz"])
+            fs = build_pc(db, "", ImplicitOperator(form, bcs=bcs))
+            pc, op = fs.sub_ksps[0].pc, fs.sub_ops[0]
+        else:
+            if case == "state wind":
+                V = build_space(mesh, 3, ncomp=2)
+                form = convection_diffusion_form(V, nu=0.1, wind=StateWind(0))
+                form.context["state"] = np.random.default_rng(
+                    10).standard_normal(V.num_dofs)
+            elif case == "convection":
+                V = build_space(mesh, 3)
+                form = convection_diffusion_form(V, nu=0.1, wind=[1.0, 0.5])
+            else:
+                V = build_space(mesh, 3)
+                form = stiffness_form(V, kappa=-1.0)
+            bc = DirichletBC(V, (1, 3), value=[0.0] * V.ncomp)
+            op = ImplicitOperator(form, bcs=[bc])
+            pc = SchwarzPC().set_up(op)
+        E = op.form.block_local_matrices(0, 0)
+        groups = SchwarzPC._build_patches(op.form.col_space.fields[0],
+                                          pc.bc_dofs)
+        for group, (dofs, inv) in zip(groups, pc.patches):
+            assert np.array_equal(dofs, group.dofs)
+            assert np.array_equal(inv, np.concatenate(
+                [np.linalg.inv(blocks) for _, blocks in group.blocks(E)]))
+        r = np.random.default_rng(7).standard_normal(op.shape[0])
+        ref = _lu_loop_apply(pc, op, r)
+        assert np.linalg.norm(pc.apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_blocks_declared_spd_but_indefinite_name_their_node(self,
+                                                               monkeypatch):
+        # negated element matrices under an SPD form: the Cholesky inverse
+        # fails where an LU inverse would not, with the LU path's message
+        op = _schwarz_operator(2, 3, 3, 1)
+        real = Form.block_local_matrices
+        monkeypatch.setattr(Form, "block_local_matrices",
+                            lambda form, i, j: -real(form, i, j))
+        with pytest.raises(precond.SingularFactor,
+                           match=r"^pc schwarz \(-fieldsplit_0_\): "
+                                 r"Singular matrix$") as err:
+            SchwarzPC(prefix="fieldsplit_0_").set_up(op)
+        assert isinstance(err.value, np.linalg.LinAlgError)
+
+    def test_set_up_peak_bounded_by_what_it_keeps(self):
+        # the patch chunk bounds the set-up transients: a warm set-up peaks
+        # at most 1.7 times the bytes of the patches it keeps
+        op = _schwarz_operator(2, 16, 4, 1)
+        SchwarzPC().set_up(op)
+        tracemalloc.start()
+        try:
+            pc = SchwarzPC().set_up(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(dofs.nbytes + inv.nbytes for dofs, inv in pc.patches)
+        assert peak <= 1.7 * kept
 
     def test_stored_inverses_no_larger_than_lu_factors(self):
         op = _schwarz_operator(2, 16, 4, 1)

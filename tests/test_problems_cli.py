@@ -134,6 +134,19 @@ class TestCLI:
         # a node its operator cannot serve, found at tree set-up
         (["poisson", "--n", "4", "--", "-pc_type", "sor"],
          "pc sor (-) needs an assembled operator"),
+        # composition errors, found at set-up (library callers still get a
+        # ValueError)
+        (["poisson", "--n", "4", "--", "-pc_type", "fieldsplit",
+          "-pc_fieldsplit_type", "schur"],
+         "pc fieldsplit (-): schur fieldsplit needs exactly two splits"),
+        (["navier-stokes", "--n", "4", "--", "-mat_type", "aij",
+          "-ksp_type", "gmres", "-pc_type", "sor"],
+         "pc sor (-): zero diagonal entry in row 162"),
+        (["poisson", "--n", "4", "--", "-pc_type", "fieldsplit",
+          "-pc_fieldsplit_0_fields", "1"],
+         "pc fieldsplit (-): splits [(1,)] must put each of the fields"),
+        (["poisson", "--n", "4", "--", "-pc_type", "schwarz"],
+         "pc schwarz (-) needs polynomial degree >= 2"),
     ])
     def test_bad_solver_option_is_one_line_and_exit_2(self, argv, message,
                                                       capsys):
@@ -141,6 +154,36 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("blocksolve: error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["poisson", "--n", "4", "--degree", "2", "--kappa", "0", "--",
+          "-mat_type", "matfree", "-pc_type", "schwarz"],
+         "pc schwarz (-): Factor is exactly singular"),
+        (["poisson", "--n", "4", "--degree", "2", "--kappa", "-1", "--",
+          "-mat_type", "matfree", "-pc_type", "schwarz"],
+         "ksp: indefinite operator in CG at iteration 1"),
+        (["navier-stokes", "--n", "4", "--", "-mat_type", "aij",
+          "-ksp_type", "gmres", "-pc_type", "fieldsplit",
+          "-fieldsplit_1_pc_type", "lu"],
+         "pc lu (-fieldsplit_1_): Factor is exactly singular"),
+        (["poisson", "--n", "4", "--degree", "2", "--", "-pc_type", "none",
+          "-ksp_max_it", "2", "-ksp_error_if_not_converged"],
+         "ksp: max_its after 2 iterations"),
+        (["navier-stokes", "--n", "4", "--", "-ksp_type", "cg",
+          "-pc_type", "none"],
+         "newton step 1: linear solve failed (ksp: indefinite operator"),
+        (["navier-stokes", "--n", "4", "--", "-snes_max_it", "1",
+          "-snes_error_if_not_converged"],
+         "newton: max_its after 1 iterations"),
+    ])
+    def test_breakdown_is_one_line_and_exit_1(self, argv, message, capsys):
+        # a singular factor, a Krylov or a Newton error is a failure to
+        # converge: exit 1, with the node and the reason on one line
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("blocksolve: error: " + message)
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
