@@ -594,7 +594,9 @@ class TestSchwarz:
             assert dofs.dtype == np.int64 and inv.dtype == np.float64
             assert inv.shape == dofs.shape + dofs.shape[1:]
 
-    @pytest.mark.parametrize("chunk", [precond._PATCH_CHUNK, 64])
+    # the default chunk, a half-size one and one small enough to split
+    # every patch group into many chunks
+    @pytest.mark.parametrize("chunk", [precond._PATCH_CHUNK, 2 ** 13, 64])
     @pytest.mark.parametrize("case", _SCHWARZ_CASES + ["state wind"])
     def test_blocks_match_assembled_matrix(self, case, chunk, monkeypatch):
         monkeypatch.setattr(precond, "_PATCH_CHUNK", chunk)
