@@ -36,9 +36,11 @@ PC_TYPES = ("none", "jacobi", "sor", "lu", "ilu", "ksp", "assembled",
 _PC_ALIASES = {"hypre": "lu", "gamg": "lu", "ml": "lu", "icc": "ilu",
                "cholesky": "lu", "bjacobi": "jacobi"}
 
-_PYTHON_PC_MAP = {"pcd": "pcd", "assembled": "assembled",
-                  "schwarz": "schwarz", "ssc": "schwarz",
-                  "patch": "schwarz", "mass": "mass"}
+# PETSc-dialect python preconditioners, by exact class name (the last
+# dotted component of -pc_python_type), realised by a built-in type
+_PYTHON_PC_MAP = {"PCDPC": "pcd", "AssembledPC": "assembled",
+                  "MassInvPC": "mass", "PatchPC": "schwarz",
+                  "ASMStarPC": "schwarz", "SSC": "schwarz"}
 
 
 class UnknownType(Exception):
@@ -54,14 +56,14 @@ def _resolve_pc_type(db, prefix, default):
     asked = db.get(prefix + "pc_type", default)
     if asked == "python":
         target = db.get(prefix + "pc_python_type", "")
-        low = target.lower()
-        for token, local in _PYTHON_PC_MAP.items():
-            if token in low:
-                _warn_alias(prefix, f"python ({target})", local)
-                return local
-        raise UnknownType(
-            f"option -{prefix}pc_python_type {target!r}: cannot map onto a "
-            f"local preconditioner; known types: {', '.join(PC_TYPES)}")
+        local = _PYTHON_PC_MAP.get(target.rsplit(".", 1)[-1])
+        if local is None:
+            raise UnknownType(
+                f"option -{prefix}pc_python_type {target!r}: cannot map onto "
+                f"a local preconditioner; known classes: "
+                f"{', '.join(_PYTHON_PC_MAP)}")
+        _warn_alias(prefix, f"python ({target})", local)
+        return local
     if asked in _PC_ALIASES:
         used = _PC_ALIASES[asked]
         _warn_alias(prefix, asked, used)

@@ -5,7 +5,10 @@ operator apply.  Left Richardson takes the norm of z = M^-1 r and steps
 with that z; right Richardson applies M^-1 in its step only.  GMRES (and
 FGMRES, the same method on the right) ends only at the residual recomputed
 at the start of a restart cycle, so at `max_it` it reports `rtol` if that
-residual meets the tolerance.
+residual meets the tolerance.  A happy breakdown (the residual lies in the
+Krylov space) ends the cycle with its solution; a step that maps its
+Krylov vector to zero leaves the least-squares triangle singular and
+raises a `KrylovError` naming the solver and the iteration.
 
 Convergence is declared on the preconditioned residual norm for left
 preconditioning and on the true residual norm for right/flexible
@@ -277,9 +280,20 @@ class KSP:
                     t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
                     H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
                     H[i, k] = t
+                # H[k + 1, k] == 0 over a nonzero diagonal is a happy
+                # breakdown: sn = 0 makes |g[k + 1]| = 0, which ends the
+                # cycle with its solution.  A zero rotated diagonal leaves
+                # the triangle singular: the step mapped V[k] to 0
                 denom = np.hypot(H[k, k], H[k + 1, k])
-                cs[k] = H[k, k] / denom if denom else 1.0
-                sn[k] = H[k + 1, k] / denom if denom else 0.0
+                if denom == 0:
+                    raise KrylovError(
+                        f"{self.prefix or 'ksp'}: {self.type} breakdown at "
+                        f"iteration {total_it + 1}: the operator maps the "
+                        f"Krylov vector to zero",
+                        SolveReport(False, "breakdown", total_it + 1,
+                                    abs(g[k])))
+                cs[k] = H[k, k] / denom
+                sn[k] = H[k + 1, k] / denom
                 H[k, k] = denom
                 H[k + 1, k] = 0.0
                 g[k + 1] = -sn[k] * g[k]

@@ -9,6 +9,14 @@ either kind with fields, and context-bearing ones (pcd, mass, schwarz,
 assembled) read the form off an implicit operator and raise
 MissingContext when there is none.
 
+`sor` factors nothing, as PETSc's MatSOR: it sweeps the triangles of A,
+read straight off its CSR arrays, with SuperLU's triangular solve
+`gstrs`.  That kernel comes from scipy's private module
+`scipy.sparse.linalg._dsolve._superlu`; the public
+`spsolve_triangular` calls it, and
+`tests/test_precond.py::test_sor_matches_split_triangles` pins the
+sweeps bit for bit to that function.
+
 Nested solvers are supplied as maker callables so that option-driven
 construction (the solver factory) and direct library use share one code
 path: a maker receives the sub-operator and returns a fully configured
@@ -25,6 +33,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+# SuperLU's triangular solve, private: pinned to the public
+# spsolve_triangular by tests/test_precond.py::test_sor_matches_split_triangles
+from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
 from .forms import (Form, StateWind, pcd_form, pressure_mass_form,
                     pressure_laplacian_form)
@@ -47,14 +58,16 @@ class CompositionError(ValueError):
     """The solver tree does not fit its operator, found at set-up: a zero
     diagonal under jacobi or sor, a schur fieldsplit without two splits,
     splits that do not cover the fields once each, a schwarz node on a
-    degree-1 space or with unequal Dirichlet rows and columns.  The
-    message names the node."""
+    degree-1 space or with unequal Dirichlet rows and columns, a sor node
+    on a matrix too large for 32-bit indices.  The message names the
+    node."""
 
 
 class SingularFactor(RuntimeError, np.linalg.LinAlgError):
     """Set-up met an exactly singular matrix: a sparse LU factor (a
     RuntimeError, as scipy raises it) or a batch of Schwarz patch blocks
-    (a LinAlgError, as numpy raises it).  The message names the node."""
+    (a LinAlgError, as numpy raises it); or a sor sweep's triangular solve
+    failed.  The message names the node."""
 
 
 def _assembled(op, pc):
@@ -184,19 +197,40 @@ class JacobiPC(Preconditioner):
         return self.invdiag * r
 
 
-def _triangular_factor(T, diagonal):
-    """LU factors, in natural column order, of the CSC triangle T after
-    its diagonal is overwritten in place with `diagonal`; T stores every
-    diagonal entry, so no entry is inserted.  A solve with them is one
-    sweep."""
-    T.setdiag(diagonal)
-    return spla.splu(T, permc_spec="NATURAL",
-                     options={"SymmetricMode": False})
+def _intc(index, pc):
+    """An index array as the C int of SuperLU's kernels.  A value that
+    does not fit is refused, as `spsolve_triangular` refuses it, never
+    cast silently."""
+    if index.dtype != np.intc and index.size and \
+            index.max() > np.iinfo(np.intc).max:
+        raise CompositionError(f"{pc.name}: index {index.max()} does not "
+                               f"fit SuperLU's 32-bit indices")
+    return index.astype(np.intc, copy=False)
+
+
+def _triangle(A, keep, pc):
+    """(data, indices, indptr) of the entries of the canonical CSR matrix
+    A where `keep`, row by row, with C int indices; `data` is a copy."""
+    before = np.zeros(len(keep) + 1, dtype=A.indptr.dtype)
+    np.cumsum(keep, out=before[1:])
+    return A.data[keep], _intc(A.indices[keep], pc), _intc(before[A.indptr],
+                                                           pc)
 
 
 class SORPC(Preconditioner):
     """(S)SOR sweeps.  Forward sweeps by default; `symmetric` gives the
-    SSOR preconditioner (usable with CG)."""
+    SSOR preconditioner (usable with CG).
+
+    As PETSc's MatSOR, nothing is factored: each sweep is one triangular
+    solve with D/omega + L or D/omega + U, whose entries set-up reads
+    straight from A, by SuperLU's kernel `gstrs` (the one
+    `scipy.sparse.linalg.spsolve_triangular` calls), scaled as that
+    function scales them.  The CSR arrays of a triangle T are the CSC
+    arrays of its transpose, so `gstrs` solves (LU)^T x = b with U the
+    strict lower triangle and L the identity (forward), or L the upper
+    triangle and U empty (backward).  Each triangle's columns are divided
+    by D/omega, which makes its diagonal 1, and x is divided by D/omega
+    after the solve."""
 
     type_name = "sor"
 
@@ -213,24 +247,46 @@ class SORPC(Preconditioner):
         self.symmetric = symmetric
 
     def _set_up(self, op):
-        """Factors of D/omega + L and D/omega + U, taken straight from the
-        triangles of A: `_nonzero_diagonal` has checked that A stores every
-        diagonal entry, so each triangle keeps it and only its value
-        changes."""
+        """The `gstrs` arguments of both sweeps, read off A with one mask
+        over its column indices against the row ids.  `_nonzero_diagonal`
+        has checked that A stores every diagonal entry, so in sorted rows
+        it is each row's first entry of the upper triangle."""
         A = _assembled(op, self).tocsr()
-        d = _nonzero_diagonal(A, self)
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
         self.A = A
-        self.d = d
-        dw = d / self.omega
-        self._fwd = _triangular_factor(sp.tril(A, format="csc"), dw)
-        self._bwd = _triangular_factor(sp.triu(A, format="csc"), dw)
+        n = A.shape[0]
+        self._dw = _nonzero_diagonal(A, self) / self.omega
+        self._inv = 1.0 / self._dw
+        row = np.repeat(np.arange(n, dtype=A.indices.dtype),
+                        np.diff(A.indptr))
+        lower = A.indices < row
+        ldata, lind, lptr = _triangle(A, lower, self)
+        udata, uind, uptr = _triangle(A, ~lower, self)
+        udata[uptr[:-1]] = self._dw
+        ldata *= self._inv[lind]
+        udata *= self._inv[uind]
+        ids = np.arange(n + 1, dtype=np.intc)
+        self._fwd = (n, n, np.ones(n), ids[:-1], ids,
+                     n, len(ldata), ldata, lind, lptr)
+        self._bwd = (n, len(udata), udata, uind, uptr,
+                     n, 0, np.empty(0), ids[:0], np.zeros(n + 1, np.intc))
+
+    def _solve(self, sweep, b):
+        """x with T x = b for the triangle T of `sweep` (`_fwd`, `_bwd`)."""
+        x, info = _gstrs("T", *sweep, b)
+        if info:
+            raise SingularFactor(f"{self.name}: SuperLU's triangular solve "
+                                 f"failed (info={info})")
+        return x * self._inv
 
     def _sweep(self, r):
         w = self.omega
+        y = self._solve(self._fwd, r)
         if self.symmetric:
-            y = self._fwd.solve(r)
-            return w * (2.0 - w) * self._bwd.solve((self.d / w) * y)
-        return self._fwd.solve(r)
+            return w * (2.0 - w) * self._solve(self._bwd, self._dw * y)
+        return y
 
     def apply(self, r):
         z = self._sweep(r)
@@ -718,6 +774,7 @@ class SchwarzPC(Preconditioner):
                            context=form.context,
                            state_space=form.state_space)
         self.P = self._prolongation(V, Vc)
+        self.R = self.P.T.tocsr()   # the restriction, kept for every apply
         cbc = np.unique(self.P[self.bc_dofs].indices)
         self.coarse_bc = cbc
         Ac = ImplicitOperator(coarse_form, bc_rows=cbc, bc_cols=cbc).assemble()
@@ -799,7 +856,7 @@ class SchwarzPC(Preconditioner):
         return groups
 
     def apply(self, r):
-        rc = self.P.T @ r
+        rc = self.R @ r
         rc[self.coarse_bc] = 0.0
         zc = self.coarse_fact.solve(rc)
         z = self.P @ zc

@@ -8,6 +8,7 @@ from blocksolve.spaces import build_space, taylor_hood, DirichletBC
 from blocksolve.forms import stiffness_form, stokes_form, load_vector
 from blocksolve.operators import ImplicitOperator
 from blocksolve.options import OptionsDB
+from blocksolve import factory
 from blocksolve.factory import build_ksp, build_pc, UnknownType, report_unused
 from blocksolve.precond import (JacobiPC, SORPC, LUPC, NonePC, FieldSplitPC,
                                 AssembledPC, TelescopePC, SchwarzPC,
@@ -161,6 +162,23 @@ class TestBuildPC:
         A, _ = _poisson()
         with pytest.raises(UnknownType):
             build_pc(db, "", A)
+
+    @pytest.mark.parametrize("target, local", [
+        ("firedrake.PCDPC", "pcd"), ("firedrake.MassInvPC", "mass"),
+        ("firedrake.PatchPC", "schwarz"), ("firedrake.ASMStarPC", "schwarz"),
+        ("SSC", "schwarz"), ("mypcs.MyPatchSmoother", None),
+        ("mypcs.AssembledPCPlus", None), ("assembled", None)])
+    def test_python_indirection_exact_class_names(self, target, local):
+        # the class name is matched whole: a user class whose name holds
+        # "Patch" is not silently replaced by schwarz
+        db = OptionsDB().parse_args(
+            ["-pc_type", "python", "-pc_python_type", target])
+        if local is None:
+            with pytest.raises(UnknownType, match="known classes: PCDPC"):
+                factory._resolve_pc_type(db, "", "none")
+        else:
+            with pytest.warns(UserWarning, match=f"using '{local}'"):
+                assert factory._resolve_pc_type(db, "", "none") == local
 
     def test_telescope_is_passthrough(self):
         db = OptionsDB().parse_args(

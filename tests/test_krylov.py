@@ -3,7 +3,7 @@ import pytest
 
 from blocksolve import krylov
 from blocksolve.krylov import (KSP, Nullspace, SolveReport, DivergedMaxIts,
-                               DivergedNaN, IndefiniteOperator)
+                               DivergedNaN, IndefiniteOperator, KrylovError)
 from blocksolve.operators import AssembledOperator
 from blocksolve.precond import (LUPC, JacobiPC, KSPPC, FieldSplitPC,
                                 SchurOperator)
@@ -89,6 +89,25 @@ class TestGMRES:
         true_norm = np.linalg.norm(b - A.apply(x))
         assert true_norm < 1e-7
         assert rep.residual_norm == pytest.approx(true_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_happy_breakdown_ends_with_the_solution(self, side):
+        # b is an eigenvector: the first Arnoldi step leaves w = 0 exactly
+        A = AssembledOperator(np.diag([2.0, 3.0, 4.0]))
+        b = np.array([1.0, 0.0, 0.0])
+        x, rep = KSP("gmres", rtol=0.0, side=side).solve(A, b)
+        assert rep.converged and rep.iterations == 1
+        assert np.array_equal(x, [0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_image_raises_naming_node_and_iteration(self, side):
+        # A maps b = e0 to e1 and e1, the second Krylov vector, to zero
+        A = AssembledOperator(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(KrylovError, match="inner_: gmres breakdown at "
+                                              "iteration 2") as exc:
+            KSP("gmres", side=side, prefix="inner_").solve(
+                A, np.array([1.0, 0.0]))
+        assert exc.value.report.reason == "breakdown"
 
 
 @pytest.mark.parametrize("ksp_type, side", [

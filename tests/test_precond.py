@@ -104,17 +104,31 @@ class TestAlgebraic:
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("its", [1, 2])
     def test_sor_matches_split_triangles(self, omega, symmetric, its):
-        # the triangles read straight from A are the matrices D/omega + L
-        # and D/omega + U built by splitting A, so applies are bitwise equal
-        def factor(T):
-            return spla.splu(sp.csc_matrix(T), permc_spec="NATURAL",
-                             options={"SymmetricMode": False})
+        # the sweeps solve with D/omega + L and D/omega + U built by
+        # splitting A: bitwise as the public spsolve_triangular solves
+        # them, which pins SORPC's use of SuperLU's private kernel to it,
+        # and to rounding as their splu factors do
+        def triangle(lower):
+            return sp.diags(d / omega) + (sp.tril(A, k=-1) if lower
+                                          else sp.triu(A, k=1))
 
-        def sweep(r):
-            if symmetric:
-                return omega * (2.0 - omega) * bwd.solve(
-                    (d / omega) * fwd.solve(r))
-            return fwd.solve(r)
+        def solve_triangular(lower):
+            T = triangle(lower).tocsr()
+            return lambda b: spla.spsolve_triangular(T, b, lower=lower)
+
+        def solve_factored(lower):
+            return spla.splu(triangle(lower).tocsc(), permc_spec="NATURAL",
+                             options={"SymmetricMode": False}).solve
+
+        def sweeps(fwd, bwd):
+            def sweep(r):
+                if symmetric:
+                    return omega * (2.0 - omega) * bwd((d / omega) * fwd(r))
+                return fwd(r)
+            z = sweep(r)
+            for _ in range(its - 1):
+                z = z + sweep(r - A @ z)
+            return z
 
         V = build_space(build_unit_square(5), 2)
         wind = ImplicitOperator(
@@ -125,13 +139,69 @@ class TestAlgebraic:
             A = op.A
             r = rng.standard_normal(A.shape[0])
             d = A.diagonal()
-            fwd = factor(sp.diags(d / omega) + sp.tril(A, k=-1))
-            bwd = factor(sp.diags(d / omega) + sp.triu(A, k=1))
-            expect = sweep(r)
-            for _ in range(its - 1):
-                expect = expect + sweep(r - A @ expect)
-            pc = SORPC(omega=omega, its=its, symmetric=symmetric).set_up(op)
-            assert np.array_equal(pc.apply(r), expect)
+            got = SORPC(omega=omega, its=its,
+                        symmetric=symmetric).set_up(op).apply(r)
+            assert np.array_equal(got, sweeps(solve_triangular(True),
+                                              solve_triangular(False)))
+            # normwise: entry by entry, a second sweep's small entries
+            # differ by up to 3e-13 of themselves
+            ref = sweeps(solve_factored(True), solve_factored(False))
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_sor_factors_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sor set-up factored a matrix")
+
+        monkeypatch.setattr(spla, "splu", refuse)
+        monkeypatch.setattr(spla, "spilu", refuse)
+        A, b, _ = _poisson()
+        pc = SORPC(omega=1.2).set_up(A.assemble())
+        assert np.all(np.isfinite(pc.apply(b)))
+
+    def test_sor_non_canonical_csr(self):
+        # unsorted column indices and duplicate entries give the sweeps of
+        # the canonical matrix, and the operator's matrix is left as it is
+        A, b, _ = _poisson()
+        C = A.assemble().A
+        # every entry split in two halves, each row shuffled
+        coo = C.tocoo()
+        order = np.random.default_rng(4).permutation(2 * C.nnz)
+        order = order[np.argsort(np.tile(coo.row, 2)[order], kind="stable")]
+        N = sp.csr_matrix((np.tile(coo.data / 2, 2)[order],
+                           np.tile(coo.col, 2)[order], 2 * C.indptr),
+                          shape=C.shape)
+        assert not N.has_canonical_format
+        kept = N.indices.copy()
+        for symmetric in (True, False):
+            got = SORPC(omega=1.3, its=2, symmetric=symmetric).set_up(
+                AssembledOperator(N)).apply(b)
+            expect = SORPC(omega=1.3, its=2, symmetric=symmetric).set_up(
+                AssembledOperator(C)).apply(b)
+            assert np.array_equal(got, expect)
+        assert np.array_equal(N.indices, kept)
+
+    def test_sor_int64_indices(self):
+        # indices that fit are cast to SuperLU's C int; one that does not
+        # is refused, never cast silently
+        A, b, _ = _poisson()
+        C = A.assemble().A
+        W = C.copy()
+        W.indices = W.indices.astype(np.int64)
+        W.indptr = W.indptr.astype(np.int64)
+        assert W.tocsr().indices.dtype == np.int64
+        assert np.array_equal(SORPC().set_up(AssembledOperator(W)).apply(b),
+                              SORPC().set_up(AssembledOperator(C)).apply(b))
+        with pytest.raises(ValueError, match="pc sor .* 32-bit indices"):
+            precond._intc(np.array([0, 2 ** 31]), SORPC())
+
+    def test_sor_solve_failure_names_node(self, monkeypatch):
+        A, b, _ = _poisson()
+        pc = SORPC(prefix="fieldsplit_0_").set_up(A.assemble())
+        monkeypatch.setattr(precond, "_gstrs",
+                            lambda *args: (np.zeros(len(b)), 1))
+        with pytest.raises(precond.SingularFactor,
+                           match=r"pc sor \(-fieldsplit_0_\): .*info=1"):
+            pc.apply(b)
 
     def test_sor_invalid_omega(self):
         with pytest.raises(ValueError):
@@ -587,8 +657,12 @@ class TestSchwarz:
         # group only its dofs and the inverses of its blocks
         op = _schwarz_operator(2, 3, 3, 2)
         pc = SchwarzPC().set_up(op)
-        assert set(vars(pc)) == {"prefix", "op", "bc_dofs", "P", "coarse_bc",
-                                 "coarse_fact", "patches"}
+        assert set(vars(pc)) == {"prefix", "op", "bc_dofs", "P", "R",
+                                 "coarse_bc", "coarse_fact", "patches"}
+        # the restriction kept from set-up is P^T, bit for bit
+        r = np.random.default_rng(5).standard_normal(pc.P.shape[0])
+        assert pc.R.format == "csr"
+        assert np.array_equal(pc.R @ r, pc.P.T @ r)
         assert all(len(group) == 2 for group in pc.patches)
         for dofs, inv in pc.patches:
             assert dofs.dtype == np.int64 and inv.dtype == np.float64

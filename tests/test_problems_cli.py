@@ -117,6 +117,9 @@ class TestCLI:
          "unknown ksp type 'foo'"),
         (["poisson", "--n", "4", "--", "-pc_type", "foo"],
          "option -pc_type 'foo'"),
+        (["poisson", "--n", "4", "--", "-pc_type", "python",
+          "-pc_python_type", "mypcs.MyPatchSmoother"],
+         "option -pc_python_type 'mypcs.MyPatchSmoother': cannot map"),
         (["poisson", "--n", "4", "--", "-ksp_rtol", "abc"],
          "cannot read 'abc' as a float"),
         (["poisson", "--n", "4", "--", "-ksp_type", "cg", "stray"],
@@ -176,6 +179,13 @@ class TestCLI:
         (["navier-stokes", "--n", "4", "--", "-snes_max_it", "1",
           "-snes_error_if_not_converged"],
          "newton: max_its after 1 iterations"),
+        # the zero pressure block maps the first Krylov vector to zero
+        (["navier-stokes", "--n", "3", "--", "-ksp_type", "gmres",
+          "-pc_type", "fieldsplit", "-pc_fieldsplit_type", "additive",
+          "-fieldsplit_1_ksp_type", "gmres", "-fieldsplit_1_pc_type",
+          "none"],
+         "newton step 0: linear solve failed (fieldsplit_1_: gmres "
+         "breakdown at iteration 1"),
     ])
     def test_breakdown_is_one_line_and_exit_1(self, argv, message, capsys):
         # a singular factor, a Krylov or a Newton error is a failure to
