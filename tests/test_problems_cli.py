@@ -117,9 +117,6 @@ class TestCLI:
          "unknown ksp type 'foo'"),
         (["poisson", "--n", "4", "--", "-pc_type", "foo"],
          "option -pc_type 'foo'"),
-        (["poisson", "--n", "4", "--", "-pc_type", "python",
-          "-pc_python_type", "mypcs.MyPatchSmoother"],
-         "option -pc_python_type 'mypcs.MyPatchSmoother': cannot map"),
         (["poisson", "--n", "4", "--", "-ksp_rtol", "abc"],
          "cannot read 'abc' as a float"),
         (["poisson", "--n", "4", "--", "-ksp_type", "cg", "stray"],
@@ -150,6 +147,9 @@ class TestCLI:
          "pc fieldsplit (-): splits [(1,)] must put each of the fields"),
         (["poisson", "--n", "4", "--", "-pc_type", "schwarz"],
          "pc schwarz (-) needs polynomial degree >= 2"),
+        (["poisson", "--n", "4", "--", "-pc_type", "python",
+          "-pc_python_type", "mypcs.MyPatchSmoother"],
+         "option -pc_python_type 'mypcs.MyPatchSmoother': cannot map"),
     ])
     def test_bad_solver_option_is_one_line_and_exit_2(self, argv, message,
                                                       capsys):
