@@ -1,18 +1,19 @@
 """Global function spaces, mixed spaces, and Dirichlet boundary conditions.
 
-Scalar dofs are numbered with array operations over all (cell, node)
-pairs at once: each pair gets an entity key (the sorted vertices of the
-mesh entity the node sits on plus its position along it), so dofs shared
-between adjacent cells coincide, and the distinct keys are numbered in
-order of first appearance, cell by cell.  A key is 5(dim+1) packed bytes,
-int32 vertex ids and uint8 multi-index entries (9(dim+1) bytes on a mesh
-of 2**31 vertices or more), and keys are grouped by a byte-wise sort.
-Vector spaces interleave components per node.  Mixed spaces concatenate
-their fields, so every field owns one contiguous index range.
+Scalar dofs are numbered with array operations over all cells at once.
+Each cell's vertex ids are sorted once; a node sits on the mesh entity
+(vertex, edge, face or interior) spanned by the vertices its multi-index
+is nonzero on, and its integer key is that entity's rank plus its local
+index there, so dofs shared between adjacent cells coincide.  Entities
+are ranked by int64 codes of their sorted vertices, and keys are numbered
+in order of first appearance, cell by cell.  Vector spaces interleave
+components per node.  Mixed spaces concatenate their fields, so every
+field owns one contiguous index range.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,37 +36,22 @@ class FunctionSpace:
 
         cells = mesh.cells
         multi = np.array(element.node_multiindex)        # (nn, dim+1)
-        ncells, nn = mesh.num_cells, element.nnodes
-        # entity key of every (cell, node): the global ids of the vertices
-        # the node's multi-index is nonzero on, sorted, then those entries
-        # in the same order; vertices off the support sort first as -1.  A
-        # key packs its ids as int32 (int64 on a mesh of 2**31 vertices or
-        # more) and its entries as uint8, byte after byte
-        vtype = (np.int32 if mesh.num_vertices <= np.iinfo(np.int32).max
-                 else np.int64)
-        gverts = np.where(multi[None] > 0, cells.astype(vtype)[:, None], -1)
-        order = np.argsort(gverts, axis=2)
-        keys = np.concatenate(
-            [np.take_along_axis(gverts, order, axis=2).view(np.uint8),
-             np.take_along_axis(np.broadcast_to(multi.astype(np.uint8),
-                                                gverts.shape), order, axis=2)],
-            axis=2)
-        # each key as one opaque item: grouping equal keys needs no
-        # lexicographic order, and a byte-wise sort is several times faster
-        rows = keys.view(np.dtype((np.void, keys.shape[2])))
-        _, first, inverse = np.unique(rows.ravel(), return_index=True,
-                                      return_inverse=True)
-        # number entities in order of first appearance, cell by cell
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        cell_sdofs = rank[inverse].reshape(ncells, nn)
+        nn = element.nnodes
+        keys, nkeys = _node_keys(cells, multi, element.degree)
+        # number the keys in order of first appearance, cell by cell
+        first = np.full(nkeys, keys.size)
+        np.minimum.at(first, keys.ravel(), np.arange(keys.size))
+        order = np.argsort(first)
+        rank = np.empty(nkeys, dtype=np.int64)
+        rank[order] = np.arange(nkeys)
+        cell_sdofs = rank[keys]
 
         # coordinates from the first (cell, node) of each entity
-        firsts = np.sort(first)
+        firsts = first[order]
         weights = multi[firsts % nn] / element.degree   # (nsdofs, dim+1)
         verts = mesh.vertices[cells[firsts // nn]]      # (nsdofs, dim+1, dim)
 
-        self.num_scalar_dofs = len(first)
+        self.num_scalar_dofs = nkeys
         self.scalar_dof_coords = np.einsum("sa,sad->sd", weights, verts)
         self.cell_scalar_dofs = cell_sdofs
 
@@ -95,6 +81,68 @@ class FunctionSpace:
         nc = self.ncomp
         dofs = (sdofs[:, None] * nc + np.arange(nc)[None, :]).ravel()
         return np.sort(dofs)
+
+
+def _node_keys(cells, multi, degree):
+    """(keys, nkeys): the key in range(nkeys) of every (cell, node), equal
+    exactly where two (cell, node) pairs are one dof, from the cells'
+    vertex ids and the nodes' barycentric multi-indices.
+
+    A node sits on the entity spanned by the vertices its multi-index is
+    nonzero on, at a local index given by those entries in sorted-vertex
+    order.  Vertex ids are compressed to the ones the cells use, so no
+    array is sized by the mesh's vertex count.  A vertex is ranked by its
+    compressed id; an entity of k > 1 vertices by the code (rank of its
+    first k-1 sorted vertices) * nv + its last vertex.  Keys run through
+    the entities k by k, each entity's nodes consecutive; all are used."""
+    nverts = cells.shape[1]                              # dim+1
+    used, cverts = np.unique(cells, return_inverse=True)
+    cverts, nv = cverts.reshape(cells.shape), len(used)
+    order = np.argsort(cverts, axis=1)
+    svert = np.take_along_axis(cverts, order, axis=1)
+    # rank of the entity on each set of positions in a cell's sorted
+    # vertices; entities of more vertices than the degree carry no node
+    erank = {(a,): svert[:, a] for a in range(nverts)}
+    ecount = {1: nv}
+    for k in range(2, min(degree, nverts) + 1):
+        sets = list(itertools.combinations(range(nverts), k))
+        ranks, ecount[k] = _rank_codes(
+            np.stack([erank[s[:-1]] for s in sets], axis=1),
+            svert[:, [s[-1] for s in sets]], nv)
+        erank.update(zip(sets, ranks.T))
+
+    # each node's entity (the positions its entries in sorted-vertex order
+    # are nonzero at) and local index, looked up by those entries as a
+    # base-(degree+1) code; the element's multi-indices are every such
+    # entry vector, so they fill the table
+    digits = (degree + 1) ** np.arange(nverts)
+    cols, locs = np.zeros((2, (degree + 1) ** nverts), dtype=np.int64)
+    local, column = {}, {}      # k -> {entries: index}, positions -> column
+    for m in multi:
+        at = tuple(np.flatnonzero(m))
+        entries = local.setdefault(len(at), {})
+        locs[m @ digits] = entries.setdefault(tuple(m[list(at)]), len(entries))
+        cols[m @ digits] = column.setdefault(at, len(column))
+    offset, nkeys = {}, 0
+    for k, entries in local.items():
+        offset[k], nkeys = nkeys, nkeys + ecount[k] * len(entries)
+    ent = np.stack([offset[len(at)] + erank[at] * len(local[len(at)])
+                    for at in column], axis=1)   # (ncells, ncolumns)
+    # each (cell, node)'s entries in sorted-vertex order, as that code
+    node_code = digits[np.argsort(order, axis=1)] @ multi.T   # (ncells, nn)
+    keys = np.take_along_axis(ent, cols[node_code], axis=1) + locs[node_code]
+    return keys, nkeys
+
+
+def _rank_codes(major, minor, n):
+    """(ranks, count): the rank of each code major * n + minor among the
+    distinct codes, and their count; minor < n.  A code that would not fit
+    an int64 raises ValueError instead of wrapping."""
+    if (int(major.max()) + 1) * n > np.iinfo(np.int64).max + 1:
+        raise ValueError(f"entity code {int(major.max())} * {n} + {n - 1} "
+                         f"does not fit an int64")
+    uniq, ranks = np.unique(major * n + minor, return_inverse=True)
+    return ranks.reshape(major.shape), len(uniq)
 
 
 class MixedSpace:
@@ -146,7 +194,9 @@ class DirichletBC:
     callable of the node coordinates, called once on all boundary nodes
     with x of shape (dim, nnodes) and returning (nnodes,) for a scalar
     space or (ncomp, nnodes) for a vector one (`mesh.call_on_points`).
-    `field` names the field when the BC lives inside a mixed space.
+    `field` names the field when the BC lives inside a mixed space.  Where
+    BCs of one problem share dofs, the later BC in the list wins on every
+    shared dof (`collect_bc_values`).
     """
 
     space: FunctionSpace
@@ -171,19 +221,26 @@ class DirichletBC:
 def collect_bc_dofs(mixed, bcs):
     """Global Dirichlet dofs of a list of DirichletBCs within a mixed space,
     sorted and unique."""
-    return np.unique(collect_bc_values(mixed, bcs)[0])
+    return collect_bc_values(mixed, bcs)[0]
 
 
 def collect_bc_values(mixed, bcs):
-    """(dofs, values) with mixed-space offsets applied."""
+    """(dofs, values) with mixed-space offsets applied, the dofs sorted and
+    unique.  Where BCs share a dof, the later one in `bcs` gives its
+    value."""
     dofs, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for bc in bcs:
         dofs.append(bc.dofs + mixed.offsets[bc.field])
         vals.append(bc.values)
     d = np.concatenate(dofs)
     v = np.concatenate(vals)
-    order = np.argsort(d)
-    return d[order], v[order]
+    # a stable sort keeps each dof's entries in BC order; keep only the
+    # last, as assignment through a repeated index has no defined order
+    order = np.argsort(d, kind="stable")
+    d, v = d[order], v[order]
+    last = np.ones(len(d), dtype=bool)
+    last[:-1] = d[1:] != d[:-1]
+    return d[last], v[last]
 
 
 def _nodal_values(coords, value, ncomp):

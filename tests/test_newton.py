@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blocksolve.mesh import build_unit_square
-from blocksolve.spaces import taylor_hood, DirichletBC, collect_bc_values
+from blocksolve.spaces import (build_space, taylor_hood, DirichletBC,
+                               collect_bc_values)
 from blocksolve.forms import (ns_jacobian_form, ns_residual, stiffness_form,
                               poisson_residual, load_vector)
 from blocksolve.krylov import KSP, Nullspace
@@ -32,7 +33,6 @@ def _direct(A, Apc):
 class TestConvergence:
     def test_linear_problem_one_step(self):
         mesh = build_unit_square(4)
-        from blocksolve.spaces import build_space
         V = build_space(mesh, 1)
         bcs = [DirichletBC(V, (1, 2, 3, 4), value=0.0, field=0)]
         form = stiffness_form(V)
@@ -68,6 +68,31 @@ class TestConvergence:
             assert rep.converged
             xs.append(nsp.project(x))
         assert np.allclose(xs[0], xs[1], atol=1e-8)
+
+    def test_overlapping_bcs_later_one_wins(self):
+        # markers 3 and 4 are y = 0 and y = 1; both BCs hold y = 0
+        V = build_space(build_unit_square(16), 2)
+        bcs = [DirichletBC(V, (1, 2, 3), value=1.0),
+               DirichletBC(V, (3, 4), value=2.0)]
+        on = V.boundary_scalar_dofs((1, 2, 3, 4))
+        expect = np.where(np.isin(on, V.boundary_scalar_dofs((3, 4))),
+                          2.0, 1.0)
+        form = stiffness_form(V)
+        b = load_vector(form, 1.0)
+        r = poisson_residual(form, np.zeros(V.num_dofs), bcs=bcs, rhs=b)
+        assert np.array_equal(r[on], -expect)
+        states = []
+
+        def residual(x):
+            states.append(x.copy())
+            return poisson_residual(form, x, bcs=bcs, rhs=b)
+
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+                              mat_type="aij", rtol=1e-10)
+        x, rep = solver.solve()
+        assert rep.converged
+        assert np.array_equal(states[0][on], expect)
+        assert np.allclose(x[on], expect, rtol=0, atol=1e-12)
 
     def test_bcs_imposed_on_solution(self):
         form, residual, bcs, nsp, W = _cavity(Re=10.0)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blocksolve.mesh import build_unit_square, build_unit_cube
+from blocksolve.mesh import Mesh, build_unit_square, build_unit_cube
 from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
-                               DirichletBC, interpolate)
+                               DirichletBC, interpolate, _rank_codes)
 
 
 class TestScalarSpace:
@@ -133,10 +135,8 @@ def _loop_numbering(mesh, element):
     return cell_sdofs, np.array(coords)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
-def test_numbering_matches_cell_loop(dim, degree):
-    mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+def _assert_numbering_matches_loop(mesh, degree):
+    dim = mesh.dim
     for ncomp in (1, dim):
         V = build_space(mesh, degree, ncomp=ncomp)
         cell_sdofs, coords = _loop_numbering(mesh, V.element)
@@ -146,6 +146,66 @@ def test_numbering_matches_cell_loop(dim, degree):
         assert np.array_equal(V.cell_dofs.reshape(mesh.num_cells, -1, ncomp),
                               cell_sdofs[:, :, None] * ncomp
                               + np.arange(ncomp))
+
+
+def _relabelled(mesh, rng):
+    """The mesh with its vertex ids randomly permuted, its cells shuffled
+    and each cell's vertex list rotated by a random amount."""
+    perm = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    cells = perm[mesh.cells][rng.permutation(mesh.num_cells)]
+    shift = rng.integers(mesh.dim + 1, size=(len(cells), 1))
+    cells = np.take_along_axis(
+        cells, (np.arange(mesh.dim + 1) + shift) % (mesh.dim + 1), axis=1)
+    return Mesh(mesh.dim, vertices, cells)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_numbering_matches_cell_loop(dim, degree):
+    mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+    _assert_numbering_matches_loop(mesh, degree)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_numbering_matches_cell_loop_relabelled(dim, degree):
+    # unstructured ids: the grid's vertex order is not what makes the
+    # array numbering agree with the loop
+    mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+    rng = np.random.default_rng(10 * dim + degree)
+    for _ in range(3):
+        _assert_numbering_matches_loop(_relabelled(mesh, rng), degree)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_numbering_memory_independent_of_vertex_count(dim):
+    # a small mesh's cells shifted to the top of 2**24 + 8 vertices, held
+    # as one broadcast row: the numbering must not allocate per vertex
+    small = build_unit_square(2) if dim == 2 else build_unit_cube(2)
+    nv = 2 ** 24 + 8
+    big = Mesh(dim, np.broadcast_to(small.vertices[:1], (nv, dim)),
+               small.cells + (nv - small.num_vertices))
+    tracemalloc.start()
+    try:
+        V = build_space(big, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(V.cell_scalar_dofs,
+                          build_space(small, 4).cell_scalar_dofs)
+    # less than a byte per vertex; an int64 table per vertex is 128 MB
+    assert peak < nv
+
+
+def test_entity_codes_raise_instead_of_wrapping():
+    # the largest code that fits, 2**63 - 1, is ranked; one past raises
+    ranks, count = _rank_codes(np.array([[2 ** 32 - 1, 0]]),
+                               np.array([[2 ** 31 - 1, 5]]), 2 ** 31)
+    assert np.array_equal(ranks, [[1, 0]]) and count == 2
+    with pytest.raises(ValueError, match="does not fit an int64"):
+        _rank_codes(np.array([[2 ** 32]]), np.array([[0]]), 2 ** 31)
 
 
 @pytest.mark.parametrize("ncomp, value", [
