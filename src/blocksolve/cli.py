@@ -10,7 +10,9 @@ any nested solver can be reconfigured from the shell:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -36,6 +38,11 @@ def _positive_int(text):
     return n
 
 
+def _ints(text):
+    """A comma-separated list of ints, as a tuple."""
+    return tuple(int(d) for d in text.split(","))
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="blocksolve",
@@ -43,11 +50,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poisson", help="variable-coefficient Poisson solve")
-    p.add_argument("--n", type=_positive_int, default=8)
-    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--degree", type=int, default=1,
+    p.add_argument("--n", type=_positive_int, default=PoissonConfig.n)
+    p.add_argument("--dim", type=int, default=PoissonConfig.dim,
+                   choices=(2, 3))
+    p.add_argument("--degree", type=int, default=PoissonConfig.degree,
                    choices=range(1, MAX_LAGRANGE_DEGREE + 1))
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=float, default=PoissonConfig.kappa)
     p.add_argument("--mms", action="store_true",
                    help="manufactured solution with L2 error report")
     p.add_argument("--table", action="store_true",
@@ -58,25 +66,28 @@ def _build_parser():
                    help="write the mesh as text")
 
     ns = sub.add_parser("navier-stokes", help="lid-driven cavity")
-    ns.add_argument("--n", type=_positive_int, default=8)
-    ns.add_argument("--re", type=float, default=100.0)
+    ns.add_argument("--n", type=_positive_int, default=CavityConfig.n)
+    ns.add_argument("--re", type=float, default=CavityConfig.re)
     # Taylor-Hood: velocity degree k, pressure degree k - 1
-    ns.add_argument("--degree", type=int, default=2,
+    ns.add_argument("--degree", type=int, default=CavityConfig.degree,
                     choices=range(2, MAX_LAGRANGE_DEGREE + 1))
 
     rb = sub.add_parser("rayleigh-benard",
                         help="buoyancy-driven convection")
-    rb.add_argument("--n", type=_positive_int, default=8)
-    rb.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    rb.add_argument("--ra", type=float, default=200.0)
-    rb.add_argument("--pr", type=float, default=6.18)
+    rb.add_argument("--n", type=_positive_int, default=ConvectionConfig.n)
+    rb.add_argument("--dim", type=int, default=ConvectionConfig.dim,
+                    choices=(2, 3))
+    rb.add_argument("--ra", type=float, default=ConvectionConfig.ra)
+    rb.add_argument("--pr", type=float, default=ConvectionConfig.pr)
 
     bench = sub.add_parser("bench-matvec",
                            help="matrix-free vs assembled matvec benchmark")
-    bench.add_argument("--n", type=_positive_int, default=16)
-    bench.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    bench.add_argument("--degrees", type=str, default="1,2,3,4")
-    bench.add_argument("--repeats", type=_positive_int, default=5)
+    bench.add_argument("--n", type=_positive_int, default=BenchConfig.n)
+    bench.add_argument("--dim", type=int, default=BenchConfig.dim,
+                       choices=(2, 3))
+    bench.add_argument("--degrees", type=_ints, default=BenchConfig.degrees)
+    bench.add_argument("--repeats", type=_positive_int,
+                       default=BenchConfig.repeats)
 
     for sp in (p, ns, rb, bench):
         sp.add_argument("--options-file", action="append", default=[],
@@ -91,17 +102,20 @@ def _split_argv(argv):
     return argv, []
 
 
+def _config(cls, args, **changes):
+    """A `cls` from the parsed driver arguments of its fields."""
+    return cls(**{f.name: getattr(args, f.name)
+                  for f in dataclasses.fields(cls)} | changes)
+
+
 def _poisson(args, db, stdout):
-    cfg = PoissonConfig(n=args.n, dim=args.dim, degree=args.degree,
-                        kappa=args.kappa, mms=args.mms or args.table)
+    cfg = _config(PoissonConfig, args, mms=args.mms or args.table)
     if args.table:
         prev = None
         print("n,dofs,l2_error,rate", file=stdout)
         ok = True
         for n in (cfg.n, 2 * cfg.n, 4 * cfg.n):
-            res = run_poisson(PoissonConfig(n=n, dim=cfg.dim,
-                                            degree=cfg.degree,
-                                            kappa=cfg.kappa, mms=True), db,
+            res = run_poisson(dataclasses.replace(cfg, n=n), db,
                               stdout=stdout)
             ok = ok and res["report"].converged
             err = res["l2_error"]
@@ -126,8 +140,7 @@ def _poisson(args, db, stdout):
 
 
 def _navier_stokes(args, db, stdout):
-    res = run_cavity(CavityConfig(n=args.n, re=args.re,
-                                  degree=args.degree), db, stdout=stdout)
+    res = run_cavity(_config(CavityConfig, args), db, stdout=stdout)
     rep = res["report"]
     print(f"navier-stokes: dofs={res['dofs']} newton_its={rep.iterations} "
           f"linear_its={rep.linear_iterations} "
@@ -136,9 +149,7 @@ def _navier_stokes(args, db, stdout):
 
 
 def _rayleigh_benard(args, db, stdout):
-    res = run_convection(ConvectionConfig(n=args.n, dim=args.dim,
-                                          ra=args.ra, pr=args.pr),
-                         db, stdout=stdout)
+    res = run_convection(_config(ConvectionConfig, args), db, stdout=stdout)
     rep = res["report"]
     print(f"rayleigh-benard: dofs={res['dofs']} "
           f"newton_its={rep.iterations} "
@@ -148,9 +159,7 @@ def _rayleigh_benard(args, db, stdout):
 
 
 def _bench(args, db, stdout):
-    degrees = tuple(int(d) for d in args.degrees.split(","))
-    run_bench(BenchConfig(n=args.n, dim=args.dim, degrees=degrees,
-                          repeats=args.repeats), db, stdout=stdout)
+    run_bench(_config(BenchConfig, args), db, stdout=stdout)
     return True
 
 
@@ -161,7 +170,9 @@ def main(argv=None, stdout=None):
     names its node.  Returns 2, with such a line, for a bad solver option
     or a tree that does not fit its operator: a node the operator cannot
     serve or a composition error such as a zero diagonal under sor
-    (argparse exits with 2 for a bad driver argument)."""
+    (argparse exits with 2 for a bad driver argument).  A warning, such
+    as a requested solver component realised by another, is one line on
+    stderr too."""
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     driver_argv, option_argv = _split_argv(argv)
@@ -177,10 +188,13 @@ def main(argv=None, stdout=None):
                 "bench-matvec": _bench}
     db = OptionsDB()
     try:
-        for path in args.options_file:
-            db.parse_file(path)
-        db.parse_args(option_argv)
-        ok = handlers[args.command](args, db, stdout)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"{parser.prog}: warning: {message}", file=sys.stderr)
+            for path in args.options_file:
+                db.parse_file(path)
+            db.parse_args(option_argv)
+            ok = handlers[args.command](args, db, stdout)
     except (BadOptionName, BadOptionValue, UnknownType, MissingContext,
             CompositionError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

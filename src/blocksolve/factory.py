@@ -28,9 +28,6 @@ from .precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
 
 __all__ = ["build_ksp", "build_pc", "UnknownType", "report_unused"]
 
-PC_TYPES = ("none", "jacobi", "sor", "lu", "ilu", "ksp", "assembled",
-            "telescope", "fieldsplit", "pcd", "mass", "schwarz")
-
 # foreign solver components accepted for compatibility and realised by a
 # locally available equivalent
 _PC_ALIASES = {"hypre": "lu", "gamg": "lu", "ml": "lu", "icc": "ilu",
@@ -47,31 +44,34 @@ class UnknownType(Exception):
     pass
 
 
-def _warn_alias(prefix, asked, used):
-    warnings.warn(f"option -{prefix}pc_type {asked}: not available, "
-                  f"using '{used}' instead", stacklevel=2)
+def _warn_substitution(prefix, option, asked, used):
+    """The one report of a requested component realised by another."""
+    warnings.warn(f"option -{prefix}{option} {asked}: not available, "
+                  f"using {used} instead")
 
 
 def _resolve_pc_type(db, prefix, default):
+    """The key in `_PC_MAKERS` of `-<prefix>pc_type`: a foreign type or a
+    python class is substituted, with a warning."""
     asked = db.get(prefix + "pc_type", default)
+    if asked in PC_TYPES:
+        return asked
     if asked == "python":
         target = db.get(prefix + "pc_python_type", "")
-        local = _PYTHON_PC_MAP.get(target.rsplit(".", 1)[-1])
-        if local is None:
+        used = _PYTHON_PC_MAP.get(target.rsplit(".", 1)[-1])
+        if used is None:
             raise UnknownType(
                 f"option -{prefix}pc_python_type {target!r}: cannot map onto "
                 f"a local preconditioner; known classes: "
                 f"{', '.join(_PYTHON_PC_MAP)}")
-        _warn_alias(prefix, f"python ({target})", local)
-        return local
-    if asked in _PC_ALIASES:
+        asked = f"python ({target})"
+    elif asked in _PC_ALIASES:
         used = _PC_ALIASES[asked]
-        _warn_alias(prefix, asked, used)
-        return used
-    if asked not in PC_TYPES:
+    else:
         raise UnknownType(f"option -{prefix}pc_type {asked!r}: known types: "
                           f"{', '.join(PC_TYPES)}")
-    return asked
+    _warn_substitution(prefix, "pc_type", asked, f"'{used}'")
+    return used
 
 
 def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
@@ -112,70 +112,67 @@ def build_pc(db, prefix, A, Apc=None, default_pc=None):
     if default_pc is None:
         default_pc = "jacobi" if hasattr(op, "A") else "none"
     pc_type = _resolve_pc_type(db, prefix, default_pc)
-
     with option_values():
-        if pc_type == "none":
-            pc = NonePC(prefix=prefix)
-        elif pc_type == "jacobi":
-            pc = JacobiPC(prefix=prefix)
-        elif pc_type == "sor":
-            pc = SORPC(omega=db.get_float(prefix + "pc_sor_omega", 1.0),
-                       its=db.get_int(prefix + "pc_sor_its", 1),
-                       symmetric=db.get_bool(prefix + "pc_sor_symmetric",
-                                             True),
-                       prefix=prefix)
-        elif pc_type == "lu":
-            solver = db.get(prefix + "pc_factor_mat_solver_type",
-                            db.get(prefix + "pc_factor_mat_solver_package"))
-            if solver not in (None, "default"):
-                warnings.warn(f"option -{prefix}pc_factor_mat_solver_type "
-                              f"{solver}: using the built-in sparse LU")
-            pc = LUPC(prefix=prefix)
-        elif pc_type == "ilu":
-            pc = ILUPC(
-                drop_tol=db.get_float(prefix + "pc_factor_drop_tol", 1e-4),
-                fill_factor=db.get_float(prefix + "pc_factor_fill", 10.0),
-                prefix=prefix)
-        elif pc_type == "ksp":
-            pc = KSPPC(ksp_maker=lambda sub: build_ksp(
-                db, prefix + "ksp_", sub, default_type="gmres"), prefix=prefix)
-        elif pc_type == "assembled":
-            pc = AssembledPC(inner_maker=lambda sub: build_pc(
-                db, prefix + "assembled_", sub, default_pc="lu"), prefix=prefix)
-        elif pc_type == "telescope":
-            pc = TelescopePC(inner_maker=lambda sub: build_pc(
-                db, prefix + "telescope_", sub), prefix=prefix)
-        elif pc_type == "fieldsplit":
-            splits = _read_splits(db, prefix)
-            pc = FieldSplitPC(
-                splits=splits,
-                fs_type=db.get(prefix + "pc_fieldsplit_type", "additive"),
-                fact_type=db.get(prefix + "pc_fieldsplit_schur_fact_type",
-                                 "full"),
-                sub_ksp_maker=lambda i, sub: build_ksp(
-                    db, f"{prefix}fieldsplit_{i}_", sub,
-                    default_type="preonly", default_pc=None),
-                prefix=prefix)
-        elif pc_type == "pcd":
-            pc = PCDPC(
-                mp_maker=lambda sub: build_ksp(
-                    db, prefix + "pcd_Mp_", sub,
-                    default_type="preonly", default_pc="lu"),
-                kp_maker=lambda sub: build_ksp(
-                    db, prefix + "pcd_Kp_", sub,
-                    default_type="preonly", default_pc="lu"),
-                prefix=prefix)
-        elif pc_type == "mass":
-            pc = MassSchurPC(
-                mp_maker=lambda sub: build_ksp(
-                    db, prefix + "mass_", sub,
-                    default_type="preonly", default_pc="lu"),
-                prefix=prefix)
-        elif pc_type == "schwarz":
-            pc = SchwarzPC(prefix=prefix)
-        else:  # pragma: no cover - guarded by _resolve_pc_type
-            raise UnknownType(pc_type)
+        pc = _PC_MAKERS[pc_type](db, prefix)
     return pc.set_up(A, Apc)
+
+
+def _ksp_maker(db, prefix, default_type="preonly", default_pc="lu"):
+    """Maker of the nested solver at `prefix`.  It looks `build_ksp` up
+    when it runs, so a wrapper put in its place sees nested builds too."""
+    return lambda sub: build_ksp(db, prefix, sub, default_type=default_type,
+                                 default_pc=default_pc)
+
+
+def _lu(db, prefix):
+    solver = db.get(prefix + "pc_factor_mat_solver_type",
+                    db.get(prefix + "pc_factor_mat_solver_package"))
+    if solver not in (None, "default"):
+        _warn_substitution(prefix, "pc_factor_mat_solver_type", solver,
+                           "the built-in sparse LU")
+    return LUPC(prefix=prefix)
+
+
+# every preconditioner type: its maker (db, prefix) -> a node, not yet set
+# up, configured from that type's `<prefix>pc_*` options
+_PC_MAKERS = {
+    "none": lambda db, prefix: NonePC(prefix=prefix),
+    "jacobi": lambda db, prefix: JacobiPC(prefix=prefix),
+    "sor": lambda db, prefix: SORPC(
+        omega=db.get_float(prefix + "pc_sor_omega", 1.0),
+        its=db.get_int(prefix + "pc_sor_its", 1),
+        symmetric=db.get_bool(prefix + "pc_sor_symmetric", True),
+        prefix=prefix),
+    "lu": _lu,
+    "ilu": lambda db, prefix: ILUPC(
+        drop_tol=db.get_float(prefix + "pc_factor_drop_tol", 1e-4),
+        fill_factor=db.get_float(prefix + "pc_factor_fill", 10.0),
+        prefix=prefix),
+    "ksp": lambda db, prefix: KSPPC(
+        ksp_maker=_ksp_maker(db, prefix + "ksp_", "gmres", None),
+        prefix=prefix),
+    "assembled": lambda db, prefix: AssembledPC(
+        inner_maker=lambda sub: build_pc(db, prefix + "assembled_", sub,
+                                         default_pc="lu"),
+        prefix=prefix),
+    "telescope": lambda db, prefix: TelescopePC(
+        inner_maker=lambda sub: build_pc(db, prefix + "telescope_", sub),
+        prefix=prefix),
+    "fieldsplit": lambda db, prefix: FieldSplitPC(
+        splits=_read_splits(db, prefix),
+        fs_type=db.get(prefix + "pc_fieldsplit_type", "additive"),
+        fact_type=db.get(prefix + "pc_fieldsplit_schur_fact_type", "full"),
+        sub_ksp_maker=lambda i, sub: _ksp_maker(
+            db, f"{prefix}fieldsplit_{i}_", default_pc=None)(sub),
+        prefix=prefix),
+    "pcd": lambda db, prefix: PCDPC(
+        mp_maker=_ksp_maker(db, prefix + "pcd_Mp_"),
+        kp_maker=_ksp_maker(db, prefix + "pcd_Kp_"), prefix=prefix),
+    "mass": lambda db, prefix: MassSchurPC(
+        mp_maker=_ksp_maker(db, prefix + "mass_"), prefix=prefix),
+    "schwarz": lambda db, prefix: SchwarzPC(prefix=prefix),
+}
+PC_TYPES = tuple(_PC_MAKERS)
 
 
 def _read_splits(db, prefix):

@@ -359,34 +359,6 @@ class KSPPC(Preconditioner):
         return [view_ksp(self.ksp, indent)]
 
 
-class AssembledPC(Preconditioner):
-    """Force-assemble an implicit operator and precondition with an inner
-    (typically algebraic) preconditioner built on the assembled matrix."""
-
-    type_name = "assembled"
-
-    def __init__(self, *, inner_maker, prefix=""):
-        super().__init__(prefix)
-        self.inner_maker = inner_maker
-
-    def _set_up(self, op):
-        self.inner = self.inner_maker(self._assemble(op))
-
-    def _update(self, op):
-        self.inner.update(self._assemble(op))
-
-    def _assemble(self, op):
-        if isinstance(op, AssembledOperator):
-            return op
-        return _implicit(op, self).assemble()
-
-    def apply(self, r):
-        return self.inner.apply(r)
-
-    def _view_body(self, indent):
-        return [self.inner.view(indent)]
-
-
 class TelescopePC(Preconditioner):
     """Pass-through wrapper around an inner preconditioner (kept for
     option-file compatibility with redistribution-style solver layouts;
@@ -399,16 +371,35 @@ class TelescopePC(Preconditioner):
         self.inner_maker = inner_maker
 
     def _set_up(self, op):
-        self.inner = self.inner_maker(op)
+        self.inner = self.inner_maker(self._inner_op(op))
 
     def _update(self, op):
-        self.inner.update(op)
+        self.inner.update(self._inner_op(op))
+
+    def _inner_op(self, op):
+        """The operator the inner preconditioner is built on."""
+        return op
 
     def apply(self, r):
         return self.inner.apply(r)
 
     def _view_body(self, indent):
         return [self.inner.view(indent)]
+
+
+class AssembledPC(TelescopePC):
+    """Force-assemble an implicit operator and precondition with an inner
+    (typically algebraic) preconditioner built on the assembled matrix."""
+
+    type_name = "assembled"
+
+    def _inner_op(self, op):
+        if isinstance(op, AssembledOperator):
+            return op
+        return _implicit(op, self).assemble()
+
+    def apply(self, r):
+        return self.inner.apply(r)
 
 
 # --- fieldsplit ------------------------------------------------------------

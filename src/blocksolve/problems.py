@@ -131,12 +131,13 @@ class CavityConfig:
     degree: int = 2
 
 
-def _newton_from_options(db, resid, form, bcs, nullspace, stdout,
-                         default_mat="aij"):
+def _newton_from_options(db, resid, form, bcs, stdout):
+    """Newton on a mixed problem whose field 1, the pressure, is fixed
+    only up to a constant."""
     monitor = None
     if db.get_bool("snes_monitor"):
         monitor = lambda line: print(line, file=stdout)
-    mat_type = db.get("mat_type", default_mat)
+    mat_type = db.get("mat_type", "aij")
     pmat_type = db.get("pmat_type", mat_type)
 
     def maker(A, Apc):
@@ -145,13 +146,16 @@ def _newton_from_options(db, resid, form, bcs, nullspace, stdout,
         _show_view(db, ksp, stdout)
         return ksp
 
+    nullspace = np.zeros(form.col_space.num_dofs)
+    nullspace[form.col_space.field_slice(1)] = 1.0
     with option_values():
         return NewtonSolver(resid, form, bcs, ksp_maker=maker,
                             rtol=db.get_float("snes_rtol", 1e-8),
                             atol=db.get_float("snes_atol", 1e-50),
                             max_it=db.get_int("snes_max_it", 50),
                             mat_type=mat_type, pmat_type=pmat_type,
-                            nullspace=nullspace, monitor=monitor,
+                            nullspace=Nullspace([nullspace]),
+                            monitor=monitor,
                             error_if_not_converged=db.get_bool(
                                 "snes_error_if_not_converged"))
 
@@ -169,11 +173,7 @@ def run_cavity(cfg, db, stdout=None):
     bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
     form = ns_jacobian_form(W, Re=cfg.re)
     resid = lambda x: ns_residual(form, x, bcs)
-    nsv = np.zeros(W.num_dofs)
-    nsv[W.field_slice(1)] = 1.0
-    snes = _newton_from_options(db, resid, form, bcs, Nullspace([nsv]),
-                                stdout)
-    x, report = snes.solve()
+    x, report = _newton_from_options(db, resid, form, bcs, stdout).solve()
     return {"mesh": mesh, "space": W, "solution": x, "report": report,
             "dofs": W.num_dofs}
 
@@ -201,10 +201,7 @@ def run_convection(cfg, db, stdout=None):
            DirichletBC(T, (2,), value=0.0, field=2)]
     form = rb_jacobian_form(W, Ra=cfg.ra, Pr=cfg.pr)
     resid = lambda x: rb_residual(form, x, bcs)
-    nsv = np.zeros(W.num_dofs)
-    nsv[W.field_slice(1)] = 1.0
-    snes = _newton_from_options(db, resid, form, bcs, Nullspace([nsv]),
-                                stdout)
+    snes = _newton_from_options(db, resid, form, bcs, stdout)
     x0 = np.zeros(W.num_dofs)
     # start from the conducting state so the energy residual is small
     x0[W.field_slice(2)] = interpolate(T, lambda p: 1.0 - p[0])

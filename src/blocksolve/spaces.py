@@ -55,11 +55,9 @@ class FunctionSpace:
         self.scalar_dof_coords = np.einsum("sa,sad->sd", weights, verts)
         self.cell_scalar_dofs = cell_sdofs
 
-        nc = element.ncomp
         # cell-local layout: node-major, components fastest
-        self.cell_dofs = (cell_sdofs[:, :, None] * nc
-                          + np.arange(nc)[None, None, :]).reshape(mesh.num_cells, -1)
-        self.num_dofs = self.num_scalar_dofs * nc
+        self.cell_dofs = _component_dofs(cell_sdofs, element.ncomp)
+        self.num_dofs = self.num_scalar_dofs * element.ncomp
 
     @property
     def ncomp(self):
@@ -75,12 +73,17 @@ class FunctionSpace:
         return np.nonzero(on)[0]
 
     def boundary_dofs(self, markers):
-        """Sorted global dofs (all components) whose nodes lie on the
+        """Ascending global dofs (all components) whose nodes lie on the
         facets carrying the given markers."""
-        sdofs = self.boundary_scalar_dofs(markers)
-        nc = self.ncomp
-        dofs = (sdofs[:, None] * nc + np.arange(nc)[None, :]).ravel()
-        return np.sort(dofs)
+        return _component_dofs(self.boundary_scalar_dofs(markers),
+                               self.ncomp)
+
+
+def _component_dofs(sdofs, ncomp):
+    """The dofs (..., n * ncomp) of all components at the scalar dofs sdofs
+    (..., n), node-major: ascending where sdofs ascend."""
+    dofs = sdofs[..., None] * ncomp + np.arange(ncomp)
+    return dofs.reshape(*sdofs.shape[:-1], -1)
 
 
 def _node_keys(cells, multi, degree):
@@ -209,13 +212,9 @@ class DirichletBC:
     def __post_init__(self):
         self.markers = tuple(self.markers)
         sdofs = self.space.boundary_scalar_dofs(self.markers)
-        nc = self.space.ncomp
-        self.dofs = (sdofs[:, None] * nc + np.arange(nc)[None, :]).ravel()
+        self.dofs = _component_dofs(sdofs, self.space.ncomp)
         self.values = _nodal_values(self.space.scalar_dof_coords[sdofs],
-                                    self.value, nc).ravel()
-        order = np.argsort(self.dofs)
-        self.dofs = self.dofs[order]
-        self.values = self.values[order]
+                                    self.value, self.space.ncomp).ravel()
 
 
 def collect_bc_dofs(mixed, bcs):

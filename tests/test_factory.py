@@ -398,3 +398,17 @@ class TestSetUpErrorsNamePrefix:
         with pytest.raises(ValueError) as err:
             build_ksp(db, prefix, _stokes())
         assert message in str(err.value)
+
+
+def test_substitutions_name_table_entries():
+    assert set(factory._PC_ALIASES.values()) <= set(factory._PC_MAKERS)
+    assert set(factory._PYTHON_PC_MAP.values()) <= set(factory._PC_MAKERS)
+
+
+@pytest.mark.parametrize("pc_type", factory.PC_TYPES)
+def test_table_maker_makes_its_type(pc_type):
+    # a maker reads its options and makes the node; build_pc sets it up
+    pc = factory._PC_MAKERS[pc_type](OptionsDB(), "p_")
+    assert pc.op is None
+    assert pc.type_name == pc_type
+    assert pc.prefix == "p_"

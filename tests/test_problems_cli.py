@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blocksolve import cli
 from blocksolve.cli import main
 from blocksolve.krylov import KSP
 from blocksolve.operators import AssembledOperator, ImplicitOperator
@@ -347,10 +349,14 @@ class TestCLI:
 
     def test_pcd_on_assembled_operator_names_its_node(self, capsys):
         # the inner fieldsplit splits the assembled block; PCD, which reads
-        # the form, is the node that stops, as a configuration error
+        # the form, is the node that stops, as a configuration error; the
+        # hypre substitution built before it is reported on its own line
         code = main(self.RB_AIJ, stdout=io.StringIO())
         assert code == 2
         assert capsys.readouterr().err == (
+            "blocksolve: warning: option "
+            "-fieldsplit_0_fieldsplit_0_assembled_pc_type hypre: not "
+            "available, using 'lu' instead\n"
             "blocksolve: error: pc pcd (-fieldsplit_0_fieldsplit_1_) needs "
             "an implicit operator carrying a form\n")
 
@@ -390,3 +396,21 @@ def test_shipped_config_reads_every_option(name, capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "unused options" not in err, err
+
+
+def test_substitution_warning_is_one_line(capsys):
+    code = main(["poisson", "--n", "4", "--options-file",
+                 f"{ROOT}/configs/poisson-hypre.opts"], stdout=io.StringIO())
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "blocksolve: warning: option -pc_type hypre: not available, using "
+        "'lu' instead\n")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("poisson", PoissonConfig), ("navier-stokes", CavityConfig),
+    ("rayleigh-benard", ConvectionConfig), ("bench-matvec", BenchConfig)])
+def test_driver_defaults_are_the_config_defaults(command, config):
+    args = cli._build_parser().parse_args([command])
+    for f in dataclasses.fields(config):
+        assert getattr(args, f.name) == f.default, f.name

@@ -268,3 +268,25 @@ def test_nodal_callables_off_the_convention_raise(ncomp, value):
     with pytest.raises(ValueError, match=r"x of shape \(dim, \.\.\.\)|"
                                          r"2 components"):
         DirichletBC(V, (1,), value=value)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("vector", [False, True])
+def test_dirichlet_dofs_are_the_boundary_dofs(dim, vector):
+    # one expansion of boundary nodes into component dofs serves both, and
+    # it ascends without a sort; each value belongs to its own dof
+    mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
+    ncomp = dim if vector else 1
+    V = build_space(mesh, 2, ncomp=ncomp)
+    markers = (1, 2 * dim)
+
+    def value(x):
+        comps = [x[0] + 10.0 * c * x[-1] + c for c in range(ncomp)]
+        return comps if vector else comps[0]
+
+    bc = DirichletBC(V, markers, value=value)
+    assert np.array_equal(bc.dofs, V.boundary_dofs(markers))
+    assert len(bc.dofs) and np.all(np.diff(bc.dofs) > 0)
+    s, c = np.divmod(bc.dofs, ncomp)
+    x = V.scalar_dof_coords[s]
+    assert np.allclose(bc.values, x[:, 0] + 10.0 * c * x[:, -1] + c)
