@@ -10,7 +10,9 @@ any nested solver can be reconfigured from the shell:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import sys
 import warnings
 
@@ -108,28 +110,27 @@ def _config(cls, args, **changes):
                   for f in dataclasses.fields(cls)} | changes)
 
 
-def _poisson(args, db, stdout):
+def _poisson(args, db):
     cfg = _config(PoissonConfig, args, mms=args.mms or args.table)
     if args.table:
         prev = None
-        print("n,dofs,l2_error,rate", file=stdout)
+        print("n,dofs,l2_error,rate")
         ok = True
         for n in (cfg.n, 2 * cfg.n, 4 * cfg.n):
-            res = run_poisson(dataclasses.replace(cfg, n=n), db,
-                              stdout=stdout)
+            res = run_poisson(dataclasses.replace(cfg, n=n), db)
             ok = ok and res["report"].converged
             err = res["l2_error"]
             rate = "" if prev is None else f"{np.log2(prev / err):.2f}"
-            print(f"{n},{res['dofs']},{err:.6e},{rate}", file=stdout)
+            print(f"{n},{res['dofs']},{err:.6e},{rate}")
             prev = err
         return ok
-    res = run_poisson(cfg, db, stdout=stdout)
+    res = run_poisson(cfg, db)
     rep = res["report"]
     line = (f"poisson: dofs={res['dofs']} its={rep.iterations} "
             f"rnorm={rep.residual_norm:.6e}")
     if "l2_error" in res:
         line += f" l2_error={res['l2_error']:.6e}"
-    print(line, file=stdout)
+    print(line)
     if args.export_matrix:
         with open(args.export_matrix, "w") as fh:
             write_matrix_market(res["operator"].assemble().A, fh)
@@ -139,27 +140,18 @@ def _poisson(args, db, stdout):
     return rep.converged
 
 
-def _navier_stokes(args, db, stdout):
-    res = run_cavity(_config(CavityConfig, args), db, stdout=stdout)
+def _newton(cls, run, args, db):
+    """The Newton commands: a solve, and one line named after the command."""
+    res = run(_config(cls, args), db)
     rep = res["report"]
-    print(f"navier-stokes: dofs={res['dofs']} newton_its={rep.iterations} "
+    print(f"{args.command}: dofs={res['dofs']} newton_its={rep.iterations} "
           f"linear_its={rep.linear_iterations} "
-          f"rnorm={rep.residual_norm:.6e}", file=stdout)
+          f"rnorm={rep.residual_norm:.6e}")
     return rep.converged
 
 
-def _rayleigh_benard(args, db, stdout):
-    res = run_convection(_config(ConvectionConfig, args), db, stdout=stdout)
-    rep = res["report"]
-    print(f"rayleigh-benard: dofs={res['dofs']} "
-          f"newton_its={rep.iterations} "
-          f"linear_its={rep.linear_iterations} "
-          f"rnorm={rep.residual_norm:.6e}", file=stdout)
-    return rep.converged
-
-
-def _bench(args, db, stdout):
-    run_bench(_config(BenchConfig, args), db, stdout=stdout)
+def _bench(args, db):
+    run_bench(_config(BenchConfig, args), db)
     return True
 
 
@@ -172,7 +164,8 @@ def main(argv=None, stdout=None):
     serve or a composition error such as a zero diagonal under sor
     (argparse exits with 2 for a bad driver argument).  A warning, such
     as a requested solver component realised by another, is one line on
-    stderr too."""
+    stderr too, and such a `UserWarning` turned into an error returns 2.  Everything
+    the command prints goes to `stdout` (`sys.stdout` when None)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     driver_argv, option_argv = _split_argv(argv)
@@ -183,20 +176,23 @@ def main(argv=None, stdout=None):
         parser.error("--table solves three meshes and exports none; drop "
                      "--export-matrix and --export-mesh")
 
-    handlers = {"poisson": _poisson, "navier-stokes": _navier_stokes,
-                "rayleigh-benard": _rayleigh_benard,
-                "bench-matvec": _bench}
+    handlers = {
+        "poisson": _poisson,
+        "navier-stokes": functools.partial(_newton, CavityConfig, run_cavity),
+        "rayleigh-benard": functools.partial(_newton, ConvectionConfig,
+                                             run_convection),
+        "bench-matvec": _bench}
     db = OptionsDB()
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
             warnings.showwarning = lambda message, *_: print(
                 f"{parser.prog}: warning: {message}", file=sys.stderr)
             for path in args.options_file:
                 db.parse_file(path)
             db.parse_args(option_argv)
-            ok = handlers[args.command](args, db, stdout)
+            ok = handlers[args.command](args, db)
     except (BadOptionName, BadOptionValue, UnknownType, MissingContext,
-            CompositionError) as exc:
+            CompositionError, UserWarning) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     except (SingularFactor, KrylovError, NewtonError) as exc:

@@ -4,7 +4,9 @@
 options and recursively builds the whole solver: every composite
 preconditioner derives the prefixes of its inner solvers from its own
 (`fieldsplit_0_`, `pcd_Mp_`, `assembled_`, ...), so a single flat option
-table describes an arbitrarily deep tree.
+table describes an arbitrarily deep tree.  With `build_snes` and
+`build_operators` this is the one module that reads the table; an option
+that is not set passes nothing, so the constructors hold the defaults.
 
 A small translation layer accepts option files written for the PETSc
 option dialect: `python` preconditioner indirection is mapped onto the
@@ -21,12 +23,15 @@ import warnings
 import numpy as np
 
 from .krylov import KSP, Nullspace
-from .options import option_values
+from .newton import NewtonSolver
+from .operators import select_operators
+from .options import _FALSE, _TRUE, option_values
 from .precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
-                      MassSchurPC, SchwarzPC)
+                      MassSchurPC, SchwarzPC, view_ksp)
 
-__all__ = ["build_ksp", "build_pc", "UnknownType", "report_unused"]
+__all__ = ["build_ksp", "build_pc", "build_snes", "build_operators",
+           "UnknownType", "report_unused"]
 
 # foreign solver components accepted for compatibility and realised by a
 # locally available equivalent
@@ -74,35 +79,50 @@ def _resolve_pc_type(db, prefix, default):
     return used
 
 
-def build_ksp(db, prefix, A, Apc=None, nullspace=None, monitor=None,
+def _set(**values):
+    """The keyword arguments whose option is set: an option that is not
+    set reads None and leaves the constructor's default in force."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def build_ksp(db, prefix, A, Apc=None, nullspace=None,
               default_type="gmres", default_pc=None):
     """KSP configured from `<prefix>ksp_*` options with its (recursively
     built) preconditioner set up against A (or Apc when given)."""
     ksp_type = db.get(prefix + "ksp_type", default_type)
     side = db.get(prefix + "ksp_pc_side")
-    ortho = ("modified"
-             if db.get_bool(prefix + "ksp_gmres_modifiedgramschmidt")
-             else "classical")
+    modified = db.get_bool(prefix + "ksp_gmres_modifiedgramschmidt")
     if nullspace is None and db.get_bool(prefix + "ksp_constant_nullspace"):
         nullspace = Nullspace([np.ones(A.shape[1])])
-    if monitor is None and db.get_bool(prefix + "ksp_monitor"):
-        monitor = lambda line: print(line, file=sys.stdout)
     # the KSP checks its own options before its preconditioner is set up
     with option_values():
-        ksp = KSP(ksp_type,
-                  rtol=db.get_float(prefix + "ksp_rtol", 1e-5),
-                  atol=db.get_float(prefix + "ksp_atol", 1e-50),
-                  max_it=db.get_int(prefix + "ksp_max_it", 10000),
-                  restart=db.get_int(prefix + "ksp_gmres_restart", 30),
-                  orthogonalization=ortho,
-                  side=side,
-                  nullspace=nullspace,
-                  monitor=monitor,
-                  prefix=prefix,
-                  error_if_not_converged=db.get_bool(
-                      prefix + "ksp_error_if_not_converged"))
+        ksp = KSP(ksp_type, nullspace=nullspace, prefix=prefix, **_set(
+            side=side,
+            orthogonalization="modified" if modified else None,
+            monitor=print if db.get_bool(prefix + "ksp_monitor") else None,
+            rtol=db.get_float(prefix + "ksp_rtol"),
+            atol=db.get_float(prefix + "ksp_atol"),
+            max_it=db.get_int(prefix + "ksp_max_it"),
+            restart=db.get_int(prefix + "ksp_gmres_restart"),
+            error_if_not_converged=db.get_bool(
+                prefix + "ksp_error_if_not_converged", None)))
     ksp.pc = build_pc(db, prefix, A, Apc, default_pc=default_pc)
+    _show_view(db, ksp)
     return ksp
+
+
+def _show_view(db, ksp):
+    """Honor -<prefix>ksp_view: a true word prints the view, a false word
+    shows nothing, and any other value names an output file."""
+    v = db.get(ksp.prefix + "ksp_view")
+    if v is None or v.lower() in _FALSE:
+        return
+    text = view_ksp(ksp)
+    if v.lower() in _TRUE:
+        print(text)
+    else:
+        with open(v, "w") as fh:
+            fh.write(text + "\n")
 
 
 def build_pc(db, prefix, A, Apc=None, default_pc=None):
@@ -138,16 +158,14 @@ def _lu(db, prefix):
 _PC_MAKERS = {
     "none": lambda db, prefix: NonePC(prefix=prefix),
     "jacobi": lambda db, prefix: JacobiPC(prefix=prefix),
-    "sor": lambda db, prefix: SORPC(
-        omega=db.get_float(prefix + "pc_sor_omega", 1.0),
-        its=db.get_int(prefix + "pc_sor_its", 1),
-        symmetric=db.get_bool(prefix + "pc_sor_symmetric", True),
-        prefix=prefix),
+    "sor": lambda db, prefix: SORPC(prefix=prefix, **_set(
+        omega=db.get_float(prefix + "pc_sor_omega"),
+        its=db.get_int(prefix + "pc_sor_its"),
+        symmetric=db.get_bool(prefix + "pc_sor_symmetric", None))),
     "lu": _lu,
-    "ilu": lambda db, prefix: ILUPC(
-        drop_tol=db.get_float(prefix + "pc_factor_drop_tol", 1e-4),
-        fill_factor=db.get_float(prefix + "pc_factor_fill", 10.0),
-        prefix=prefix),
+    "ilu": lambda db, prefix: ILUPC(prefix=prefix, **_set(
+        drop_tol=db.get_float(prefix + "pc_factor_drop_tol"),
+        fill_factor=db.get_float(prefix + "pc_factor_fill"))),
     "ksp": lambda db, prefix: KSPPC(
         ksp_maker=_ksp_maker(db, prefix + "ksp_", "gmres", None),
         prefix=prefix),
@@ -160,11 +178,11 @@ _PC_MAKERS = {
         prefix=prefix),
     "fieldsplit": lambda db, prefix: FieldSplitPC(
         splits=_read_splits(db, prefix),
-        fs_type=db.get(prefix + "pc_fieldsplit_type", "additive"),
-        fact_type=db.get(prefix + "pc_fieldsplit_schur_fact_type", "full"),
         sub_ksp_maker=lambda i, sub: _ksp_maker(
             db, f"{prefix}fieldsplit_{i}_", default_pc=None)(sub),
-        prefix=prefix),
+        prefix=prefix, **_set(
+            fs_type=db.get(prefix + "pc_fieldsplit_type"),
+            fact_type=db.get(prefix + "pc_fieldsplit_schur_fact_type"))),
     "pcd": lambda db, prefix: PCDPC(
         mp_maker=_ksp_maker(db, prefix + "pcd_Mp_"),
         kp_maker=_ksp_maker(db, prefix + "pcd_Kp_"), prefix=prefix),
@@ -187,11 +205,39 @@ def _read_splits(db, prefix):
     return splits or None
 
 
+def build_operators(db, implicit):
+    """The operators a Krylov method applies and builds its preconditioner
+    from, by `-mat_type` (matrix-free when unset) and `-pmat_type`."""
+    with option_values():
+        return select_operators(implicit, db.get("mat_type", "matfree"),
+                                db.get("pmat_type"))
+
+
+def build_snes(db, residual_fn, form, bcs, nullspace):
+    """Newton configured from `snes_*` options, `-mat_type` (assembled
+    when unset) and `-pmat_type`; its linear solver is the tree
+    `build_ksp` makes at the first linearisation."""
+    with option_values():
+        return NewtonSolver(
+            residual_fn, form, bcs,
+            ksp_maker=lambda A, Apc: build_ksp(db, "", A, Apc,
+                                               default_type="preonly",
+                                               default_pc="lu"),
+            mat_type=db.get("mat_type", "aij"),
+            pmat_type=db.get("pmat_type"), nullspace=nullspace, **_set(
+                monitor=print if db.get_bool("snes_monitor") else None,
+                rtol=db.get_float("snes_rtol"),
+                atol=db.get_float("snes_atol"),
+                max_it=db.get_int("snes_max_it"),
+                error_if_not_converged=db.get_bool(
+                    "snes_error_if_not_converged", None)))
+
+
 def report_unused(db, stream=None):
+    """Warn in one line of the options never read; returns their keys."""
     stream = sys.stderr if stream is None else stream
     unused = db.unused()
     if unused:
-        print("WARNING: unused options:", file=stream)
-        for k in unused:
-            print(f"  -{k} {db._values[k]}", file=stream)
+        listed = " ".join(f"-{k} {db._values[k]}" for k in unused)
+        print(f"blocksolve: warning: unused options: {listed}", file=stream)
     return unused

@@ -3,8 +3,8 @@
 Each driver builds the discrete problem, constructs its solver from the
 option table, runs it, and returns a result dictionary.  The command
 line front end is a thin wrapper around these.  Drivers print views,
-monitors and tables to their `stdout`; None means `sys.stdout` as it is
-when they print, so redirection at call time is honoured.
+monitors and tables to `sys.stdout` as it is when they print, so a caller
+captures them with `contextlib.redirect_stdout`.
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factory import build_ksp
+from .factory import build_ksp, build_operators, build_snes
 from .forms import (SpaceEval, stiffness_form,
                     ns_jacobian_form, rb_jacobian_form, load_vector,
                     ns_residual, rb_residual)
 from .krylov import Nullspace
 from .mesh import build_unit_square, build_unit_cube
-from .newton import NewtonSolver
-from .operators import ImplicitOperator, select_operators
-from .options import _FALSE, _TRUE, option_values
-from .precond import view_ksp
+from .operators import ImplicitOperator
 from .quadrature import make_quadrature, MAX_DEGREE
 from .spaces import (build_space, taylor_hood, MixedSpace, DirichletBC,
                      interpolate)
@@ -31,20 +28,6 @@ from .spaces import (build_space, taylor_hood, MixedSpace, DirichletBC,
 __all__ = ["PoissonConfig", "CavityConfig", "ConvectionConfig",
            "BenchConfig", "run_poisson", "run_cavity", "run_convection",
            "run_bench", "l2_error", "poisson_mms"]
-
-
-def _show_view(db, ksp, stdout):
-    """Honor -ksp_view: a true word prints the view, a false word shows
-    nothing, and any other value names an output file."""
-    v = db.get("ksp_view")
-    if v is None or v.lower() in _FALSE:
-        return
-    text = view_ksp(ksp)
-    if v.lower() in _TRUE:
-        print(text, file=stdout)
-    else:
-        with open(v, "w") as fh:
-            fh.write(text + "\n")
 
 
 def _mesh(dim, n):
@@ -91,7 +74,7 @@ class PoissonConfig:
     mms: bool = False
 
 
-def run_poisson(cfg, db, stdout=None):
+def run_poisson(cfg, db):
     """Dirichlet Poisson problem -div(kappa grad u) = f on the unit box.
     The report's `residual_norm` is the one the solve tested, or, for a
     `preonly` solve, which tests none, ||b - A x|| computed here."""
@@ -106,13 +89,8 @@ def run_poisson(cfg, db, stdout=None):
     b = load_vector(form, forcing)
     b[bc.dofs] = bc.values
 
-    mat_type = db.get("mat_type", "matfree")
-    with option_values():
-        A, Apc = select_operators(ImplicitOperator(form, bcs=[bc]),
-                                  mat_type, db.get("pmat_type", mat_type))
-
+    A, Apc = build_operators(db, ImplicitOperator(form, bcs=[bc]))
     ksp = build_ksp(db, "", A, Apc, default_type="cg")
-    _show_view(db, ksp, stdout)
     x, report = ksp.solve(A, b)
     if report.residual_norm is None:
         report.residual_norm = np.linalg.norm(b - A.apply(x))
@@ -131,36 +109,15 @@ class CavityConfig:
     degree: int = 2
 
 
-def _newton_from_options(db, resid, form, bcs, stdout):
+def _newton(db, resid, form, bcs):
     """Newton on a mixed problem whose field 1, the pressure, is fixed
     only up to a constant."""
-    monitor = None
-    if db.get_bool("snes_monitor"):
-        monitor = lambda line: print(line, file=stdout)
-    mat_type = db.get("mat_type", "aij")
-    pmat_type = db.get("pmat_type", mat_type)
-
-    def maker(A, Apc):
-        ksp = build_ksp(db, "", A, Apc,
-                        default_type="preonly", default_pc="lu")
-        _show_view(db, ksp, stdout)
-        return ksp
-
     nullspace = np.zeros(form.col_space.num_dofs)
     nullspace[form.col_space.field_slice(1)] = 1.0
-    with option_values():
-        return NewtonSolver(resid, form, bcs, ksp_maker=maker,
-                            rtol=db.get_float("snes_rtol", 1e-8),
-                            atol=db.get_float("snes_atol", 1e-50),
-                            max_it=db.get_int("snes_max_it", 50),
-                            mat_type=mat_type, pmat_type=pmat_type,
-                            nullspace=Nullspace([nullspace]),
-                            monitor=monitor,
-                            error_if_not_converged=db.get_bool(
-                                "snes_error_if_not_converged"))
+    return build_snes(db, resid, form, bcs, Nullspace([nullspace]))
 
 
-def run_cavity(cfg, db, stdout=None):
+def run_cavity(cfg, db):
     """Lid-driven cavity for steady Navier-Stokes: unit box, unit
     tangential velocity on the top wall, no-slip elsewhere."""
     mesh = _mesh(2, cfg.n)
@@ -173,7 +130,7 @@ def run_cavity(cfg, db, stdout=None):
     bcs = [DirichletBC(W.fields[0], (1, 2, 3, 4), value=lid, field=0)]
     form = ns_jacobian_form(W, Re=cfg.re)
     resid = lambda x: ns_residual(form, x, bcs)
-    x, report = _newton_from_options(db, resid, form, bcs, stdout).solve()
+    x, report = _newton(db, resid, form, bcs).solve()
     return {"mesh": mesh, "space": W, "solution": x, "report": report,
             "dofs": W.num_dofs}
 
@@ -186,7 +143,7 @@ class ConvectionConfig:
     pr: float = 6.18
 
 
-def run_convection(cfg, db, stdout=None):
+def run_convection(cfg, db):
     """Steady buoyancy-driven convection in a laterally heated unit box:
     no-slip walls, hot (T=1) at x=0, cold (T=0) at x=1, insulated
     elsewhere."""
@@ -201,7 +158,7 @@ def run_convection(cfg, db, stdout=None):
            DirichletBC(T, (2,), value=0.0, field=2)]
     form = rb_jacobian_form(W, Ra=cfg.ra, Pr=cfg.pr)
     resid = lambda x: rb_residual(form, x, bcs)
-    snes = _newton_from_options(db, resid, form, bcs, stdout)
+    snes = _newton(db, resid, form, bcs)
     x0 = np.zeros(W.num_dofs)
     # start from the conducting state so the energy residual is small
     x0[W.field_slice(2)] = interpolate(T, lambda p: 1.0 - p[0])
@@ -218,11 +175,11 @@ class BenchConfig:
     repeats: int = 5
 
 
-def run_bench(cfg, db, stdout=None):
+def run_bench(cfg, db):
     """Matrix-free versus assembled matvec micro-benchmark, CSV rows."""
     rows = []
     print("problem,dim,degree,dofs,mode,dofs_per_sec,bytes_per_dof,"
-          "flops_per_apply", file=stdout)
+          "flops_per_apply")
     for degree in cfg.degrees:
         mesh = _mesh(cfg.dim, cfg.n)
         V = build_space(mesh, degree)
@@ -246,5 +203,5 @@ def run_bench(cfg, db, stdout=None):
             rows.append(row)
             print("{problem},{dim},{degree},{dofs},{mode},"
                   "{dofs_per_sec:.6g},{bytes_per_dof:.6g},"
-                  "{flops_per_apply}".format(**row), file=stdout)
+                  "{flops_per_apply}".format(**row))
     return rows

@@ -228,11 +228,9 @@ def test_criterion_06_pcd_mesh_robustness():
                "4x refinement", ok, detail)
 
 
-def _run_convection_iterative(n, extra=(), stdout=None):
-    db = _file_db("rb-iterative.opts", extra)
-    if stdout is None:
-        return run_convection(ConvectionConfig(n=n), db)
-    return run_convection(ConvectionConfig(n=n), db, stdout=stdout)
+def _run_convection_iterative(n, extra=()):
+    return run_convection(ConvectionConfig(n=n),
+                          _file_db("rb-iterative.opts", extra))
 
 
 def test_criterion_07_convection_full_tree():
@@ -331,8 +329,7 @@ def test_criterion_10_deterministic_monitor_logs():
         buf = io.StringIO()
         with redirect_stdout(buf):
             _run_convection_iterative(8, extra=["-snes_monitor",
-                                                "-ksp_monitor"],
-                                      stdout=buf)
+                                                "-ksp_monitor"])
         logs.append(buf.getvalue())
     ok = (logs[0] == logs[1]
           and "SNES Function norm" in logs[0]

@@ -1,4 +1,6 @@
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from blocksolve.operators import ImplicitOperator
 from blocksolve.options import OptionsDB
 from blocksolve import factory
 from blocksolve.factory import build_ksp, build_pc, UnknownType, report_unused
-from blocksolve.precond import (JacobiPC, SORPC, LUPC, NonePC, FieldSplitPC,
-                                AssembledPC, TelescopePC, SchwarzPC,
-                                MissingContext, view_ksp)
+from blocksolve.krylov import KSP
+from blocksolve.newton import NewtonSolver
+from blocksolve.precond import (JacobiPC, SORPC, LUPC, ILUPC, NonePC,
+                                FieldSplitPC, AssembledPC, TelescopePC,
+                                SchwarzPC, MissingContext, view_ksp)
 
 
 def _poisson(n=4, degree=1):
@@ -412,3 +416,49 @@ def test_table_maker_makes_its_type(pc_type):
     assert pc.op is None
     assert pc.type_name == pc_type
     assert pc.prefix == "p_"
+
+
+def _names_the_table(node):
+    """`db`, `<any>.db`, `options` or `<any>.options`: the names the option
+    table goes by."""
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    return name in ("db", "options")
+
+
+def _option_reads(path):
+    """Calls `<table>.get(...)` and `<any>.get_bool/get_int/get_float(...)`
+    in a source file: the typed getters are methods of the table alone."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and (node.func.attr in ("get_bool", "get_int", "get_float")
+                 or (node.func.attr == "get"
+                     and _names_the_table(node.func.value)))]
+
+
+def test_only_the_factory_reads_the_option_table():
+    src = Path(factory.__file__).parent
+    assert _option_reads(src / "factory.py")
+    assert [read for path in sorted(src.glob("*.py"))
+            if path.name != "factory.py" for read in _option_reads(path)] == []
+
+
+def test_unset_options_leave_the_constructor_defaults():
+    db, (A, _) = OptionsDB(), _poisson()
+    residual, form = object(), object()
+    built = [
+        (build_ksp(db, "", A), KSP(), {"pc"}),
+        (factory._PC_MAKERS["sor"](db, ""), SORPC(), set()),
+        (factory._PC_MAKERS["ilu"](db, ""), ILUPC(), set()),
+        (factory._PC_MAKERS["fieldsplit"](db, ""),
+         FieldSplitPC(sub_ksp_maker=None), {"sub_ksp_maker"}),
+        (factory.build_snes(db, residual, form, (), None),
+         NewtonSolver(residual, form, ksp_maker=None, mat_type="aij"),
+         {"ksp_maker"}),
+    ]
+    for made, constructed, skip in built:
+        assert ({k: v for k, v in vars(made).items() if k not in skip}
+                == {k: v for k, v in vars(constructed).items()
+                    if k not in skip}), type(made).__name__

@@ -604,7 +604,7 @@ def test_nested_tree_tabulates_each_element_and_rule_once(monkeypatch):
     forms._reference_tables.cache_clear()
     monkeypatch.setattr(forms, "tabulate", counted)
     db = OptionsDB().parse_file(str(CONFIGS / "rb-iterative.opts"))
-    res = run_convection(ConvectionConfig(n=4), db, stdout=None)
+    res = run_convection(ConvectionConfig(n=4), db)
     assert res["report"].converged
     assert calls
     assert len(calls) == len(set(calls))

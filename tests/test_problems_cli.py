@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +76,8 @@ class TestNonlinearDrivers:
 
     def test_snes_monitor(self):
         buf = io.StringIO()
-        run_cavity(CavityConfig(n=4, re=10.0), _db("-snes_monitor"),
-                   stdout=buf)
+        with contextlib.redirect_stdout(buf):
+            run_cavity(CavityConfig(n=4, re=10.0), _db("-snes_monitor"))
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("0 SNES Function norm ")
 
@@ -83,8 +85,9 @@ class TestNonlinearDrivers:
 class TestBench:
     def test_csv_shape(self):
         buf = io.StringIO()
-        rows = run_bench(BenchConfig(n=4, degrees=(1, 2), repeats=1),
-                         _db(), stdout=buf)
+        with contextlib.redirect_stdout(buf):
+            rows = run_bench(BenchConfig(n=4, degrees=(1, 2), repeats=1),
+                             _db())
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == ("problem,dim,degree,dofs,mode,dofs_per_sec,"
                             "bytes_per_dof,flops_per_apply")
@@ -405,6 +408,53 @@ def test_substitution_warning_is_one_line(capsys):
     assert capsys.readouterr().err == (
         "blocksolve: warning: option -pc_type hypre: not available, using "
         "'lu' instead\n")
+
+
+def test_warning_turned_into_an_error_is_one_line_and_exit_2(capsys):
+    # as under `python -W error::UserWarning`
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        code = main(["poisson", "--n", "4", "--options-file",
+                     f"{ROOT}/configs/poisson-hypre.opts"],
+                    stdout=io.StringIO())
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "blocksolve: error: option -pc_type hypre: not available, using "
+        "'lu' instead\n")
+
+
+def test_unused_options_are_one_warning_line(capsys):
+    main(["poisson", "--n", "4", "--", "-log_view", "-foo", "1"],
+         stdout=io.StringIO())
+    assert capsys.readouterr().err == (
+        "blocksolve: warning: unused options: -log_view true -foo 1\n")
+
+
+def test_everything_printed_goes_to_the_stdout_of_main():
+    # monitors print deep in the solver tree, and the table line in the
+    # driver: all of them to the stream `main` was given
+    buf, elsewhere = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(elsewhere):
+        code = main(["navier-stokes", "--n", "3", "--", "-ksp_monitor",
+                     "-snes_monitor", "-ksp_type", "gmres", "-pc_type", "lu"],
+                    stdout=buf)
+    assert code == 0
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 14
+    assert sum("KSP Residual norm" in line for line in lines) == 8
+    assert elsewhere.getvalue() == ""
+
+
+def test_nested_ksp_view(capsys):
+    code = main(["navier-stokes", "--n", "3", "--", "-ksp_type", "fgmres",
+                 "-pc_type", "fieldsplit", "-pc_fieldsplit_type", "schur",
+                 "-fieldsplit_0_ksp_view", "-fieldsplit_1_ksp_type",
+                 "gmres", "-fieldsplit_1_pc_type", "none"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out.startswith("KSP (fieldsplit_0_) type: preonly\n"
+                          "  PC (fieldsplit_0_) type: jacobi\n")
+    assert err == ""
 
 
 @pytest.mark.parametrize("command, config", [

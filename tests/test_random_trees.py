@@ -47,9 +47,13 @@ def _tree(draw, prefix="", depth=0):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(problem=st.sampled_from(PROBLEMS), tree=_tree(),
-       mat_type=st.sampled_from(("matfree", "aij")))
-def test_random_tree_ends_with_an_exit_code(problem, tree, mat_type):
+       mat_type=st.sampled_from(("matfree", "aij")),
+       pmat_type=st.sampled_from((None, "matfree", "aij")))
+def test_random_tree_ends_with_an_exit_code(problem, tree, mat_type,
+                                            pmat_type):
     argv = problem + ["--", "-mat_type", mat_type, "-snes_max_it", "5"] + tree
+    if pmat_type is not None:
+        argv += ["-pmat_type", pmat_type]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv, stdout=io.StringIO())

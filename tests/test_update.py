@@ -1,6 +1,7 @@
 """A solver tree set up once and updated per linearisation equals one set up
 fresh at the new state, and a Newton solve builds its tree once."""
 
+import contextlib
 import io
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blocksolve import problems
+from blocksolve import factory
 from blocksolve.factory import PC_TYPES, build_pc
 from blocksolve.forms import ns_jacobian_form
 from blocksolve.mesh import build_unit_square
@@ -129,16 +130,17 @@ class _Count:
 
 
 def test_newton_builds_the_tree_once(monkeypatch):
-    builds = _Count(problems.build_ksp, key=lambda db, prefix, *a: not prefix)
+    builds = _Count(factory.build_ksp, key=lambda db, prefix, *a: not prefix)
     pcd_set_ups = _Count(PCDPC._set_up)
-    monkeypatch.setattr(problems, "build_ksp", builds)
+    monkeypatch.setattr(factory, "build_ksp", builds)
     monkeypatch.setattr(PCDPC, "_set_up",
                         lambda self, op: pcd_set_ups(self, op))
     db = OptionsDB()
     db.parse_file(CONFIGS / "rb-iterative.opts")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = run_convection(ConvectionConfig(n=4), db, stdout=io.StringIO())
+        with contextlib.redirect_stdout(io.StringIO()):
+            res = run_convection(ConvectionConfig(n=4), db)
     assert res["report"].converged and res["report"].iterations == 2
     assert builds.calls == 1
     assert pcd_set_ups.calls == 1
@@ -154,7 +156,8 @@ def test_fieldsplit_extracts_blocks_once_per_linearisation(monkeypatch, mat):
         "-pc_fieldsplit_type", "schur", "-pc_fieldsplit_schur_fact_type",
         "full", "-fieldsplit_0_pc_type", "assembled",
         "-fieldsplit_1_ksp_type", "gmres", "-fieldsplit_1_pc_type", "none"])
-    res = run_cavity(CavityConfig(n=4, re=10.0), db, stdout=io.StringIO())
+    with contextlib.redirect_stdout(io.StringIO()):
+        res = run_cavity(CavityConfig(n=4, re=10.0), db)
     its = res["report"].iterations
     assert res["report"].converged and its >= 2
     # the set-up and each update extract the blocks from the operator
