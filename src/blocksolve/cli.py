@@ -26,8 +26,7 @@ from .krylov import KrylovError
 from .newton import NewtonError
 from .precond import CompositionError, MissingContext, SingularFactor
 from .problems import (PoissonConfig, CavityConfig, ConvectionConfig,
-                       BenchConfig, run_poisson, run_cavity,
-                       run_convection, run_bench)
+                       run_poisson, run_cavity, run_convection)
 
 __all__ = ["main"]
 
@@ -38,11 +37,6 @@ def _positive_int(text):
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
     return n
-
-
-def _ints(text):
-    """A comma-separated list of ints, as a tuple."""
-    return tuple(int(d) for d in text.split(","))
 
 
 def _build_parser():
@@ -82,16 +76,7 @@ def _build_parser():
     rb.add_argument("--ra", type=float, default=ConvectionConfig.ra)
     rb.add_argument("--pr", type=float, default=ConvectionConfig.pr)
 
-    bench = sub.add_parser("bench-matvec",
-                           help="matrix-free vs assembled matvec benchmark")
-    bench.add_argument("--n", type=_positive_int, default=BenchConfig.n)
-    bench.add_argument("--dim", type=int, default=BenchConfig.dim,
-                       choices=(2, 3))
-    bench.add_argument("--degrees", type=_ints, default=BenchConfig.degrees)
-    bench.add_argument("--repeats", type=_positive_int,
-                       default=BenchConfig.repeats)
-
-    for sp in (p, ns, rb, bench):
+    for sp in (p, ns, rb):
         sp.add_argument("--options-file", action="append", default=[],
                         metavar="FILE", help="read solver options from FILE")
     return parser
@@ -150,22 +135,18 @@ def _newton(cls, run, args, db):
     return rep.converged
 
 
-def _bench(args, db):
-    run_bench(_config(BenchConfig, args), db)
-    return True
-
-
 def main(argv=None, stdout=None):
     """Run one command.  Returns 0 when its solve converged and 1 when it
     did not; a breakdown (a singular factor or patch block, a Krylov or
     Newton error) also returns 1, after a one-line message on stderr that
-    names its node.  Returns 2, with such a line, for a bad solver option
-    or a tree that does not fit its operator: a node the operator cannot
-    serve or a composition error such as a zero diagonal under sor
-    (argparse exits with 2 for a bad driver argument).  A warning, such
-    as a requested solver component realised by another, is one line on
-    stderr too, and such a `UserWarning` turned into an error returns 2.  Everything
-    the command prints goes to `stdout` (`sys.stdout` when None)."""
+    names its node.  Returns 2, with such a line, for a bad solver option,
+    a tree that does not fit its operator (a node the operator cannot
+    serve or a composition error such as a zero diagonal under sor) or a
+    file that cannot be opened; argparse exits with 2 for a bad driver
+    argument.  A warning, such as a requested solver component realised
+    by another, is one line on stderr too, and such a `UserWarning` turned
+    into an error returns 2.  Everything the command prints goes to
+    `stdout` (`sys.stdout` when None)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     stdout = sys.stdout if stdout is None else stdout
     driver_argv, option_argv = _split_argv(argv)
@@ -180,8 +161,7 @@ def main(argv=None, stdout=None):
         "poisson": _poisson,
         "navier-stokes": functools.partial(_newton, CavityConfig, run_cavity),
         "rayleigh-benard": functools.partial(_newton, ConvectionConfig,
-                                             run_convection),
-        "bench-matvec": _bench}
+                                             run_convection)}
     db = OptionsDB()
     try:
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
@@ -192,7 +172,7 @@ def main(argv=None, stdout=None):
             db.parse_args(option_argv)
             ok = handlers[args.command](args, db)
     except (BadOptionName, BadOptionValue, UnknownType, MissingContext,
-            CompositionError, UserWarning) as exc:
+            CompositionError, UserWarning, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     except (SingularFactor, KrylovError, NewtonError) as exc:

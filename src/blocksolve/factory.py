@@ -25,7 +25,7 @@ import numpy as np
 from .krylov import KSP, Nullspace
 from .newton import NewtonSolver
 from .operators import select_operators
-from .options import _FALSE, _TRUE, option_values
+from .options import _FALSE, _TRUE, BadOptionValue, option_values
 from .precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
                       MassSchurPC, SchwarzPC, view_ksp)
@@ -197,10 +197,15 @@ def _read_splits(db, prefix):
     splits = []
     i = 0
     while True:
-        v = db.get(f"{prefix}pc_fieldsplit_{i}_fields")
+        key = f"{prefix}pc_fieldsplit_{i}_fields"
+        v = db.get(key)
         if v is None:
             break
-        splits.append(tuple(int(t) for t in v.split(",")))
+        try:
+            splits.append(tuple(int(t) for t in v.split(",")))
+        except ValueError:
+            raise BadOptionValue(f"option -{key}: cannot read {v!r} as "
+                                 f"comma-separated ints") from None
         i += 1
     return splits or None
 

@@ -102,9 +102,12 @@ class KSP:
         if ksp_type not in KSP_TYPES:
             raise ValueError(f"{prefix or 'ksp'}: unknown ksp type "
                              f"{ksp_type!r}; known: {', '.join(KSP_TYPES)}")
-        if rtol < 0 or atol < 0 or restart < 1 or max_it < 0:
+        # written so that a NaN tolerance fails
+        if not (rtol >= 0 and atol >= 0) or restart < 1 or max_it < 0:
             raise ValueError(f"{prefix or 'ksp'}: tolerances must be "
-                             f"nonnegative, restart >= 1, max_it >= 0")
+                             f"nonnegative, restart >= 1, max_it >= 0, not "
+                             f"rtol={rtol:g}, atol={atol:g}, "
+                             f"restart={restart}, max_it={max_it}")
         self.type = ksp_type
         self.rtol = rtol
         self.atol = atol

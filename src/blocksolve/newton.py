@@ -74,6 +74,9 @@ class NewtonSolver:
         if max_it < 0:
             raise ValueError(f"newton: max_it must be nonnegative, "
                              f"not {max_it}")
+        if not (rtol >= 0 and atol >= 0):  # a NaN tolerance fails
+            raise ValueError(f"newton: tolerances must be nonnegative, not "
+                             f"rtol={rtol:g}, atol={atol:g}")
         self.residual_fn = residual_fn
         self.jacobian_form = jacobian_form
         self.bcs = tuple(bcs)

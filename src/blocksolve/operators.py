@@ -72,9 +72,6 @@ class LinearOperator:
     def memory_footprint(self):
         return 0
 
-    def flops_per_apply(self):
-        return 2 * self.shape[0] * self.shape[1]
-
 
 class AssembledOperator(LinearOperator):
     """CSR-backed operator, with the index sets of its column fields when
@@ -109,9 +106,6 @@ class AssembledOperator(LinearOperator):
 
     def memory_footprint(self):
         return self.A.data.nbytes + self.A.indices.nbytes + self.A.indptr.nbytes
-
-    def flops_per_apply(self):
-        return 2 * self.A.nnz
 
 
 def _apply_bcs(A, bc_rows, bc_cols, diagonal):
@@ -232,9 +226,6 @@ class ImplicitOperator(LinearOperator):
         total += 8 * sum(1 for v in self.form.context.values()
                          if np.isscalar(v))
         return total
-
-    def flops_per_apply(self):
-        return self.form.flops_per_apply()
 
 
 def mat_types(mat_type, pmat_type=None):

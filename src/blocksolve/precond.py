@@ -315,6 +315,14 @@ class ILUPC(Preconditioner):
 
     def __init__(self, drop_tol=1e-4, fill_factor=10.0, prefix=""):
         super().__init__(prefix)
+        # the ranges `spilu` documents (an infinite fill factor ends in a
+        # MemoryError); a NaN fails both checks
+        if not 1.0 <= fill_factor < np.inf:
+            raise ValueError(f"{self.name}: ilu fill factor must be finite "
+                             f"and at least 1, not {fill_factor:g}")
+        if not 0.0 <= drop_tol <= 1.0:
+            raise ValueError(f"{self.name}: ilu drop tolerance must lie in "
+                             f"[0, 1], not {drop_tol:g}")
         self.drop_tol = drop_tol
         self.fill_factor = fill_factor
 

@@ -9,7 +9,6 @@ captures them with `contextlib.redirect_stdout`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,8 @@ from .spaces import (build_space, taylor_hood, MixedSpace, DirichletBC,
                      interpolate)
 
 __all__ = ["PoissonConfig", "CavityConfig", "ConvectionConfig",
-           "BenchConfig", "run_poisson", "run_cavity", "run_convection",
-           "run_bench", "l2_error", "poisson_mms"]
+           "run_poisson", "run_cavity", "run_convection", "l2_error",
+           "poisson_mms"]
 
 
 def _mesh(dim, n):
@@ -166,42 +165,3 @@ def run_convection(cfg, db):
     return {"mesh": mesh, "space": W, "solution": x, "report": report,
             "dofs": W.num_dofs}
 
-
-@dataclass
-class BenchConfig:
-    n: int = 16
-    dim: int = 2
-    degrees: tuple = (1, 2, 3, 4)
-    repeats: int = 5
-
-
-def run_bench(cfg, db):
-    """Matrix-free versus assembled matvec micro-benchmark, CSV rows."""
-    rows = []
-    print("problem,dim,degree,dofs,mode,dofs_per_sec,bytes_per_dof,"
-          "flops_per_apply")
-    for degree in cfg.degrees:
-        mesh = _mesh(cfg.dim, cfg.n)
-        V = build_space(mesh, degree)
-        bc = DirichletBC(V, tuple(range(1, 2 * cfg.dim + 1)))
-        implicit = ImplicitOperator(stiffness_form(V), bcs=[bc])
-        rng = np.random.default_rng(12345)
-        x = rng.standard_normal(V.num_dofs)
-        for mode in ("matfree", "assembled"):
-            op = implicit if mode == "matfree" else implicit.assemble()
-            op.apply(x)  # warm caches before timing
-            t0 = time.perf_counter()
-            for _ in range(cfg.repeats):
-                op.apply(x)
-            dt = (time.perf_counter() - t0) / cfg.repeats
-            row = {"problem": "poisson", "dim": cfg.dim, "degree": degree,
-                   "dofs": V.num_dofs,
-                   "mode": mode,
-                   "dofs_per_sec": V.num_dofs / dt if dt > 0 else float("inf"),
-                   "bytes_per_dof": op.memory_footprint() / V.num_dofs,
-                   "flops_per_apply": op.flops_per_apply()}
-            rows.append(row)
-            print("{problem},{dim},{degree},{dofs},{mode},"
-                  "{dofs_per_sec:.6g},{bytes_per_dof:.6g},"
-                  "{flops_per_apply}".format(**row))
-    return rows

@@ -202,11 +202,6 @@ class TestAssembledOperator:
             with pytest.raises(NoFieldMatch):
                 sub.extract_sub(np.arange(3), np.arange(3))
 
-    def test_flops_counts_nonzeros(self):
-        A, _ = _ns_operator()
-        Aasm = A.assemble()
-        assert Aasm.flops_per_apply() == 2 * Aasm.A.nnz
-
 
 def test_matrix_market_round_trip():
     mesh = build_unit_square(2)

@@ -16,11 +16,11 @@ from blocksolve.krylov import KSP
 from blocksolve.operators import AssembledOperator, ImplicitOperator
 from blocksolve.options import OptionsDB
 from blocksolve.problems import (PoissonConfig, CavityConfig,
-                                 ConvectionConfig, BenchConfig,
-                                 run_poisson, run_cavity, run_convection,
-                                 run_bench, poisson_mms, l2_error)
+                                 ConvectionConfig, run_poisson, run_cavity,
+                                 run_convection, poisson_mms, l2_error)
 
 ROOT = __file__.rsplit("/tests/", 1)[0]
+_ILU = ["poisson", "--n", "2", "--", "-pc_type", "ilu", "-mat_type", "aij"]
 
 
 def _db(*tokens):
@@ -82,21 +82,6 @@ class TestNonlinearDrivers:
         assert lines[0].startswith("0 SNES Function norm ")
 
 
-class TestBench:
-    def test_csv_shape(self):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rows = run_bench(BenchConfig(n=4, degrees=(1, 2), repeats=1),
-                             _db())
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == ("problem,dim,degree,dofs,mode,dofs_per_sec,"
-                            "bytes_per_dof,flops_per_apply")
-        assert len(lines) == 1 + len(rows) == 5
-        for row in rows:
-            assert row["bytes_per_dof"] > 0
-            assert row["flops_per_apply"] > 0
-
-
 class TestCLI:
     def test_poisson_exit_code_and_summary(self, capsys):
         code = main(["poisson", "--n", "6", "--mms",
@@ -155,6 +140,42 @@ class TestCLI:
         (["poisson", "--n", "4", "--", "-pc_type", "python",
           "-pc_python_type", "mypcs.MyPatchSmoother"],
          "option -pc_python_type 'mypcs.MyPatchSmoother': cannot map"),
+        # a file that cannot be opened, before and after the solve
+        (["poisson", "--n", "2", "--options-file", "nope.opts"],
+         "No such file or directory: 'nope.opts'"),
+        (["poisson", "--n", "2", "--options-file", f"{ROOT}/configs"],
+         "Is a directory"),
+        (["poisson", "--n", "2", "--", "-ksp_view", "/nonexistent/v.txt"],
+         "No such file or directory: '/nonexistent/v.txt'"),
+        (["poisson", "--n", "2", "--export-matrix", "/nonexistent/m.txt"],
+         "No such file or directory: '/nonexistent/m.txt'"),
+        # values outside the ranges scipy's spilu documents
+        (_ILU + ["-pc_factor_fill", "0"],
+         "pc ilu (-): ilu fill factor must be finite and at least 1, not 0"),
+        (_ILU + ["-pc_factor_fill", "-1"], "ilu fill factor must be"),
+        (_ILU + ["-pc_factor_fill", "nan"], "ilu fill factor must be"),
+        (_ILU + ["-pc_factor_fill", "inf"], "ilu fill factor must be"),
+        (_ILU + ["-pc_factor_drop_tol", "-1"],
+         "pc ilu (-): ilu drop tolerance must lie in [0, 1], not -1"),
+        (_ILU + ["-pc_factor_drop_tol", "nan"], "ilu drop tolerance must lie"),
+        # NaN tolerances
+        (["poisson", "--n", "2", "--", "-ksp_rtol", "nan"],
+         "ksp: tolerances must be nonnegative, restart >= 1, max_it >= 0, "
+         "not rtol=nan"),
+        (["poisson", "--n", "2", "--", "-ksp_type", "richardson",
+          "-ksp_rtol", "nan"], "ksp: tolerances must be nonnegative"),
+        (["poisson", "--n", "2", "--", "-ksp_atol", "nan"], "atol=nan"),
+        (["navier-stokes", "--n", "2", "--", "-snes_rtol", "nan"],
+         "newton: tolerances must be nonnegative, not rtol=nan"),
+        (["navier-stokes", "--n", "2", "--", "-snes_atol", "nan"],
+         "newton: tolerances must be nonnegative, not rtol=1e-08, atol=nan"),
+        # the fieldsplit error line names its option
+        (["poisson", "--n", "2", "--", "-pc_type", "fieldsplit",
+          "-pc_fieldsplit_0_fields", "a"],
+         "option -pc_fieldsplit_0_fields: cannot read 'a' as"),
+        (["poisson", "--n", "2", "--", "-pc_type", "fieldsplit",
+          "-pc_fieldsplit_0_fields", "0,,1"],
+         "option -pc_fieldsplit_0_fields: cannot read '0,,1' as"),
     ])
     def test_bad_solver_option_is_one_line_and_exit_2(self, argv, message,
                                                       capsys):
@@ -207,6 +228,7 @@ class TestCLI:
         (["poisson", "--degree", "5"], "argument --degree: invalid choice"),
         (["navier-stokes", "--degree", "1"],
          "argument --degree: invalid choice"),
+        (["bench-matvec"], "invalid choice: 'bench-matvec'"),
     ])
     def test_bad_driver_argument_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -332,13 +354,6 @@ class TestCLI:
         assert code == 0
         assert "rayleigh-benard: dofs=" in out
 
-    def test_bench_subcommand(self, capsys):
-        code = main(["bench-matvec", "--n", "4", "--degrees", "1,2",
-                     "--repeats", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("problem,dim,degree,dofs,mode,")
-
     RB_AIJ = ["rayleigh-benard", "--n", "4", "--options-file",
               f"{ROOT}/configs/rb-iterative.opts", "--", "-mat_type", "aij"]
 
@@ -459,7 +474,7 @@ def test_nested_ksp_view(capsys):
 
 @pytest.mark.parametrize("command, config", [
     ("poisson", PoissonConfig), ("navier-stokes", CavityConfig),
-    ("rayleigh-benard", ConvectionConfig), ("bench-matvec", BenchConfig)])
+    ("rayleigh-benard", ConvectionConfig)])
 def test_driver_defaults_are_the_config_defaults(command, config):
     args = cli._build_parser().parse_args([command])
     for f in dataclasses.fields(config):
