@@ -70,10 +70,6 @@ class Element:
     def nnodes(self):
         return len(self.nodes)
 
-    @property
-    def ndofs(self):
-        return self.nnodes * self.ncomp
-
 
 @dataclass(frozen=True)
 class Tabulation:

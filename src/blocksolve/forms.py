@@ -42,13 +42,11 @@ read-only, by every form over those spaces: the `extract_fields`
 sub-forms, PCD's forms and the residuals' Picard forms tabulate nothing
 of their own.
 
-The action computes the D of each fixed term once per form and keeps it
-(`Form.coefficient`): a term that reads no Newton state and whose
-coefficients are numbers has the same cell-constant D at every apply.
-The D of every other term is built at each apply, so state coefficients
-(the Newton wind and state gradients) are evaluated from
-`context["state"]` per apply and nothing can go stale.  Assembly keeps
-nothing.  Action and assembly agree to rounding.
+A form keeps no coefficient data: assembly and the action both call
+`Term.coefficient` at each use, so a coefficient changed between uses (a
+number, a context value, an array changed in place, the Newton state in
+`context["state"]`) is read by the next one and nothing can go stale.
+Action and assembly agree to rounding.
 
 A form carries no boundary conditions: `ImplicitOperator` holds the form
 with its Dirichlet rows and columns and applies them.
@@ -224,15 +222,6 @@ class Term:
     couples = False
 
     @property
-    def fixed(self):
-        """D is the same at every use of a form: the term reads no Newton
-        state and each of its coefficients is a number, not a callable, a
-        context name or an array that may change in place.  Such a D is
-        cell-constant."""
-        return self.state is None and all(
-            isinstance(v, numbers.Number) for v in vars(self).values())
-
-    @property
     def spd(self):
         """The term alone is a symmetric form, positive definite on every
         space of functions that vanish on the boundary of a region, such
@@ -378,7 +367,6 @@ class Form:
         self.geom = self.mesh.geometry
         self.rule = make_quadrature(self.mesh.dim, quad_degree)
         self._tables = {}
-        self._fixed = {}  # term -> its D, for fixed terms
 
     # -- context helpers ---------------------------------------------------
 
@@ -386,22 +374,6 @@ class Form:
         if isinstance(coef, str):
             return self.context[coef]
         return coef
-
-    def coefficient(self, term, state):
-        """D of `term` for the action (see `Term`), with `state` the
-        `_StateAtPoints` of this apply; computed once and kept, read-only,
-        if the term is fixed."""
-        if not term.fixed:
-            return term.coefficient(self, state)
-        D = self._fixed.get(term)
-        if D is None:
-            D = self._fixed[term] = term.coefficient(self, state)
-            D.flags.writeable = False
-        return D
-
-    def memory_footprint(self):
-        """Bytes of the D kept for fixed terms."""
-        return sum(D.nbytes for D in self._fixed.values())
 
     def tabulation(self, space):
         """The `SpaceEval` of `space` at the form's rule, made once."""
@@ -620,7 +592,7 @@ class Form:
                 if u is None:
                     u = trial[j] = self.at_points(cs.fields[j],
                                                   x[cs.field_slice(j)])
-                yq = _contract(self.coefficient(term, state),
+                yq = _contract(term.coefficient(self, state),
                                u.slot(term.trial))
                 key = (i, term.test)
                 if key in acc:
@@ -677,7 +649,6 @@ def ns_jacobian_form(mixed, Re=1.0, context=None):
     context.setdefault("Re", Re)
     context.setdefault("state", np.zeros(mixed.num_dofs))
     context.setdefault("velocity_field", 0)
-    context.setdefault("pressure_field", 1)
     blocks = {
         (0, 0): [StiffnessTerm(1.0 / Re), AdvectionTerm(StateWind(0)),
                  VectorReactionTerm(0)],
@@ -695,8 +666,6 @@ def rb_jacobian_form(mixed, Ra, Pr, context=None):
     context.setdefault("Re", 1.0)
     context.setdefault("state", np.zeros(mixed.num_dofs))
     context.setdefault("velocity_field", 0)
-    context.setdefault("pressure_field", 1)
-    context.setdefault("temperature_field", 2)
     blocks = {
         (0, 0): [StiffnessTerm(1.0), AdvectionTerm(StateWind(0)),
                  VectorReactionTerm(0)],

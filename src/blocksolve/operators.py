@@ -216,10 +216,10 @@ class ImplicitOperator(LinearOperator):
         return AssembledOperator(A, fields=self.field_index_sets())
 
     def memory_footprint(self):
-        """Bytes of coefficient and state storage, the D the form keeps
-        for its fixed terms included (no matrix entries)."""
-        total = (self.bc_rows.nbytes + self.bc_cols.nbytes
-                 + self.form.memory_footprint())
+        """Bytes the operator holds at any time: its Dirichlet dofs, the
+        Newton state and the scalars of the context (no matrix entries, and
+        no coefficient data, which the form builds at each use)."""
+        total = self.bc_rows.nbytes + self.bc_cols.nbytes
         state = self.form.context.get("state")
         if state is not None:
             total += np.asarray(state).nbytes

@@ -161,13 +161,6 @@ class OptionsDB:
         """Options that were set but never queried, in insertion order."""
         return [k for k in self._values if k not in self._used]
 
-    def render(self):
-        """One `-key value` per line; parses back to an equal table."""
-        lines = []
-        for k, v in self._values.items():
-            lines.append(f"-{k}" if v == "true" else f"-{k} {v}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"OptionsDB({len(self._values)} options)"
 

@@ -72,12 +72,6 @@ class FunctionSpace:
             on |= np.abs(self.scalar_dof_coords[:, axis] - value) <= _PLANE_TOL
         return np.nonzero(on)[0]
 
-    def boundary_dofs(self, markers):
-        """Ascending global dofs (all components) whose nodes lie on the
-        facets carrying the given markers."""
-        return _component_dofs(self.boundary_scalar_dofs(markers),
-                               self.ncomp)
-
 
 def _component_dofs(sdofs, ncomp):
     """The dofs (..., n * ncomp) of all components at the scalar dofs sdofs
@@ -173,9 +167,6 @@ class MixedSpace:
 
     def field_slice(self, i):
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-
-    def split(self, x):
-        return [x[self.field_slice(i)] for i in range(self.num_fields)]
 
 
 def build_space(mesh, degree, ncomp=1):

@@ -307,8 +307,7 @@ def test_criterion_09_matfree_memory_advantage():
 
 
 def test_matfree_memory_advantage_holds_after_one_apply():
-    # criterion 9's seven operators, measured after an apply has made the
-    # D that each form keeps for its fixed terms
+    # criterion 9's seven operators hold the same bytes after an apply
     ops = [_poisson_op(dim, n, degree) for dim, n in ((2, 16), (3, 4))
            for degree in ((2, 3, 4) if dim == 2 else (2, 3))]
     for dim, n in ((2, 16), (3, 4)):
@@ -319,7 +318,7 @@ def test_matfree_memory_advantage_holds_after_one_apply():
         before = op.memory_footprint()
         op.apply(np.ones(op.shape[1]))
         mf = op.memory_footprint()
-        assert mf > before
+        assert mf == before
         assert mf < op.assemble().memory_footprint(), op.form.kind
 
 

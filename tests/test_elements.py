@@ -57,7 +57,7 @@ def test_gradients_sum_to_zero():
 def test_vector_element_components():
     elem = lagrange_element(2, 2, ncomp=2)
     scalar = lagrange_element(2, 2)
-    assert elem.ndofs == 2 * scalar.ndofs
+    assert (elem.nnodes, elem.ncomp) == (scalar.nnodes, 2)
 
 
 def test_invalid_degree():

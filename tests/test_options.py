@@ -1,7 +1,6 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from blocksolve.options import (OptionsDB, BadOptionName, BadOptionValue)
 
@@ -96,34 +95,3 @@ class TestBookkeeping:
     def test_insertion_order(self):
         db = OptionsDB().parse_args(["-z", "1", "-a", "2", "-m", "3"])
         assert db.keys() == ["z", "a", "m"]
-
-    def test_render_round_trip(self):
-        db = OptionsDB().parse_args(
-            ["-ksp_type", "cg", "-ksp_monitor", "-pc_sor_omega", "1.5"])
-        text = db.render()
-        db2 = OptionsDB().parse_args(text.split())
-        assert db2.keys() == db.keys()
-        for k in db.keys():
-            assert db2.get(k) == db.get(k)
-
-
-_key = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
-_value = st.one_of(
-    st.integers(-1000, 1000).map(str),
-    st.from_regex(r"[a-z][a-z0-9_.,+]{0,8}", fullmatch=True))
-
-
-@settings(max_examples=60, deadline=None)
-@given(entries=st.lists(st.tuples(_key, _value), max_size=8,
-                        unique_by=lambda kv: kv[0]))
-def test_property_render_round_trip(entries):
-    db = OptionsDB()
-    for k, v in entries:
-        db.set(k, v)
-    db2 = OptionsDB()
-    text = db.render()
-    if text:
-        db2.parse_args(text.split())
-    assert db2.keys() == db.keys()
-    for k, _ in entries:
-        assert db2.get(k) == db.get(k)

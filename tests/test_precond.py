@@ -12,9 +12,10 @@ from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
                                DirichletBC, collect_bc_dofs, interpolate)
 from blocksolve.forms import (Form, StateWind, VectorReactionTerm,
                               StiffnessTerm, PressureGradientTerm,
-                              DivergenceTerm, mass_form, stiffness_form,
-                              stokes_form, convection_diffusion_form,
-                              ns_jacobian_form, pressure_mass_form)
+                              DivergenceTerm, AdvectionTerm, mass_form,
+                              stiffness_form, stokes_form,
+                              convection_diffusion_form, ns_jacobian_form,
+                              pressure_mass_form, pressure_laplacian_form)
 from blocksolve.operators import ImplicitOperator, AssembledOperator
 from blocksolve.krylov import KSP, Nullspace
 from blocksolve.options import OptionsDB
@@ -401,6 +402,21 @@ class TestSchurApproximations:
         # compare up to the pinned dof
         assert np.allclose(z1[1:] - z1[1], z2[1:] - z2[1], atol=1e-8)
 
+    def test_pcd_fp_carries_the_state_wind_and_apply_pins_dof_0(self):
+        # Fp = (1/Re) Kp + N(w) at a random state, with N(w) assembled from
+        # a form of the wind term alone; the pinned pressure dof of z is 0
+        re = 7.0
+        A, W = self._ns(4, re=re, state_scale=1.0)
+        ip = W.field_index_set(1)
+        pcd = PCDPC(mp_maker=_lu, kp_maker=_lu).set_up(A.extract_sub(ip, ip))
+        Q = W.fields[1]
+        N = Form("wind", Q, Q, {(0, 0): [AdvectionTerm(StateWind(0))]},
+                 context=A.form.context, state_space=W).assemble()
+        ref = pressure_laplacian_form(Q).assemble() / re + N
+        assert abs(pcd.Fp - ref).max() <= 1e-13 * abs(ref).max()
+        z = pcd.apply(np.random.default_rng(6).standard_normal(len(ip)))
+        assert abs(z[0]) <= 1e-13 * np.linalg.norm(z)
+
     def test_pcd_needs_context(self):
         A, b, _ = _poisson()
         with pytest.raises(MissingContext):
@@ -540,7 +556,7 @@ class TestSchwarz:
         mesh = build_unit_square(3) if dim == 2 else build_unit_cube(2)
         V = build_space(mesh, degree, ncomp=ncomp)
         for markers in ((), (1, 3), _walls(dim)):
-            bc_dofs = V.boundary_dofs(markers)
+            bc_dofs = DirichletBC(V, markers).dofs
             groups = SchwarzPC._build_patches(V, bc_dofs)
             # grouped by size, vertex order within a size
             got = [g.dofs for g in groups]
@@ -731,9 +747,9 @@ class TestSchwarz:
 
     def test_rejects_unequal_dirichlet_rows_and_columns(self):
         V = build_space(build_unit_square(3), 2)
-        rows = V.boundary_dofs((1,))
+        rows = DirichletBC(V, (1,)).dofs
         op = ImplicitOperator(stiffness_form(V), bc_rows=rows,
-                              bc_cols=V.boundary_dofs((1, 3)))
+                              bc_cols=DirichletBC(V, (1, 3)).dofs)
         with pytest.raises(ValueError, match="same Dirichlet rows"):
             SchwarzPC().set_up(op)
 
@@ -749,7 +765,7 @@ class TestSchwarz:
             for markers in ((1,), (1, 3), (2, 4), _walls(dim)):
                 bc = DirichletBC(V, markers, value=[0.0] * ncomp)
                 op = ImplicitOperator(stiffness_form(V), bcs=[bc])
-                expect = Vc.boundary_dofs(markers)
+                expect = DirichletBC(Vc, markers).dofs
                 assert np.array_equal(SchwarzPC().set_up(op).coarse_bc,
                                       expect), (ncomp, markers)
 

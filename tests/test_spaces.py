@@ -74,7 +74,7 @@ class TestVectorAndMixed:
         mesh = build_unit_square(2)
         W = taylor_hood(mesh)
         x = np.arange(W.num_dofs, dtype=float)
-        parts = W.split(x)
+        parts = [x[W.field_slice(i)] for i in range(W.num_fields)]
         assert np.array_equal(np.concatenate(parts), x)
 
     def test_mixed_requires_common_mesh(self):
@@ -285,7 +285,9 @@ def test_dirichlet_dofs_are_the_boundary_dofs(dim, vector):
         return comps if vector else comps[0]
 
     bc = DirichletBC(V, markers, value=value)
-    assert np.array_equal(bc.dofs, V.boundary_dofs(markers))
+    nodes = V.boundary_scalar_dofs(markers)
+    assert np.array_equal(bc.dofs, (nodes[:, None] * ncomp
+                                    + np.arange(ncomp)).ravel())
     assert len(bc.dofs) and np.all(np.diff(bc.dofs) > 0)
     s, c = np.divmod(bc.dofs, ncomp)
     x = V.scalar_dof_coords[s]
