@@ -418,7 +418,7 @@ class Form:
 
     # -- kernels -----------------------------------------------------------
 
-    def element_matrices(self, term, test, trial, D):
+    def element_matrices(self, term, test, trial, D, out=None, add=False):
         """Element matrices of `term` between the spaces `test` and `trial`
         per component pair, (ncells, KT, KS, nt, ns), in one product of its
         coefficient D (see `Term`) with the reference tensor R[(p, e, f),
@@ -427,7 +427,9 @@ class Form:
         cell-constant D, R is summed over the points first, sum_q w_q
         A[e, q, i] B[f, q, j], and the product is (a*b) entries of D per
         cell against it; otherwise p runs over the points and D is reordered
-        for it a chunk of cells at a time, so the copy stays small."""
+        for it.  The product runs a chunk of cells at a time and writes each
+        chunk into `out` (a new array if None), or adds it there if `add`,
+        so no copy is bigger than a chunk."""
         A = self.tabulation(test).slot(term.test, weighted=True)
         B = self.tabulation(trial).slot(term.trial)
         nt, ns = A.shape[2], B.shape[2]
@@ -435,43 +437,51 @@ class Form:
         R = np.einsum(f"eqi,fqj->{points}efij", A, B,
                       optimize=True).reshape(-1, nt * ns)
         D = np.moveaxis(D, 5, 3)
-        blk = np.empty(D.shape[:3] + (nt, ns))
+        if out is None:
+            out = np.empty(D.shape[:3] + (nt, ns))
         for c in range(0, len(D), _CELL_CHUNK):
             part = D[c:c + _CELL_CHUNK]
-            blk[c:c + _CELL_CHUNK] = (part.reshape(-1, len(R)) @ R).reshape(
+            blk = (part.reshape(-1, len(R)) @ R).reshape(
                 part.shape[:3] + (nt, ns))
-        return blk
+            if add:
+                out[c:c + _CELL_CHUNK] += blk
+            else:
+                out[c:c + _CELL_CHUNK] = blk
+        return out
 
-    def block_local_matrices(self, i, j):
+    def block_local_matrices(self, i, j, out=None):
         """Element matrices of block (i, j) per component pair, (ncells, KT,
-        KS, nt, ns), or None.  KT = KS = 1 when no term of the block couples
-        components: the block is then the same on every component and zero
-        between different ones.  Otherwise KT and KS are the test and trial
-        component counts kt and ks, and the terms that couple no components
-        add to the diagonal pairs.  Entry [c, k, l, i, j] sits at row
-        i*kt + k and column j*ks + l of the element matrix of cell c (local
-        dofs node-major, components fastest)."""
+        KS, nt, ns), or None; written into `out` if given.  KT = KS = 1
+        when no term of the block couples components: the block is then the
+        same on every component and zero between different ones.  Otherwise
+        KT and KS are the test and trial component counts kt and ks, and
+        the sum of the terms that couple no components is added to the
+        diagonal pairs.  Entry [c, k, l, i, j] sits at row i*kt + k and
+        column j*ks + l of the element matrix of cell c (local dofs
+        node-major, components fastest)."""
         terms = self.blocks.get((i, j))
         if not terms:
             return None
         test = self.row_space.fields[i]
         trial = self.col_space.fields[j]
         state = _StateAtPoints(self)
-        sums = {}  # term.couples -> summed blocks
-        for term in terms:
-            blk = self.element_matrices(term, test, trial,
-                                        term.coefficient(self, state))
-            if term.couples in sums:
-                sums[term.couples] += blk
-            else:
-                sums[term.couples] = blk
-        full, diagonal = sums.get(True), sums.get(False)
-        if full is None:
-            return diagonal
-        if diagonal is not None:
+        coupled = [term for term in terms if term.couples]
+        diagonal = [term for term in terms if not term.couples]
+        pairs = (test.ncomp, trial.ncomp) if coupled else (1, 1)
+        if out is None:
+            out = np.empty((self.mesh.num_cells,) + pairs
+                           + (test.element.nnodes, trial.element.nnodes))
+        diagonal_sum = (np.empty_like(out[:, :1, :1]) if coupled and diagonal
+                        else out)
+        for group, dest in ((coupled, out), (diagonal, diagonal_sum)):
+            for n, term in enumerate(group):
+                self.element_matrices(term, test, trial,
+                                      term.coefficient(self, state),
+                                      out=dest, add=n > 0)
+        if diagonal_sum is not out:
             for k in range(test.ncomp):
-                full[:, k, k] += diagonal[:, 0, 0]
-        return full
+                out[:, k, k] += diagonal_sum[:, 0, 0]
+        return out
 
     def flops_per_apply(self):
         """Analytic flop count of one matrix-free application: the
@@ -526,21 +536,23 @@ class Form:
         rs, cs = self.row_space, self.col_space
         shape = (rs.num_dofs, cs.num_dofs)
         ncells = self.mesh.num_cells
-        layout = []  # (i, j, test components, trial components, nt, ns)
+        # (i, j, coupled, test components, trial components, nt, ns)
+        layout = []
         for (i, j), terms in self.blocks.items():
             if not terms:
                 continue
             test, trial = rs.fields[i], cs.fields[j]
-            if any(term.couples for term in terms):
+            coupled = any(term.couples for term in terms)
+            if coupled:
                 k, l = np.divmod(np.arange(test.ncomp * trial.ncomp),
                                  trial.ncomp)
             else:
                 k = l = np.arange(test.ncomp)
-            layout.append((i, j, k, l, test.element.nnodes,
+            layout.append((i, j, coupled, k, l, test.element.nnodes,
                            trial.element.nnodes))
         # element rows of each block, one per (cell, pair, test node), each
         # holding the ns entries of its trial nodes
-        nrows = [ncells * len(k) * nt for _, _, k, _, nt, _ in layout]
+        nrows = [ncells * len(k) * nt for *_, k, _, nt, _ in layout]
         widths = [ns for *_, ns in layout]
         sizes = [n * ns for n, ns in zip(nrows, widths)]
         itype = (np.int32 if max(*shape, sum(sizes)) <= np.iinfo(np.int32).max
@@ -552,7 +564,8 @@ class Form:
         cols = np.empty(sum(sizes), dtype=itype)
         vals = np.empty(sum(sizes))
         rend = end = 0
-        for (i, j, k, l, nt, ns), nrow, size in zip(layout, nrows, sizes):
+        for (i, j, coupled, k, l, nt, ns), nrow, size in zip(layout, nrows,
+                                                             sizes):
             rseg, seg = slice(rend, rend + nrow), slice(end, end + size)
             rend += nrow
             end += size
@@ -564,9 +577,15 @@ class Form:
             erows[rseg].reshape(out[:3])[...] = np.swapaxes(rdofs, 1, 2)
             cols[seg].reshape(out)[...] = np.swapaxes(cdofs, 1, 2)[
                 :, :, None, :]
-            # pair p = k*KS + l; one pair (KT = KS = 1) fills the diagonal
-            vals[seg].reshape(out)[...] = self.block_local_matrices(
-                i, j).reshape(ncells, -1, nt, ns)
+            # pair p = k*KS + l, written in place; one pair (KT = KS = 1)
+            # is written on the first diagonal pair and copied to the others
+            E = vals[seg].reshape(out)
+            if coupled:
+                self.block_local_matrices(i, j, out=E.reshape(
+                    ncells, rs.fields[i].ncomp, cs.fields[j].ncomp, nt, ns))
+            else:
+                self.block_local_matrices(i, j, out=E[:, :1, None])
+                E[:, 1:] = E[:, :1]
         B = sp.csr_matrix((vals, cols, indptr), shape=(len(erows), shape[1]))
         S = sp.csc_matrix((np.ones(len(erows)), erows,
                            np.arange(len(erows) + 1, dtype=itype)),

@@ -3,10 +3,13 @@
 Every solve starts from x = 0: its first residual is b itself, at no
 operator apply.  Left Richardson takes the norm of z = M^-1 r and steps
 with that z; right Richardson applies M^-1 in its step only.  GMRES (and
-FGMRES, the same method on the right) ends only at the residual recomputed
-at the start of a restart cycle, so at `max_it` it reports `rtol` if that
-residual meets the tolerance.  A happy breakdown (the residual lies in the
-Krylov space) ends the cycle with its solution; a step that maps its
+FGMRES, the same method on the right) ends, as PETSc's KSPGMRES does, as
+soon as a cycle's least-squares estimate |g_k| of the residual norm meets
+the tolerance, and reports that estimate.  It computes b - A x (and M^-1
+of it on the left) only when a cycle stopped at `restart` or `max_it`:
+that residual starts the next cycle, or decides the `max_it` verdict
+(`rtol` if it meets the tolerance).  A happy breakdown (the residual lies
+in the Krylov space) ends the cycle with its solution; a step that maps its
 Krylov vector to zero leaves the least-squares triangle singular and
 raises a `KrylovError` naming the solver and the iteration.
 
@@ -54,8 +57,11 @@ class IndefiniteOperator(KrylovError):
 
 class SolveReport:
     """Outcome of one solve.  `residual_norm` is the norm the method tests
-    convergence on; for `preonly` it is ||b - A x|| when a monitor printed
-    it and None otherwise, never a stale or estimated value."""
+    convergence on: for a GMRES or FGMRES solve that converged inside a
+    cycle, that cycle's least-squares estimate, as in PETSc, and otherwise
+    the residual computed at the cycle's end.  For `preonly` it is
+    ||b - A x|| when a monitor printed it and None otherwise, never a
+    stale value."""
 
     def __init__(self, converged, reason, iterations, residual_norm):
         self.converged = converged
@@ -243,7 +249,8 @@ class KSP:
         tol = max(self.rtol * beta, self.atol)
         total_it = 0
         while True:
-            # the residual of each cycle's start decides how the solve ends
+            # b, or the residual a cycle cut at `restart` or `max_it` left,
+            # decides whether another cycle starts
             if beta <= tol:
                 return self._finish(x, True, "rtol", total_it, beta)
             if total_it >= self.max_it:
@@ -312,6 +319,8 @@ class KSP:
             y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
             basis = V if left else Z
             x = self._project(x + sum(y[i] * basis[i] for i in range(k)))
+            if rnorm <= tol:
+                return self._finish(x, True, "rtol", total_it, rnorm)
             r = b - self._apply_op(A, x)
             r = self._apply_pc(r) if left else r
             beta = np.linalg.norm(r)

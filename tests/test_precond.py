@@ -636,8 +636,13 @@ class TestSchwarz:
         # fails where an LU inverse would not, with the LU path's message
         op = _schwarz_operator(2, 3, 3, 1)
         real = Form.block_local_matrices
-        monkeypatch.setattr(Form, "block_local_matrices",
-                            lambda form, i, j: -real(form, i, j))
+
+        def negated(form, i, j, out=None):
+            E = real(form, i, j, out)
+            E *= -1
+            return E
+
+        monkeypatch.setattr(Form, "block_local_matrices", negated)
         with pytest.raises(precond.SingularFactor,
                            match=r"^pc schwarz \(-fieldsplit_0_\): "
                                  r"Singular matrix$") as err:

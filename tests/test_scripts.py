@@ -20,9 +20,7 @@ SMALLEST = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SMALLEST))
-def test_script_runs(script):
-    args, header = SMALLEST[script]
+def _run(script, args, header):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -34,3 +32,16 @@ def test_script_runs(script):
     assert lines[0] == header
     assert len(lines) == 2
     assert len(lines[1].split(",")) == len(header.split(","))
+    return lines[1].split(",")
+
+
+@pytest.mark.parametrize("script", sorted(SMALLEST))
+def test_script_runs(script):
+    _run(script, *SMALLEST[script])
+
+
+def test_rb_scaling_runs_in_3d():
+    # the unit cube at n=2: P2 velocity, P1 pressure and temperature
+    n, dofs, *_ = _run("rb_scaling.py", ["--dim", "3", "--ns", "2"],
+                       SMALLEST["rb_scaling.py"][1])
+    assert (n, dofs) == ("2", str(3 * 125 + 27 + 27))
