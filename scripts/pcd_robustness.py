@@ -4,21 +4,13 @@ with the Schur-complement fieldsplit + pressure convection-diffusion
 preconditioner, over a mesh refinement sweep."""
 
 import argparse
+import pathlib
 
 from blocksolve.options import OptionsDB
 from blocksolve.problems import CavityConfig, run_cavity
 
-PCD_OPTIONS = [
-    "-ksp_type", "fgmres", "-mat_type", "matfree",
-    "-pc_type", "fieldsplit",
-    "-pc_fieldsplit_type", "schur",
-    "-pc_fieldsplit_schur_fact_type", "lower",
-    "-pc_fieldsplit_0_fields", "0", "-pc_fieldsplit_1_fields", "1",
-    "-fieldsplit_0_ksp_type", "preonly",
-    "-fieldsplit_0_pc_type", "assembled",
-    "-fieldsplit_1_ksp_type", "preonly",
-    "-fieldsplit_1_pc_type", "pcd",
-]
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / \
+    "cavity-pcd.opts"
 
 
 def main():
@@ -29,7 +21,7 @@ def main():
 
     print("n,dofs,newton_its,linear_its,outer_per_step")
     for n in (int(n) for n in args.ns.split(",")):
-        db = OptionsDB().parse_args(PCD_OPTIONS)
+        db = OptionsDB().parse_file(str(CONFIG))
         res = run_cavity(CavityConfig(n=n, re=args.re), db)
         rep = res["report"]
         per = rep.linear_iterations / max(rep.iterations, 1)

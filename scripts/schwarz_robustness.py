@@ -3,15 +3,17 @@
 swept over mesh size and polynomial degree."""
 
 import argparse
+import pathlib
 
 from blocksolve.options import OptionsDB
 from blocksolve.problems import PoissonConfig, run_poisson
 
+CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / \
+    "poisson-schwarz.opts"
+
 
 def solve(n, degree):
-    db = OptionsDB().parse_args(
-        ["-ksp_type", "cg", "-ksp_rtol", "1e-8",
-         "-mat_type", "matfree", "-pc_type", "schwarz"])
+    db = OptionsDB().parse_file(str(CONFIG))
     res = run_poisson(PoissonConfig(n=n, degree=degree, mms=True), db)
     return res["dofs"], res["report"].iterations
 

@@ -87,8 +87,8 @@ def _set(**values):
 
 def build_ksp(db, prefix, A, Apc=None, nullspace=None,
               default_type="gmres", default_pc=None):
-    """KSP configured from `<prefix>ksp_*` options with its (recursively
-    built) preconditioner set up against A (or Apc when given)."""
+    """KSP configured from `<prefix>ksp_*` options for A, with its
+    (recursively built) preconditioner set up on Apc (A when not given)."""
     ksp_type = db.get(prefix + "ksp_type", default_type)
     side = db.get(prefix + "ksp_pc_side")
     modified = db.get_bool(prefix + "ksp_gmres_modifiedgramschmidt")
@@ -106,7 +106,8 @@ def build_ksp(db, prefix, A, Apc=None, nullspace=None,
             restart=db.get_int(prefix + "ksp_gmres_restart"),
             error_if_not_converged=db.get_bool(
                 prefix + "ksp_error_if_not_converged", None)))
-    ksp.pc = build_pc(db, prefix, A, Apc, default_pc=default_pc)
+    ksp.pc = build_pc(db, prefix, A if Apc is None else Apc,
+                      default_pc=default_pc)
     _show_view(db, ksp)
     return ksp
 
@@ -125,16 +126,15 @@ def _show_view(db, ksp):
             fh.write(text + "\n")
 
 
-def build_pc(db, prefix, A, Apc=None, default_pc=None):
-    """Preconditioner configured from `<prefix>pc_*` options, set up."""
+def build_pc(db, prefix, op, default_pc=None):
+    """Preconditioner configured from `<prefix>pc_*` options, set up on op."""
     # the default suits the operator the preconditioner is set up on
-    op = Apc if Apc is not None else A
     if default_pc is None:
         default_pc = "jacobi" if hasattr(op, "A") else "none"
     pc_type = _resolve_pc_type(db, prefix, default_pc)
     with option_values():
         pc = _PC_MAKERS[pc_type](db, prefix)
-    return pc.set_up(A, Apc)
+    return pc.set_up(op)
 
 
 def _ksp_maker(db, prefix, default_type="preonly", default_pc="lu"):

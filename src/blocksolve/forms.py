@@ -653,7 +653,7 @@ def convection_diffusion_form(space, nu=1.0, wind=None, context=None):
 
 def stokes_form(mixed, Re=1.0, context=None):
     context = context if context is not None else {}
-    context.setdefault("Re", Re)
+    Re = context.setdefault("Re", Re)   # a value in the context wins
     blocks = {
         (0, 0): [StiffnessTerm(1.0 / Re)],
         (0, 1): [PressureGradientTerm()],
@@ -665,7 +665,7 @@ def stokes_form(mixed, Re=1.0, context=None):
 def ns_jacobian_form(mixed, Re=1.0, context=None):
     """Newton Jacobian of steady Navier-Stokes on a velocity/pressure pair."""
     context = context if context is not None else {}
-    context.setdefault("Re", Re)
+    Re = context.setdefault("Re", Re)
     context.setdefault("state", np.zeros(mixed.num_dofs))
     context.setdefault("velocity_field", 0)
     blocks = {
@@ -680,13 +680,12 @@ def ns_jacobian_form(mixed, Re=1.0, context=None):
 def rb_jacobian_form(mixed, Ra, Pr, context=None):
     """Newton Jacobian of Rayleigh-Benard convection on (u, p, T)."""
     context = context if context is not None else {}
-    context.setdefault("Ra", Ra)
-    context.setdefault("Pr", Pr)
-    context.setdefault("Re", 1.0)
+    Ra, Pr = context.setdefault("Ra", Ra), context.setdefault("Pr", Pr)
+    Re = context.setdefault("Re", 1.0)
     context.setdefault("state", np.zeros(mixed.num_dofs))
     context.setdefault("velocity_field", 0)
     blocks = {
-        (0, 0): [StiffnessTerm(1.0), AdvectionTerm(StateWind(0)),
+        (0, 0): [StiffnessTerm(1.0 / Re), AdvectionTerm(StateWind(0)),
                  VectorReactionTerm(0)],
         (0, 1): [PressureGradientTerm()],
         (1, 0): [DivergenceTerm()],

@@ -64,8 +64,8 @@ class NewtonSolver:
     iterate, so a write into it raises instead of leaving the solver tree
     stale.  ksp_maker(A, Apc) returns the linear solver; it is called at
     the first linearisation only, and every later step updates the
-    solver's preconditioner, `ksp.pc.update(A, Apc)`, so state-free nodes
-    keep what they built."""
+    solver's preconditioner on Apc alone, `ksp.pc.update(Apc)`, so
+    state-free nodes keep what they built."""
 
     def __init__(self, residual_fn, jacobian_form, bcs=(), *, ksp_maker,
                  rtol=1e-8, atol=1e-50, max_it=50, mat_type="matfree",
@@ -137,6 +137,7 @@ class NewtonSolver:
             state = x.copy()
             state.flags.writeable = False
             form.context["state"] = state
+            A = Apc = None   # free the last step's assembly before this one
             A, Apc = select_operators(implicit, self.mat_type,
                                       self.pmat_type)
             if ksp is None:
@@ -144,7 +145,7 @@ class NewtonSolver:
                 if ksp.nullspace is None:
                     ksp.nullspace = self.nullspace
             else:
-                ksp.pc.update(A, Apc)
+                ksp.pc.update(Apc)
             try:
                 # the KSP projects its nullspace out of -r
                 d, lin_report = ksp.solve(A, -r)

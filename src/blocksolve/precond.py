@@ -1,13 +1,13 @@
 """Composable preconditioners.
 
-Every preconditioner is set up against a linear operator and exposes
-`apply` (one application of the inverse of its defining matrix M) plus a
-`view` tree for inspection; `update` refreshes it for a new
-linearisation (see `Preconditioner`).  Algebraic preconditioners (jacobi,
-sor, lu, ilu) demand an assembled operator, fieldsplit an operator of
-either kind with fields, and context-bearing ones (pcd, mass, schwarz,
-assembled) read the form off an implicit operator and raise
-MissingContext when there is none.
+Every preconditioner is set up on one linear operator, keeps only what
+its `apply` (one application of the inverse of its defining matrix M)
+reads, and exposes a `view` tree for inspection; `update` refreshes it
+for a new linearisation (see `Preconditioner`).  Algebraic
+preconditioners (jacobi, sor, lu, ilu) demand an assembled operator,
+fieldsplit an operator of either kind with fields, and context-bearing
+ones (pcd, mass, schwarz, assembled) read the form off an implicit
+operator and raise MissingContext when there is none.
 
 `sor` factors nothing, as PETSc's MatSOR: it sweeps the triangles of A,
 read straight off its CSR arrays, with SuperLU's triangular solve
@@ -106,21 +106,21 @@ def _factor(factorize, A, pc, **options):
 
 
 class Preconditioner:
-    """A node of the solver tree.  A subclass builds itself in
-    `_set_up(op)`, once, and applies M^-1 in `apply(r)`.  `update(A,
-    Apc)` refreshes it for a new linearisation of the same problem, the
-    operator of the set-up (or a new assembly of it) at a new state,
-    through `_update(op)`: by default a fresh set-up, which is always
-    correct.  A subclass whose pieces do not all read the state overrides
-    `_update` to rebuild only those that do, and a composite updates its
-    children, as Firedrake's `PCBase.update` refreshes what `initialize`
-    built."""
+    """A node of the solver tree, set up on one operator, as PETSc's
+    PCSetOperators hands the PC its KSP's Pmat.  A subclass builds itself
+    in `_set_up(op)`, once, keeping only what `apply(r)` reads to apply
+    M^-1 and not op (only `KSPPC` keeps it).  `update(op)` refreshes it
+    for a new linearisation of the same problem, the operator of the
+    set-up (or a new assembly of it) at a new state, through
+    `_update(op)`: by default a fresh set-up, which is always correct.  A
+    subclass whose pieces do not all read the state overrides `_update`
+    to rebuild only those that do, and a composite updates its children,
+    as Firedrake's `PCBase.update` refreshes what `initialize` built."""
 
     type_name = "none"
 
     def __init__(self, prefix=""):
         self.prefix = prefix
-        self.op = None
 
     @property
     def name(self):
@@ -128,25 +128,21 @@ class Preconditioner:
         option prefix, `pc sor (-fieldsplit_0_)`."""
         return f"pc {self.type_name} (-{self.prefix})"
 
-    def set_up(self, A, Apc=None):
-        self.op = Apc if Apc is not None else A
-        self._set_up(self.op)
+    def set_up(self, op):
+        self._set_up(op)
         return self
 
     def _set_up(self, op):
         pass
 
-    def update(self, A, Apc=None):
-        """Refresh for a new linearisation on A (Apc when given), which
-        may be the operator of the set-up with a new state in its
-        context.  Returns self."""
-        op = Apc if Apc is not None else A
+    def update(self, op):
+        """Refresh for a new linearisation on op (the set-up's operator,
+        or a new assembly of it, at a new state).  Returns self."""
         self._update(op)
-        self.op = op
         return self
 
     def _update(self, op):
-        """A fresh set-up on op; `self.op` is still the last operator."""
+        """A fresh set-up on op."""
         self.set_up(op)
 
     def apply(self, r):
@@ -304,6 +300,7 @@ class LUPC(Preconditioner):
     type_name = "lu"
 
     def _set_up(self, op):
+        self.fact = None   # an update frees the old factor before it factors
         self.fact = _factor(spla.splu, _assembled(op, self), self)
 
     def apply(self, r):
@@ -327,6 +324,7 @@ class ILUPC(Preconditioner):
         self.fill_factor = fill_factor
 
     def _set_up(self, op):
+        self.fact = None   # an update frees the old factor before it factors
         self.fact = _factor(spla.spilu, _assembled(op, self), self,
                             drop_tol=self.drop_tol,
                             fill_factor=self.fill_factor)
@@ -345,7 +343,8 @@ class ILUPC(Preconditioner):
 class KSPPC(Preconditioner):
     """An inner Krylov solve used as a preconditioner.  The outer method
     must be flexible (fgmres or richardson) unless the inner iteration is
-    run to a fixed, state-independent operation count."""
+    run to a fixed, state-independent operation count.  The one node that
+    keeps the operator it is set up on: its apply solves with it."""
 
     type_name = "ksp"
 
@@ -354,9 +353,11 @@ class KSPPC(Preconditioner):
         self.ksp_maker = ksp_maker
 
     def _set_up(self, op):
+        self.op = op
         self.ksp = self.ksp_maker(op)
 
     def _update(self, op):
+        self.op = op
         self.ksp.pc.update(op)
 
     def apply(self, r):
@@ -602,16 +603,15 @@ class PCDPC(Preconditioner):
                                  f"pressure convection term")
         Re = float(ctx.get("Re", 1.0))
         vf = int(ctx.get("velocity_field", 0))
-        Mp = AssembledOperator(pressure_mass_form(p_space).assemble())
+        self.mp_op = AssembledOperator(pressure_mass_form(p_space).assemble())
         pin = np.array([0], dtype=np.int64)
-        Kp = ImplicitOperator(pressure_laplacian_form(p_space), bc_rows=pin,
-                              bc_cols=pin).assemble()
+        self.kp_op = ImplicitOperator(pressure_laplacian_form(p_space),
+                                      bc_rows=pin, bc_cols=pin).assemble()
         self.fp_form = pcd_form(p_space, Re, StateWind(vf), context=ctx,
                                 state_space=state_space)
         self.Fp = self.fp_form.assemble()
-        self.mp_op, self.kp_op = Mp, Kp
-        self.mp_ksp = self.mp_maker(Mp)
-        self.kp_ksp = self.kp_maker(Kp)
+        self.mp_ksp = self.mp_maker(self.mp_op)
+        self.kp_ksp = self.kp_maker(self.kp_op)
 
     def _update(self, op):
         self.Fp = self.fp_form.assemble()

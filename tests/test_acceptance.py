@@ -202,23 +202,10 @@ def test_criterion_05_schwarz_robustness():
                f"p4 n=8..64: {mesh_its}, n=32 p=2..4: {deg_its}, {dt:.0f}s")
 
 
-PCD_OPTIONS = [
-    "-ksp_type", "fgmres", "-mat_type", "matfree",
-    "-pc_type", "fieldsplit",
-    "-pc_fieldsplit_type", "schur",
-    "-pc_fieldsplit_schur_fact_type", "lower",
-    "-pc_fieldsplit_0_fields", "0", "-pc_fieldsplit_1_fields", "1",
-    "-fieldsplit_0_ksp_type", "preonly",
-    "-fieldsplit_0_pc_type", "assembled",
-    "-fieldsplit_1_ksp_type", "preonly",
-    "-fieldsplit_1_pc_type", "pcd",
-]
-
-
 def test_criterion_06_pcd_mesh_robustness():
     per_step = {}
     for n in (8, 16, 32):
-        db = OptionsDB().parse_args(PCD_OPTIONS)
+        db = _file_db("cavity-pcd.opts")
         rep = run_cavity(CavityConfig(n=n, re=10.0), db)["report"]
         assert rep.converged
         per_step[n] = rep.linear_iterations / max(rep.iterations, 1)

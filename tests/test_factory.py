@@ -16,7 +16,8 @@ from blocksolve.krylov import KSP
 from blocksolve.newton import NewtonSolver
 from blocksolve.precond import (JacobiPC, SORPC, LUPC, ILUPC, NonePC,
                                 FieldSplitPC, AssembledPC, TelescopePC,
-                                SchwarzPC, MissingContext, view_ksp)
+                                SchwarzPC, MissingContext, Preconditioner,
+                                view_ksp)
 
 
 def _poisson(n=4, degree=1):
@@ -410,10 +411,13 @@ def test_substitutions_name_table_entries():
 
 
 @pytest.mark.parametrize("pc_type", factory.PC_TYPES)
-def test_table_maker_makes_its_type(pc_type):
+def test_table_maker_makes_its_type(pc_type, monkeypatch):
     # a maker reads its options and makes the node; build_pc sets it up
+    set_ups = []
+    monkeypatch.setattr(Preconditioner, "set_up",
+                        lambda self, op: set_ups.append(self))
     pc = factory._PC_MAKERS[pc_type](OptionsDB(), "p_")
-    assert pc.op is None
+    assert set_ups == []
     assert pc.type_name == pc_type
     assert pc.prefix == "p_"
 

@@ -988,3 +988,31 @@ def test_callables_off_the_convention_raise(f):
         load_vector(form, f)
     with pytest.raises(ValueError, match=r"x of shape \(dim, \.\.\.\)"):
         mass_form(form.row_space.fields[0], coef=f).assemble()
+
+
+def _coefficients(form):
+    """{(block, term class): coefficient} of the scaled terms of a form."""
+    return {(ij, type(t).__name__): t.coef for ij, terms in form.blocks.items()
+            for t in terms if hasattr(t, "coef")}
+
+
+@pytest.mark.parametrize("make, context, expect", [
+    (lambda W, ctx: stokes_form(W, Re=100.0, context=ctx), {"Re": 10.0},
+     {((0, 0), "StiffnessTerm"): 0.1}),
+    (lambda W, ctx: ns_jacobian_form(W, Re=100.0, context=ctx), {"Re": 10.0},
+     {((0, 0), "StiffnessTerm"): 0.1}),
+    (lambda W, ctx: rb_jacobian_form(W, Ra=200.0, Pr=6.18, context=ctx),
+     {"Ra": 1e4, "Re": 2.0},
+     {((0, 0), "StiffnessTerm"): 0.5, ((0, 2), "BuoyancyTerm"): 1e4 / 6.18,
+      ((2, 2), "StiffnessTerm"): 6.18}),
+], ids=["stokes", "ns_jacobian", "rb_jacobian"])
+def test_context_value_wins_over_the_argument(make, context, expect):
+    # PCD and the mass Schur approximation read Re from the context, so
+    # the form's own terms are built from the same value
+    mesh = build_unit_square(2)
+    W = MixedSpace([build_space(mesh, 2, ncomp=2), build_space(mesh, 1),
+                    build_space(mesh, 1)])
+    given = dict(context)
+    form = make(W, context)
+    assert all(form.context[k] == v for k, v in given.items())
+    assert _coefficients(form) == pytest.approx(expect)

@@ -247,7 +247,7 @@ def _nested(inner, n=15, seed=9):
     copy of A; returns the counting operator and the outer report."""
     A = _spd(n, seed=seed)
     op = Counting(A.A)
-    pc = KSPPC(ksp_maker=inner).set_up(A, op)
+    pc = KSPPC(ksp_maker=inner).set_up(op)
     b = np.random.default_rng(seed + 1).standard_normal(n)
     x, rep = KSP("fgmres", rtol=1e-10, pc=pc, max_it=50).solve(A, b)
     return op, pc.ksp, rep
@@ -262,8 +262,7 @@ class TestTrueResidualOnlyWhenRead:
                 return np.full(len(x), np.nan)
 
         A = _spd(10, seed=3)
-        pc = KSPPC(ksp_maker=lambda op: KSP("gmres")).set_up(
-            A, Broken(A.A))
+        pc = KSPPC(ksp_maker=lambda op: KSP("gmres")).set_up(Broken(A.A))
         with pytest.raises(DivergedNaN):
             KSP("fgmres", pc=pc).solve(A, np.ones(10))
         op, inner, rep = _nested(

@@ -176,9 +176,9 @@ class TestTreeReuse:
         made, updates = [], []
 
         class CountingLU(LUPC):
-            def update(self, A, Apc=None):
+            def update(self, op):
                 updates.append(form.context["state"])
-                return super().update(A, Apc)
+                return super().update(op)
 
         def maker(A, Apc):
             made.append(form.context["state"])

@@ -678,7 +678,7 @@ class TestSchwarz:
         # group only its dofs and the inverses of its blocks
         op = _schwarz_operator(2, 3, 3, 2)
         pc = SchwarzPC().set_up(op)
-        assert set(vars(pc)) == {"prefix", "op", "bc_dofs", "P", "R",
+        assert set(vars(pc)) == {"prefix", "bc_dofs", "P", "R",
                                  "coarse_bc", "coarse_fact", "patches"}
         # the restriction kept from set-up is P^T, bit for bit
         r = np.random.default_rng(5).standard_normal(pc.P.shape[0])

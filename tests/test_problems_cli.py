@@ -391,6 +391,7 @@ class TestCLI:
 # the command line that runs each shipped option file, at the sizes of the
 # golden-view acceptance check
 CONFIG_RUNS = {
+    "cavity-pcd": ["navier-stokes", "--n", "4"],
     "poisson-hypre": ["poisson", "--n", "4", "--degree", "3"],
     "poisson-sor": ["poisson", "--n", "4", "--degree", "3"],
     "poisson-schwarz": ["poisson", "--n", "4", "--degree", "3"],

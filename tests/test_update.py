@@ -1,24 +1,30 @@
 """A solver tree set up once and updated per linearisation equals one set up
-fresh at the new state, and a Newton solve builds its tree once."""
+fresh at the new state, and a Newton solve builds its tree once.  Neither
+the tree nor the Newton loop keeps an assembly or a factor it has
+replaced."""
 
 import contextlib
+import gc
 import io
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blocksolve import factory
+from blocksolve import factory, precond
 from blocksolve.factory import PC_TYPES, build_pc
-from blocksolve.forms import ns_jacobian_form
+from blocksolve.forms import (ns_jacobian_form, rb_jacobian_form,
+                              stiffness_form)
 from blocksolve.mesh import build_unit_square
 from blocksolve.operators import ImplicitOperator
 from blocksolve.options import OptionsDB
-from blocksolve.precond import FieldSplitPC, PCDPC
+from blocksolve.precond import AssembledPC, FieldSplitPC, PCDPC
 from blocksolve.problems import (CavityConfig, ConvectionConfig, run_cavity,
                                  run_convection)
-from blocksolve.spaces import DirichletBC, taylor_hood
+from blocksolve.spaces import (DirichletBC, MixedSpace, build_space,
+                               taylor_hood)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,3 +168,102 @@ def test_fieldsplit_extracts_blocks_once_per_linearisation(monkeypatch, mat):
     assert res["report"].converged and its >= 2
     # the set-up and each update extract the blocks from the operator
     assert splits.calls == its
+
+
+def _alive(refs):
+    """The weakly referenced objects still reachable after a collection."""
+    gc.collect()
+    return [ref() for ref in refs if ref() is not None]
+
+
+def _assembled_by_nodes(monkeypatch):
+    """Weak references to every operator an `assembled` node assembles."""
+    made = []
+    inner_op = AssembledPC._inner_op
+
+    def spy(self, op):
+        out = inner_op(self, op)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(AssembledPC, "_inner_op", spy)
+    return made
+
+
+def _poisson_operator():
+    V = build_space(build_unit_square(4), 2)
+    return ImplicitOperator(stiffness_form(V), bcs=[
+        DirichletBC(V, (1, 2, 3, 4), value=0.0, field=0)])
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "sor", "lu", "ilu"])
+def test_assembled_node_keeps_no_assembly(inner, monkeypatch):
+    # the inner node keeps what its apply reads (a factor, a diagonal,
+    # triangles), never the operator it was built from
+    made = _assembled_by_nodes(monkeypatch)
+    op = _poisson_operator()
+    pc = build_pc(OptionsDB().parse_args(
+        ["-pc_type", "assembled", "-assembled_pc_type", inner]), "", op)
+    assert len(made) == 1 and _alive(made) == []
+    pc.update(op)
+    assert len(made) == 2 and _alive(made) == []
+    assert np.isfinite(pc.apply(np.ones(op.shape[0]))).all()
+
+
+def test_convection_tree_keeps_no_assembly(monkeypatch):
+    made = _assembled_by_nodes(monkeypatch)
+    mesh = build_unit_square(2)
+    V, Q, T = (build_space(mesh, 2, ncomp=2), build_space(mesh, 1),
+               build_space(mesh, 1))
+    W = MixedSpace([V, Q, T])
+    form = rb_jacobian_form(W, Ra=200.0, Pr=6.18)
+    op = ImplicitOperator(form, bcs=[
+        DirichletBC(V, (1, 2, 3, 4), value=[0.0, 0.0], field=0),
+        DirichletBC(T, (1, 2), value=0.0, field=2)])
+    db = OptionsDB().parse_file(CONFIGS / "rb-iterative.opts")
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pc = build_pc(db, "", op)
+        # the velocity block and the temperature block
+        assert len(made) == 2 and _alive(made) == []
+        form.context["state"] = rng.standard_normal(W.num_dofs)
+        pc.update(op)
+    assert len(made) == 4 and _alive(made) == []
+    assert np.isfinite(pc.apply(rng.standard_normal(W.num_dofs))).all()
+
+
+@pytest.mark.parametrize("pc_type, factorize", [("lu", "splu"),
+                                                ("ilu", "spilu")])
+def test_update_frees_the_factor_before_it_factors(pc_type, factorize,
+                                                   monkeypatch):
+    A = _poisson_operator().assemble()
+    pc = build_pc(OptionsDB().parse_args(["-pc_type", pc_type]), "", A)
+    held = []
+    real = getattr(precond.spla, factorize)
+
+    def spy(*args, **kwargs):
+        held.append(pc.fact)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(precond.spla, factorize, spy)
+    pc.update(A)
+    assert held == [None] and pc.fact is not None
+
+
+def test_newton_frees_the_last_assembly_before_the_next(monkeypatch):
+    made = []
+    assemble = ImplicitOperator.assemble
+
+    def spy(self):
+        assert _alive(made) == []
+        out = assemble(self)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ImplicitOperator, "assemble", spy)
+    # the default tree: the Jacobian assembled (aij) and factored by LU
+    with contextlib.redirect_stdout(io.StringIO()):
+        res = run_cavity(CavityConfig(n=4, re=10.0), OptionsDB())
+    assert res["report"].converged
+    assert len(made) == res["report"].iterations >= 2
