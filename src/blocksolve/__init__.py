@@ -7,8 +7,7 @@ from .spaces import (FunctionSpace, MixedSpace, DirichletBC, build_space,
                      taylor_hood, interpolate)
 from .forms import (Form, StateWind, mass_form, stiffness_form,
                     convection_diffusion_form, stokes_form,
-                    ns_jacobian_form, rb_jacobian_form, pressure_mass_form,
-                    pressure_laplacian_form, pcd_form, load_vector,
+                    ns_jacobian_form, rb_jacobian_form, load_vector,
                     ns_residual, rb_residual, poisson_residual,
                     jacobian_check)
 from .operators import (LinearOperator, ImplicitOperator, AssembledOperator,

@@ -39,6 +39,15 @@ def _positive_int(text):
     return n
 
 
+def _positive_float(text):
+    """A positive, finite float argument, as argparse reads it."""
+    x = float(text)
+    if not 0 < x < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, "
+                                         f"not {x:g}")
+    return x
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="blocksolve",
@@ -63,7 +72,7 @@ def _build_parser():
 
     ns = sub.add_parser("navier-stokes", help="lid-driven cavity")
     ns.add_argument("--n", type=_positive_int, default=CavityConfig.n)
-    ns.add_argument("--re", type=float, default=CavityConfig.re)
+    ns.add_argument("--re", type=_positive_float, default=CavityConfig.re)
     # Taylor-Hood: velocity degree k, pressure degree k - 1
     ns.add_argument("--degree", type=int, default=CavityConfig.degree,
                     choices=range(2, MAX_LAGRANGE_DEGREE + 1))
@@ -74,7 +83,7 @@ def _build_parser():
     rb.add_argument("--dim", type=int, default=ConvectionConfig.dim,
                     choices=(2, 3))
     rb.add_argument("--ra", type=float, default=ConvectionConfig.ra)
-    rb.add_argument("--pr", type=float, default=ConvectionConfig.pr)
+    rb.add_argument("--pr", type=_positive_float, default=ConvectionConfig.pr)
 
     for sp in (p, ns, rb):
         sp.add_argument("--options-file", action="append", default=[],

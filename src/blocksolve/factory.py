@@ -24,7 +24,7 @@ import numpy as np
 
 from .krylov import KSP, Nullspace
 from .newton import NewtonSolver
-from .operators import select_operators
+from .operators import AssembledOperator, select_operators
 from .options import _FALSE, _TRUE, BadOptionValue, option_values
 from .precond import (NonePC, JacobiPC, SORPC, LUPC, ILUPC, KSPPC,
                       AssembledPC, TelescopePC, FieldSplitPC, PCDPC,
@@ -130,7 +130,7 @@ def build_pc(db, prefix, op, default_pc=None):
     """Preconditioner configured from `<prefix>pc_*` options, set up on op."""
     # the default suits the operator the preconditioner is set up on
     if default_pc is None:
-        default_pc = "jacobi" if hasattr(op, "A") else "none"
+        default_pc = "jacobi" if isinstance(op, AssembledOperator) else "none"
     pc_type = _resolve_pc_type(db, prefix, default_pc)
     with option_values():
         pc = _PC_MAKERS[pc_type](db, prefix)
@@ -219,17 +219,16 @@ def build_operators(db, implicit):
 
 
 def build_snes(db, residual_fn, form, bcs, nullspace):
-    """Newton configured from `snes_*` options, `-mat_type` (assembled
-    when unset) and `-pmat_type`; its linear solver is the tree
-    `build_ksp` makes at the first linearisation."""
+    """Newton configured from `snes_*` options, `-mat_type` and
+    `-pmat_type`; its linear solver is the tree `build_ksp` makes, with
+    `nullspace`, at the first linearisation."""
     with option_values():
         return NewtonSolver(
             residual_fn, form, bcs,
-            ksp_maker=lambda A, Apc: build_ksp(db, "", A, Apc,
+            ksp_maker=lambda A, Apc: build_ksp(db, "", A, Apc, nullspace,
                                                default_type="preonly",
-                                               default_pc="lu"),
-            mat_type=db.get("mat_type", "aij"),
-            pmat_type=db.get("pmat_type"), nullspace=nullspace, **_set(
+                                               default_pc="lu"), **_set(
+                mat_type=db.get("mat_type"), pmat_type=db.get("pmat_type"),
                 monitor=print if db.get_bool("snes_monitor") else None,
                 rtol=db.get_float("snes_rtol"),
                 atol=db.get_float("snes_atol"),

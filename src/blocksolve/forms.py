@@ -68,9 +68,8 @@ from .spaces import (FunctionSpace, MixedSpace, collect_bc_dofs,
 
 __all__ = [
     "Form", "mass_form", "stiffness_form", "convection_diffusion_form",
-    "stokes_form", "ns_jacobian_form", "rb_jacobian_form",
-    "pressure_mass_form", "pressure_laplacian_form", "pcd_form",
-    "ns_residual", "rb_residual", "jacobian_check",
+    "stokes_form", "ns_jacobian_form", "rb_jacobian_form", "ns_residual",
+    "rb_residual", "jacobian_check",
 ]
 
 UPWARD = {2: np.array([0.0, 1.0]), 3: np.array([0.0, 0.0, 1.0])}
@@ -694,23 +693,6 @@ def rb_jacobian_form(mixed, Ra, Pr, context=None):
         (2, 2): [StiffnessTerm(Pr), AdvectionTerm(StateWind(0))],
     }
     return Form("rb_jacobian", mixed, mixed, blocks, context=context)
-
-
-def pressure_mass_form(p_space, context=None):
-    return Form("pressure_mass", p_space, p_space,
-                {(0, 0): [MassTerm()]}, context=context)
-
-
-def pressure_laplacian_form(p_space, context=None):
-    return Form("pressure_laplacian", p_space, p_space,
-                {(0, 0): [StiffnessTerm()]}, context=context)
-
-
-def pcd_form(p_space, Re, wind, context=None, state_space=None):
-    """Pressure convection-diffusion operator (1/Re) K_p + advection."""
-    return Form("pressure_convection_diffusion", p_space, p_space,
-                {(0, 0): [StiffnessTerm(1.0 / Re), AdvectionTerm(wind)]},
-                context=context, state_space=state_space)
 
 
 def load_vector(form, f, field=0):

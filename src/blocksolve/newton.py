@@ -62,15 +62,14 @@ class NewtonSolver:
     boundary defect; jacobian_form is the block form of J, whose context
     state is set before every linearisation to a read-only copy of the
     iterate, so a write into it raises instead of leaving the solver tree
-    stale.  ksp_maker(A, Apc) returns the linear solver; it is called at
-    the first linearisation only, and every later step updates the
-    solver's preconditioner on Apc alone, `ksp.pc.update(Apc)`, so
-    state-free nodes keep what they built."""
+    stale.  ksp_maker(A, Apc) returns the linear solver, with J's
+    nullspace; it is called at the first linearisation only, and every
+    later step updates the solver's preconditioner on Apc alone,
+    `ksp.pc.update(Apc)`, so state-free nodes keep what they built."""
 
     def __init__(self, residual_fn, jacobian_form, bcs=(), *, ksp_maker,
-                 rtol=1e-8, atol=1e-50, max_it=50, mat_type="matfree",
-                 pmat_type=None, nullspace=None, monitor=None,
-                 error_if_not_converged=False):
+                 rtol=1e-8, atol=1e-50, max_it=50, mat_type="aij",
+                 pmat_type=None, monitor=None, error_if_not_converged=False):
         if max_it < 0:
             raise ValueError(f"newton: max_it must be nonnegative, "
                              f"not {max_it}")
@@ -85,7 +84,6 @@ class NewtonSolver:
         self.atol = atol
         self.max_it = max_it
         self.mat_type, self.pmat_type = mat_types(mat_type, pmat_type)
-        self.nullspace = nullspace
         self.monitor = monitor
         self.error_if_not_converged = error_if_not_converged
 
@@ -142,8 +140,6 @@ class NewtonSolver:
                                       self.pmat_type)
             if ksp is None:
                 ksp = self.ksp_maker(A, Apc)
-                if ksp.nullspace is None:
-                    ksp.nullspace = self.nullspace
             else:
                 ksp.pc.update(Apc)
             try:

@@ -37,8 +37,8 @@ import scipy.sparse.linalg as spla
 # spsolve_triangular by tests/test_precond.py::test_sor_matches_split_triangles
 from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
 
-from .forms import (Form, StateWind, pcd_form, pressure_mass_form,
-                    pressure_laplacian_form)
+from .forms import (Form, StateWind, AdvectionTerm, StiffnessTerm,
+                    mass_form, stiffness_form)
 from .operators import (AssembledOperator, ImplicitOperator, LinearOperator)
 from .spaces import build_space
 from .elements import lagrange_element, tabulate
@@ -251,7 +251,7 @@ class SORPC(Preconditioner):
         if not A.has_canonical_format:
             A = A.copy()
             A.sum_duplicates()
-        self.A = A
+        self.A = A if self.its > 1 else None  # only a repeated sweep reads A
         n = A.shape[0]
         self._dw = _nonzero_diagonal(A, self) / self.omega
         self._inv = 1.0 / self._dw
@@ -489,7 +489,7 @@ class FieldSplitPC(Preconditioner):
             left_out = sorted(set(range(len(fields))) - set(used))
             unknown = sorted(set(used) - set(range(len(fields))))
             raise CompositionError(
-                f"pc fieldsplit ({self.prefix or '-'}): splits "
+                f"{self.name}: splits "
                 f"{self.splits} must put each of the fields 0 to "
                 f"{len(fields) - 1} in exactly one split (in several: "
                 f"{shared}, in none: {left_out}, unknown: {unknown})")
@@ -603,12 +603,13 @@ class PCDPC(Preconditioner):
                                  f"pressure convection term")
         Re = float(ctx.get("Re", 1.0))
         vf = int(ctx.get("velocity_field", 0))
-        self.mp_op = AssembledOperator(pressure_mass_form(p_space).assemble())
+        self.mp_op = AssembledOperator(mass_form(p_space).assemble())
         pin = np.array([0], dtype=np.int64)
-        self.kp_op = ImplicitOperator(pressure_laplacian_form(p_space),
+        self.kp_op = ImplicitOperator(stiffness_form(p_space),
                                       bc_rows=pin, bc_cols=pin).assemble()
-        self.fp_form = pcd_form(p_space, Re, StateWind(vf), context=ctx,
-                                state_space=state_space)
+        fp = [StiffnessTerm(1.0 / Re), AdvectionTerm(StateWind(vf))]
+        self.fp_form = Form("convection_diffusion", p_space, p_space,
+                            {(0, 0): fp}, context=ctx, state_space=state_space)
         self.Fp = self.fp_form.assemble()
         self.mp_ksp = self.mp_maker(self.mp_op)
         self.kp_ksp = self.kp_maker(self.kp_op)
@@ -643,7 +644,7 @@ class MassSchurPC(Preconditioner):
     def _set_up(self, op):
         p_space, ctx, _ = _pressure_setup(op, self)
         self.scale = 1.0 / float(ctx.get("Re", 1.0))
-        self.mp_op = AssembledOperator(pressure_mass_form(p_space).assemble())
+        self.mp_op = AssembledOperator(mass_form(p_space).assemble())
         self.mp_ksp = self.mp_maker(self.mp_op)
 
     def _update(self, op):

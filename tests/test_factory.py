@@ -318,7 +318,7 @@ class TestFieldSplitTrees:
         with pytest.raises(ValueError) as err:
             build_pc(db, "outer_", _stokes())
         msg = str(err.value)
-        assert "(outer_)" in msg
+        assert msg.startswith("pc fieldsplit (-outer_): splits ")
         assert str(splits) in msg
         assert f"in several: {shared}, in none: {left_out}" in msg
 
@@ -459,7 +459,7 @@ def test_unset_options_leave_the_constructor_defaults():
         (factory._PC_MAKERS["fieldsplit"](db, ""),
          FieldSplitPC(sub_ksp_maker=None), {"sub_ksp_maker"}),
         (factory.build_snes(db, residual, form, (), None),
-         NewtonSolver(residual, form, ksp_maker=None, mat_type="aij"),
+         NewtonSolver(residual, form, ksp_maker=None),
          {"ksp_maker"}),
     ]
     for made, constructed, skip in built:

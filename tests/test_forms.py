@@ -16,10 +16,9 @@ from blocksolve import forms
 from blocksolve.elements import tabulate
 from blocksolve.forms import (Form, mass_form, stiffness_form,
                               convection_diffusion_form, stokes_form,
-                              ns_jacobian_form, rb_jacobian_form,
-                              pressure_mass_form, load_vector,
+                              ns_jacobian_form, rb_jacobian_form, load_vector,
                               ns_residual, rb_residual, poisson_residual,
-                              jacobian_check, pcd_form, StateWind, UPWARD)
+                              jacobian_check, StateWind, UPWARD)
 from blocksolve.operators import ImplicitOperator
 from blocksolve.options import OptionsDB
 from blocksolve.problems import (l2_error, poisson_mms, run_convection,
@@ -171,10 +170,7 @@ class TestActionMatchesAssembly:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_pcd_fp_reads_parent_state(self, dim):
-        form = _rb_operator(dim).form
-        Fp = pcd_form(form.col_space.fields[1], 20.0, StateWind(0),
-                      context=form.context, state_space=form.col_space)
-        assert _action_matches_assembly(ImplicitOperator(Fp))
+        assert _action_matches_assembly(ImplicitOperator(_pcd(dim)))
 
     def test_vector_mass(self):
         V = build_space(build_unit_square(2), 3, ncomp=2)
@@ -478,9 +474,9 @@ class TestFixedTermsKeepTheirD:
         catalogue = [mass_form(V), stiffness_form(V, kappa=0.5),
                      convection_diffusion_form(V, wind=[1.0, 0.5]),
                      stokes_form(W, Re=10.0), ns_jacobian_form(W),
-                     rb_jacobian_form(Wrb, 200.0, 6.18), pressure_mass_form(Q),
-                     forms.pressure_laplacian_form(Q),
-                     pcd_form(Q, 10.0, StateWind(0))]
+                     rb_jacobian_form(Wrb, 200.0, 6.18), mass_form(Q),
+                     stiffness_form(Q),
+                     convection_diffusion_form(Q, 0.1, StateWind(0))]
         terms = [t for form in catalogue for ts in form.blocks.values()
                  for t in ts]
         kinds = set(forms.Term.__subclasses__())
@@ -708,9 +704,13 @@ def _ns_form(dim):
 
 
 def _pcd(dim):
+    """PCD's Fp on the pressure of an RB operator, read at its state."""
     form = _rb_operator(dim).form
-    return pcd_form(form.col_space.fields[1], 20.0, StateWind(0),
-                    context=form.context, state_space=form.col_space)
+    Q = form.col_space.fields[1]
+    return Form("convection_diffusion", Q, Q,
+                {(0, 0): [forms.StiffnessTerm(1.0 / 20.0),
+                          forms.AdvectionTerm(StateWind(0))]},
+                context=form.context, state_space=form.col_space)
 
 
 @pytest.mark.parametrize("make", [

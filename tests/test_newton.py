@@ -7,6 +7,7 @@ from blocksolve.spaces import (build_space, taylor_hood, DirichletBC,
 from blocksolve.forms import (ns_jacobian_form, ns_residual, stiffness_form,
                               poisson_residual, load_vector)
 from blocksolve.krylov import KSP, Nullspace
+from blocksolve.operators import AssembledOperator
 from blocksolve.precond import LUPC, NonePC
 from blocksolve.newton import (NewtonSolver, NewtonDivergedMaxIts,
                                LinearSolveFailed)
@@ -25,9 +26,12 @@ def _cavity(n=4, Re=50.0):
     return form, residual, bcs, nsp, W
 
 
-def _direct(A, Apc):
-    mat = Apc if hasattr(Apc, "A") else Apc.assemble()
-    return KSP("preonly", pc=LUPC().set_up(mat))
+def _direct(nullspace=None):
+    """Maker of a direct solve whose KSP carries `nullspace`."""
+    def make(A, Apc):
+        mat = Apc if hasattr(Apc, "A") else Apc.assemble()
+        return KSP("preonly", pc=LUPC().set_up(mat), nullspace=nullspace)
+    return make
 
 
 class TestConvergence:
@@ -39,7 +43,7 @@ class TestConvergence:
         b = load_vector(form, 1.0)
         solver = NewtonSolver(
             lambda x: poisson_residual(form, x, bcs=bcs, rhs=b),
-            form, bcs=bcs, ksp_maker=_direct, mat_type="aij", rtol=1e-10)
+            form, bcs=bcs, ksp_maker=_direct(), mat_type="aij", rtol=1e-10)
         x, rep = solver.solve()
         assert rep.converged
         assert rep.iterations == 1
@@ -47,8 +51,8 @@ class TestConvergence:
 
     def test_cavity_quadratic(self):
         form, residual, bcs, nsp, W = _cavity(Re=50.0)
-        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
-                              mat_type="aij", rtol=1e-10, nullspace=nsp)
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(nsp),
+                              mat_type="aij", rtol=1e-10)
         x, rep = solver.solve()
         assert rep.converged
         assert rep.iterations <= 6
@@ -61,13 +65,28 @@ class TestConvergence:
         for mat_type, pmat_type in [("aij", None), ("matfree", "aij")]:
             f = ns_jacobian_form(W, Re=20.0)
             r = lambda x: ns_residual(f, x, bcs=bcs)
-            solver = NewtonSolver(r, f, bcs=bcs, ksp_maker=_direct,
+            solver = NewtonSolver(r, f, bcs=bcs, ksp_maker=_direct(nsp),
                                   mat_type=mat_type, pmat_type=pmat_type,
-                                  rtol=1e-10, nullspace=nsp)
+                                  rtol=1e-10)
             x, rep = solver.solve()
             assert rep.converged
             xs.append(nsp.project(x))
         assert np.allclose(xs[0], xs[1], atol=1e-8)
+
+    def test_default_assembles_the_jacobian(self):
+        # as the CLI's Newton does when -mat_type is unset
+        form, residual, bcs, nsp, W = _cavity(Re=10.0)
+        made = []
+
+        def maker(A, Apc):
+            made.append((A, Apc))
+            return _direct(nsp)(A, Apc)
+
+        _, rep = NewtonSolver(residual, form, bcs=bcs, ksp_maker=maker,
+                              rtol=1e-10).solve()
+        assert rep.converged
+        A, Apc = made[0]
+        assert isinstance(A, AssembledOperator) and Apc is A
 
     def test_overlapping_bcs_later_one_wins(self):
         # markers 3 and 4 are y = 0 and y = 1; both BCs hold y = 0
@@ -87,7 +106,7 @@ class TestConvergence:
             states.append(x.copy())
             return poisson_residual(form, x, bcs=bcs, rhs=b)
 
-        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(),
                               mat_type="aij", rtol=1e-10)
         x, rep = solver.solve()
         assert rep.converged
@@ -96,8 +115,8 @@ class TestConvergence:
 
     def test_bcs_imposed_on_solution(self):
         form, residual, bcs, nsp, W = _cavity(Re=10.0)
-        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
-                              mat_type="aij", rtol=1e-10, nullspace=nsp)
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(nsp),
+                              mat_type="aij", rtol=1e-10)
         x, rep = solver.solve()
         dofs, values = collect_bc_values(W, bcs)
         assert np.allclose(x[dofs], values, atol=1e-12)
@@ -107,9 +126,8 @@ class TestDiagnostics:
     def test_monitor_format(self):
         lines = []
         form, residual, bcs, nsp, W = _cavity(Re=10.0)
-        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
-                              mat_type="aij", rtol=1e-8, nullspace=nsp,
-                              monitor=lines.append)
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(nsp),
+                              mat_type="aij", rtol=1e-8, monitor=lines.append)
         solver.solve()
         assert lines[0].startswith("0 SNES Function norm ")
         for i, line in enumerate(lines):
@@ -120,9 +138,9 @@ class TestDiagnostics:
 
     def test_max_its_report(self):
         form, residual, bcs, nsp, W = _cavity(Re=50.0)
-        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(nsp),
                               mat_type="aij", rtol=1e-14, atol=0.0,
-                              max_it=1, nullspace=nsp)
+                              max_it=1)
         x, rep = solver.solve()
         assert not rep.converged
         assert rep.reason == "max_its"
@@ -131,20 +149,19 @@ class TestDiagnostics:
     def test_negative_max_it_rejected(self):
         form, residual, bcs, nsp, W = _cavity(Re=50.0)
         with pytest.raises(ValueError, match="newton: max_it"):
-            NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+            NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(),
                          max_it=-1)
         # no step at all still reports the initial residual
-        _, rep = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+        _, rep = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(),
                               rtol=1e-14, atol=0.0, max_it=0).solve()
         assert rep.reason == "max_its" and rep.iterations == 0
         assert rep.residual_norm == rep.residual_norms[0]
 
     def test_error_if_not_converged(self):
         form, residual, bcs, nsp, W = _cavity(Re=50.0)
-        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct,
+        solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=_direct(nsp),
                               mat_type="aij", rtol=1e-14, atol=0.0,
-                              max_it=1, nullspace=nsp,
-                              error_if_not_converged=True)
+                              max_it=1, error_if_not_converged=True)
         with pytest.raises(NewtonDivergedMaxIts) as err:
             solver.solve()
         assert err.value.report.reason == "max_its"
@@ -152,10 +169,10 @@ class TestDiagnostics:
     def test_linear_failure_wrapped(self):
         form, residual, bcs, nsp, W = _cavity(Re=50.0)
         maker = lambda A, Apc: KSP("gmres", rtol=1e-13, max_it=1,
-                                   pc=NonePC().set_up(A),
+                                   pc=NonePC().set_up(A), nullspace=nsp,
                                    error_if_not_converged=True)
         solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=maker,
-                              mat_type="aij", nullspace=nsp)
+                              mat_type="aij")
         with pytest.raises(LinearSolveFailed):
             solver.solve()
 
@@ -182,10 +199,10 @@ class TestTreeReuse:
 
         def maker(A, Apc):
             made.append(form.context["state"])
-            return KSP("preonly", pc=CountingLU().set_up(Apc))
+            return KSP("preonly", pc=CountingLU().set_up(Apc), nullspace=nsp)
 
         solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=maker,
-                              mat_type="aij", rtol=1e-10, nullspace=nsp)
+                              mat_type="aij", rtol=1e-10)
         x, rep = solver.solve()
         assert rep.converged and rep.iterations >= 3
         assert len(made) == 1 and len(updates) == rep.iterations - 1
@@ -206,13 +223,12 @@ class TestTreeReuse:
         def maker(A, Apc):
             if hook == "maker":
                 write()
-            return _direct(A, Apc)
+            return _direct(nsp)(A, Apc)
 
         # the monitor's first call comes before the first linearisation
         monitor = (lambda line: line.startswith("0 ") or write()) \
             if hook == "monitor" else None
         solver = NewtonSolver(residual, form, bcs=bcs, ksp_maker=maker,
-                              mat_type="aij", rtol=1e-10, nullspace=nsp,
-                              monitor=monitor)
+                              mat_type="aij", rtol=1e-10, monitor=monitor)
         with pytest.raises(ValueError, match="read-only"):
             solver.solve()

@@ -176,6 +176,13 @@ class TestCLI:
         (["poisson", "--n", "2", "--", "-pc_type", "fieldsplit",
           "-pc_fieldsplit_0_fields", "0,,1"],
          "option -pc_fieldsplit_0_fields: cannot read '0,,1' as"),
+        # a nested fieldsplit names itself as every other node does
+        (["rayleigh-benard", "--n", "2", "--", "-pc_type", "fieldsplit",
+          "-pc_fieldsplit_0_fields", "0,1", "-pc_fieldsplit_1_fields", "2",
+          "-fieldsplit_0_pc_type", "fieldsplit",
+          "-fieldsplit_0_pc_fieldsplit_0_fields", "1"],
+         "pc fieldsplit (-fieldsplit_0_): splits [(1,)] must put each of "
+         "the fields 0 to 1 in exactly one split"),
     ])
     def test_bad_solver_option_is_one_line_and_exit_2(self, argv, message,
                                                       capsys):
@@ -229,6 +236,17 @@ class TestCLI:
         (["navier-stokes", "--degree", "1"],
          "argument --degree: invalid choice"),
         (["bench-matvec"], "invalid choice: 'bench-matvec'"),
+        (["navier-stokes", "--re", "0"],
+         "argument --re: must be positive and finite, not 0"),
+        (["navier-stokes", "--re", "-10"], "argument --re: must be positive"),
+        (["navier-stokes", "--re", "nan"], "argument --re: must be positive"),
+        (["navier-stokes", "--re", "inf"], "argument --re: must be positive"),
+        (["rayleigh-benard", "--pr", "0"],
+         "argument --pr: must be positive and finite, not 0"),
+        (["rayleigh-benard", "--pr", "-1"], "argument --pr: must be positive"),
+        (["rayleigh-benard", "--pr", "nan"],
+         "argument --pr: must be positive"),
+        (["rayleigh-benard", "--pr=-inf"], "argument --pr: must be positive"),
     ])
     def test_bad_driver_argument_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

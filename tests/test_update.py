@@ -171,19 +171,24 @@ def test_fieldsplit_extracts_blocks_once_per_linearisation(monkeypatch, mat):
 
 
 def _alive(refs):
-    """The weakly referenced objects still reachable after a collection."""
+    """The weakly referenced objects still reachable after a collection;
+    an entry is a weak reference or a tuple of them."""
     gc.collect()
-    return [ref() for ref in refs if ref() is not None]
+    return [obj for entry in refs
+            for ref in (entry if isinstance(entry, tuple) else (entry,))
+            if (obj := ref()) is not None]
 
 
 def _assembled_by_nodes(monkeypatch):
-    """Weak references to every operator an `assembled` node assembles."""
+    """Weak references to every operator an `assembled` node assembles,
+    each paired with one to its CSR matrix, which a node could keep
+    without the operator."""
     made = []
     inner_op = AssembledPC._inner_op
 
     def spy(self, op):
         out = inner_op(self, op)
-        made.append(weakref.ref(out))
+        made.append((weakref.ref(out), weakref.ref(out.A)))
         return out
 
     monkeypatch.setattr(AssembledPC, "_inner_op", spy)
