@@ -11,7 +11,7 @@ from .forms import (Form, StateWind, mass_form, stiffness_form,
                     ns_residual, rb_residual, poisson_residual,
                     jacobian_check)
 from .operators import (LinearOperator, ImplicitOperator, AssembledOperator,
-                        NoFieldMatch, match_fields, write_matrix_market)
+                        write_matrix_market)
 from .krylov import (KSP, SolveReport, Nullspace, KrylovError,
                      DivergedMaxIts, DivergedNaN, IndefiniteOperator)
 from .precond import (Preconditioner, MissingContext, NonePC, JacobiPC,

@@ -48,6 +48,14 @@ def _positive_float(text):
     return x
 
 
+def _finite_float(text):
+    """A finite float argument, as argparse reads it."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, not {x:g}")
+    return x
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="blocksolve",
@@ -60,7 +68,7 @@ def _build_parser():
                    choices=(2, 3))
     p.add_argument("--degree", type=int, default=PoissonConfig.degree,
                    choices=range(1, MAX_LAGRANGE_DEGREE + 1))
-    p.add_argument("--kappa", type=float, default=PoissonConfig.kappa)
+    p.add_argument("--kappa", type=_finite_float, default=PoissonConfig.kappa)
     p.add_argument("--mms", action="store_true",
                    help="manufactured solution with L2 error report")
     p.add_argument("--table", action="store_true",
@@ -82,7 +90,7 @@ def _build_parser():
     rb.add_argument("--n", type=_positive_int, default=ConvectionConfig.n)
     rb.add_argument("--dim", type=int, default=ConvectionConfig.dim,
                     choices=(2, 3))
-    rb.add_argument("--ra", type=float, default=ConvectionConfig.ra)
+    rb.add_argument("--ra", type=_finite_float, default=ConvectionConfig.ra)
     rb.add_argument("--pr", type=_positive_float, default=ConvectionConfig.pr)
 
     for sp in (p, ns, rb):

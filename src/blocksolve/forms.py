@@ -38,7 +38,7 @@ copied out to the points.  Everything else is derived from D:
 
 The quadrature rule of a form and the reference tabulation of each space
 at it are built once per (element, rule) in the process and shared,
-read-only, by every form over those spaces: the `extract_fields`
+read-only, by every form over those spaces: the `extract_sub`
 sub-forms, PCD's forms and the residuals' Picard forms tabulate nothing
 of their own.
 

@@ -4,10 +4,9 @@ An implicit operator wraps a block form and the Dirichlet dofs of its rows
 and columns, `bc_rows` and `bc_cols` (given, or collected from
 DirichletBCs, which are not kept); the PDE context is its form's,
 `op.form.context`.  Both kinds give the index sets of their column fields,
-and submatrix extraction is field-based on both: an index set is accepted
-only if it is a concatenation of a subset of the fields, and the block is
-an operator of the same kind with the column fields it matched, re-offset
-(an implicit block restricts the form and the Dirichlet dofs to them).
+and `extract_sub(row_fields, col_fields)` is the block over field ids, of
+the same kind, with its column fields re-offset: an implicit block
+restricts the form and the Dirichlet dofs to them, an assembled one its CSR.
 
 Boundary conditions are applied here and nowhere else, by one convention:
 the Dirichlet columns are zeroed, and the Dirichlet rows are zeroed with a
@@ -27,32 +26,17 @@ from .forms import Form
 from .spaces import MixedSpace, collect_bc_dofs
 
 __all__ = ["LinearOperator", "ImplicitOperator", "AssembledOperator",
-           "NoFieldMatch", "match_fields", "mat_types", "select_operators",
-           "write_matrix_market"]
+           "mat_types", "select_operators", "write_matrix_market"]
 
 MAT_TYPES = ("matfree", "aij")
 
 
-class NoFieldMatch(Exception):
-    """The index set is not a concatenation of a subset of the fields."""
-
-
-def match_fields(query, fields):
-    """Field ids whose concatenated index sets equal the query exactly."""
-    query = np.asarray(query)
-    matched = []
-    ptr = 0
-    for fid, fis in enumerate(fields):
-        fis = np.asarray(fis)
-        if ptr < len(query) and query[ptr] == fis[0]:
-            if ptr + len(fis) > len(query) or \
-                    not np.array_equal(query[ptr:ptr + len(fis)], fis):
-                raise NoFieldMatch("index set straddles field boundaries")
-            matched.append(fid)
-            ptr += len(fis)
-    if ptr != len(query):
-        raise NoFieldMatch("index set is not a concatenation of fields")
-    return matched
+def _field_ids(ids, num_fields):
+    """ids as a list, if they are distinct ids among 0..num_fields-1."""
+    ids = list(ids)
+    if not ids or sorted(ids) != sorted(set(ids) & set(range(num_fields))):
+        raise ValueError(f"bad field ids {ids} for {num_fields} fields")
+    return ids
 
 
 class LinearOperator:
@@ -89,16 +73,14 @@ class AssembledOperator(LinearOperator):
     def field_index_sets(self):
         return self._fields
 
-    def extract_sub(self, row_is, col_is):
-        fields = None
-        if self._fields is not None:
-            # raises NoFieldMatch for an index set straddling fields
-            match_fields(row_is, self._fields)
-            sizes = [len(self._fields[f])
-                     for f in match_fields(col_is, self._fields)]
-            ends = np.cumsum(sizes)
-            fields = [np.arange(e - n, e) for n, e in zip(sizes, ends)]
-        sub = self.A[np.ix_(np.asarray(row_is), np.asarray(col_is))]
+    def extract_sub(self, row_fields, col_fields):
+        """Block over the given row/column field ids, by their index sets."""
+        fields = self._fields or []
+        rows = [fields[f] for f in _field_ids(row_fields, len(fields))]
+        cols = [fields[f] for f in _field_ids(col_fields, len(fields))]
+        ends = np.cumsum([len(c) for c in cols])
+        sub = self.A[np.ix_(np.concatenate(rows), np.concatenate(cols))]
+        fields = np.split(np.arange(ends[-1]), ends[:-1])
         return AssembledOperator(sub, fields=fields)
 
     def assemble(self):
@@ -163,17 +145,13 @@ class ImplicitOperator(LinearOperator):
         cs = self.form.col_space
         return [cs.field_index_set(i) for i in range(cs.num_fields)]
 
-    def extract_sub(self, row_is, col_is):
-        fields = self.field_index_sets()
-        return self.extract_fields(match_fields(row_is, fields),
-                                   match_fields(col_is, fields))
-
-    def extract_fields(self, rf, cf):
+    def extract_sub(self, row_fields, col_fields):
         """Implicit sub-operator over the given row/column field ids, which
         are equal or disjoint: a block that shares some fields between its
         rows and columns has no place for their Dirichlet unit diagonal."""
         form = self.form
-        rf, cf = list(rf), list(cf)
+        rf = _field_ids(row_fields, form.row_space.num_fields)
+        cf = _field_ids(col_fields, form.col_space.num_fields)
         if rf != cf and set(rf) & set(cf):
             raise ValueError(f"row fields {rf} and column fields {cf} "
                              f"overlap but differ; extract equal or "

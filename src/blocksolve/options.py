@@ -101,8 +101,12 @@ class OptionsDB:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            with open(source) as fh:
-                text = fh.read()
+            try:
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError:
+                raise BadOptionValue(f"options file {source}: not UTF-8 "
+                                     f"text") from None
         tokens = []
         for line in text.splitlines():
             line = line.split("#", 1)[0]

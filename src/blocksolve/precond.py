@@ -507,9 +507,9 @@ class FieldSplitPC(Preconditioner):
     def _split(self, op):
         """Index sets, blocks and sweep of op, and the sub-KSP of each
         split on its operator: made at set-up, updated after."""
-        iss = self.index_sets = self._index_sets(op)
-        ns = len(iss)
-        block = lambda i, j: op.extract_sub(iss[i], iss[j])
+        self.index_sets = self._index_sets(op)
+        ns = len(self.splits)
+        block = lambda i, j: op.extract_sub(self.splits[i], self.splits[j])
         self.sub_ops = [block(i, i) for i in range(ns)]
 
         def solver(i):

@@ -163,9 +163,9 @@ class TestActionMatchesAssembly:
             if rf != cf and set(rf) & set(cf):
                 # overlapping but unequal field sets are refused
                 with pytest.raises(ValueError):
-                    op.extract_fields(rf, cf)
+                    op.extract_sub(rf, cf)
                 continue
-            sub = op.extract_fields(rf, cf)
+            sub = op.extract_sub(rf, cf)
             assert _action_matches_assembly(sub), (rf, cf)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -334,8 +334,8 @@ def _assembly_cases():
         "2d p2 vector stiffness": stiffness_form(V2),
         "rb jacobian": rb.form,
         "stokes": stokes_form(taylor_hood(square)),
-        "rb block (0, 2)": rb.extract_fields((0,), (2,)).form,
-        "rb block (2, 0)": rb.extract_fields((2,), (0,)).form,
+        "rb block (0, 2)": rb.extract_sub((0,), (2,)).form,
+        "rb block (2, 0)": rb.extract_sub((2,), (0,)).form,
         "no terms": Form("empty", V2, V2, {(0, 0): []}),
     }
 
@@ -567,7 +567,7 @@ def test_matrix_free_apply_peaks_below_450_bytes_per_dof():
 
 def test_nested_tree_tabulates_each_element_and_rule_once(monkeypatch):
     # the rb-iterative tree makes many forms over the same spaces: the
-    # Jacobian, its extract_fields sub-forms, PCD's forms and the
+    # Jacobian, its extract_sub sub-forms, PCD's forms and the
     # residuals' Picard forms; they share one tabulation per pair
     calls = []
 

@@ -12,42 +12,7 @@ from blocksolve.spaces import (build_space, taylor_hood, MixedSpace,
 from blocksolve.forms import (stiffness_form, ns_jacobian_form,
                               rb_jacobian_form)
 from blocksolve.operators import (ImplicitOperator, AssembledOperator,
-                                  NoFieldMatch, match_fields,
                                   write_matrix_market)
-
-
-class TestMatchFields:
-    def test_exact_single_field(self):
-        fields = [np.arange(0, 4), np.arange(4, 6)]
-        assert match_fields(np.arange(0, 4), fields) == [0]
-        assert match_fields(np.arange(4, 6), fields) == [1]
-
-    def test_concatenation(self):
-        fields = [np.arange(0, 4), np.arange(4, 6), np.arange(6, 9)]
-        assert match_fields(np.arange(0, 6), fields) == [0, 1]
-        assert match_fields(np.arange(4, 9), fields) == [1, 2]
-        assert match_fields(np.arange(0, 9), fields) == [0, 1, 2]
-
-    def test_straddle_rejected(self):
-        fields = [np.arange(0, 4), np.arange(4, 6)]
-        with pytest.raises(NoFieldMatch):
-            match_fields(np.arange(0, 5), fields)
-        with pytest.raises(NoFieldMatch):
-            match_fields(np.arange(1, 4), fields)
-
-    @settings(max_examples=50, deadline=None)
-    @given(sizes=st.lists(st.integers(min_value=1, max_value=5),
-                          min_size=1, max_size=4),
-           data=st.data())
-    def test_any_field_subset_matches(self, sizes, data):
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        fields = [np.arange(offsets[i], offsets[i + 1])
-                  for i in range(len(sizes))]
-        subset = sorted(data.draw(st.sets(
-            st.integers(min_value=0, max_value=len(sizes) - 1),
-            min_size=1)))
-        query = np.concatenate([fields[i] for i in subset])
-        assert match_fields(query, fields) == subset
 
 
 def _ns_operator(n=2, Re=3.0):
@@ -79,6 +44,10 @@ def _rb_operator(dim):
     return ImplicitOperator(form, bcs=bcs), W
 
 
+def _index_set(W, fields):
+    return np.concatenate([W.field_index_set(i) for i in fields])
+
+
 class TestImplicitOperator:
     def test_apply_matches_assembled(self):
         A, W = _ns_operator()
@@ -90,31 +59,29 @@ class TestImplicitOperator:
     def test_extract_sub_blocks(self):
         A, W = _ns_operator()
         Acsr = A.assemble().A.toarray()
-        nu = W.fields[0].num_dofs
-        iu = np.arange(nu)
-        ip = np.arange(nu, W.num_dofs)
         rng = np.random.default_rng(8)
-        for ris, cis in [(iu, iu), (iu, ip), (ip, iu)]:
-            sub = A.extract_sub(ris, cis)
+        for rf, cf in [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]:
+            ris, cis = _index_set(W, rf), _index_set(W, cf)
+            sub = A.extract_sub(rf, cf)
             x = rng.standard_normal(len(cis))
             ref = Acsr[np.ix_(ris, cis)] @ x
-            assert np.allclose(sub.apply(x), ref, atol=1e-12), \
-                (len(ris), len(cis))
+            assert np.allclose(sub.apply(x), ref, atol=1e-12), (rf, cf)
         # RB: Dirichlet rows are identity on the diagonal blocks and zero
-        # on the others, for the velocity and the temperature alike
-        field_sets = [(0,), (1,), (2,), (0, 1)]
+        # on the others, for the velocity and the temperature alike; a
+        # block lists its fields in the order asked for, on both kinds
+        field_sets = [(0,), (1,), (2,), (0, 1), (1, 0)]
         for dim in (2, 3):
             A, W = _rb_operator(dim)
             Afull = A.assemble().A.toarray()
             for rf, cf in itertools.product(field_sets, field_sets):
                 if rf != cf and set(rf) & set(cf):
                     continue
-                ris = np.concatenate([W.field_index_set(i) for i in rf])
-                cis = np.concatenate([W.field_index_set(i) for i in cf])
-                sub = A.extract_sub(ris, cis)
+                ris, cis = _index_set(W, rf), _index_set(W, cf)
+                sub = A.extract_sub(rf, cf)
                 x = rng.standard_normal(len(cis))
                 ref = Afull[np.ix_(ris, cis)] @ x
-                for got in (sub.apply(x), sub.assemble().A @ x):
+                for got in (sub.apply(x), sub.assemble().A @ x,
+                            A.assemble().extract_sub(rf, cf).apply(x)):
                     err = np.linalg.norm(got - ref)
                     assert err <= 1e-12 * np.linalg.norm(ref), (dim, rf, cf)
 
@@ -123,30 +90,11 @@ class TestImplicitOperator:
         for rf, cf in (([0], [0, 1]), ([0, 1], [0])):
             with pytest.raises(ValueError, match=re.escape(f"{rf}") + ".*"
                                + re.escape(f"{cf}")):
-                A.extract_fields(rf, cf)
-        iu, iup = W.field_index_set(0), np.arange(W.offsets[2])
-        with pytest.raises(ValueError):
-            A.extract_sub(iu, iup)
-
-    def test_extract_sub_rejects_straddle(self):
-        A, W = _ns_operator()
-        with pytest.raises(NoFieldMatch):
-            A.extract_sub(np.arange(3), np.arange(3))
-
-    def test_assembled_extract_sub_rejects_straddle(self):
-        A, W = _ns_operator()
-        Aasm = A.assemble()
-        ip = W.field_index_set(1)
-        assert Aasm.extract_sub(ip, ip).shape == (len(ip), len(ip))
-        with pytest.raises(NoFieldMatch):
-            Aasm.extract_sub(np.arange(3), np.arange(3))
-        with pytest.raises(NoFieldMatch):
-            Aasm.extract_sub(ip, ip[1:])
+                A.extract_sub(rf, cf)
 
     def test_sub_shares_context(self):
         A, W = _ns_operator()
-        ip = W.field_index_set(1)
-        sub = A.extract_sub(ip, ip)
+        sub = A.extract_sub((1,), (1,))
         assert sub.form.context is A.form.context
 
     def test_rb_sub_equals_standalone_ns(self):
@@ -160,8 +108,7 @@ class TestImplicitOperator:
         state = 0.1 * rng.standard_normal(W.num_dofs)
         form.context["state"] = state
         A = ImplicitOperator(form)
-        iup = np.concatenate([W.field_index_set(0), W.field_index_set(1)])
-        sub = A.extract_sub(iup, iup)
+        sub = A.extract_sub((0, 1), (0, 1))
 
         W2 = MixedSpace([V, Q])
         ns = ns_jacobian_form(W2, Re=1.0)
@@ -180,8 +127,7 @@ class TestAssembledOperator:
         A, W = _ns_operator()
         Aasm = A.assemble()
         nu = W.fields[0].num_dofs
-        iu = np.arange(nu)
-        sub = Aasm.extract_sub(iu, iu)
+        sub = Aasm.extract_sub((0,), (0,))
         x = np.random.default_rng(1).standard_normal(nu)
         assert np.allclose(sub.apply(x), Aasm.A[:nu, :nu] @ x)
 
@@ -190,17 +136,36 @@ class TestAssembledOperator:
         # the implicit one, so a fieldsplit can split it again
         for dim in (2, 3):
             A, W = _rb_operator(dim)
-            iup = np.arange(W.offsets[2])
-            for ris in (iup, W.field_index_set(2)):
-                got = A.assemble().extract_sub(ris, iup).field_index_sets()
-                expect = A.extract_sub(ris, iup).field_index_sets()
+            for rf in ((0, 1), (2,)):
+                got = A.assemble().extract_sub(rf, (0, 1)).field_index_sets()
+                expect = A.extract_sub(rf, (0, 1)).field_index_sets()
                 assert len(got) == len(expect) == 2
                 for g, e in zip(got, expect):
                     assert np.array_equal(g, e)
                     assert g.dtype == e.dtype
-            sub = A.assemble().extract_sub(iup, iup)
-            with pytest.raises(NoFieldMatch):
-                sub.extract_sub(np.arange(3), np.arange(3))
+            sub = A.assemble().extract_sub((0, 1), (0, 1))
+            with pytest.raises(ValueError, match=re.escape("[2]")):
+                sub.extract_sub((2,), (2,))
+
+
+@pytest.mark.parametrize("assembled", [False, True])
+@pytest.mark.parametrize("rf, cf, bad", [
+    ((-1,), (0,), [-1]), ((0,), (3,), [3]), ((0, 2), (0, 2, 0), [0, 2, 0]),
+    ((), (), [])])
+def test_extract_sub_rejects_field_ids_it_does_not_have(assembled, rf, cf,
+                                                        bad):
+    # a negative id would otherwise index the last field
+    A, W = _rb_operator(2)
+    if assembled:
+        A = A.assemble()
+    with pytest.raises(ValueError, match=re.escape(f"field ids {bad} ")):
+        A.extract_sub(rf, cf)
+
+
+def test_assembled_extract_sub_needs_fields():
+    A = AssembledOperator(np.eye(3))
+    with pytest.raises(ValueError, match="0 fields"):
+        A.extract_sub((0,), (0,))
 
 
 def test_matrix_market_round_trip():

@@ -247,6 +247,12 @@ class TestCLI:
         (["rayleigh-benard", "--pr", "nan"],
          "argument --pr: must be positive"),
         (["rayleigh-benard", "--pr=-inf"], "argument --pr: must be positive"),
+        (["poisson", "--kappa", "nan"], "argument --kappa: must be finite"),
+        (["poisson", "--kappa", "inf"], "argument --kappa: must be finite"),
+        (["poisson", "--kappa=-inf"], "argument --kappa: must be finite"),
+        (["rayleigh-benard", "--ra", "inf"], "argument --ra: must be finite"),
+        (["rayleigh-benard", "--ra", "nan"], "argument --ra: must be finite"),
+        (["rayleigh-benard", "--ra=-inf"], "argument --ra: must be finite"),
     ])
     def test_bad_driver_argument_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,6 +261,14 @@ class TestCLI:
         assert exc.value.code == 2
         assert "Traceback" not in err
         assert message in err.splitlines()[-1]
+
+    def test_options_file_not_utf8_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "bytes.opts"
+        f.write_bytes(bytes(range(56, 256)))
+        code = main(["poisson", "--n", "2", "--options-file", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"blocksolve: error: options file {f}: not UTF-8 text\n"
 
     def test_unused_options_reported(self, capsys):
         main(["poisson", "--n", "4", "--", "-zzz_knob", "1"])
