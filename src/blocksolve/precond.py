@@ -9,13 +9,16 @@ fieldsplit an operator of either kind with fields, and context-bearing
 ones (pcd, mass, schwarz, assembled) read the form off an implicit
 operator and raise MissingContext when there is none.
 
-`sor` factors nothing, as PETSc's MatSOR: it sweeps the triangles of A,
-read straight off its CSR arrays, with SuperLU's triangular solve
-`gstrs`.  That kernel comes from scipy's private module
-`scipy.sparse.linalg._dsolve._superlu`; the public
-`spsolve_triangular` calls it, and
-`tests/test_precond.py::test_sor_matches_split_triangles` pins the
-sweeps bit for bit to that function.
+`sor` factors nothing, as PETSc's MatSOR: each sweep, forward or
+symmetric, is one call of SuperLU's triangular solve `gstrs` on the
+triangles of A, read straight off its CSR arrays: the backward triangle
+(the identity for a forward sweep) as its L, the forward one as its U,
+no rescaling between them.  That kernel comes from scipy's private module
+`scipy.sparse.linalg._dsolve._superlu`; the public `spsolve_triangular`
+calls it, and `tests/test_precond.py::test_sor_matches_split_triangles`
+pins the sweeps bit for bit to that function: a forward sweep to its
+solve of D/omega + L, a symmetric one to its two unit-diagonal solves of
+the triangles with their columns divided by D/omega.
 
 Nested solvers are supplied as maker callables so that option-driven
 construction (the solver factory) and direct library use share one code
@@ -204,29 +207,23 @@ def _intc(index, pc):
     return index.astype(np.intc, copy=False)
 
 
-def _triangle(A, keep, pc):
-    """(data, indices, indptr) of the entries of the canonical CSR matrix
-    A where `keep`, row by row, with C int indices; `data` is a copy."""
-    before = np.zeros(len(keep) + 1, dtype=A.indptr.dtype)
-    np.cumsum(keep, out=before[1:])
-    return A.data[keep], _intc(A.indices[keep], pc), _intc(before[A.indptr],
-                                                           pc)
-
-
 class SORPC(Preconditioner):
     """(S)SOR sweeps.  Forward sweeps by default; `symmetric` gives the
     SSOR preconditioner (usable with CG).
 
-    As PETSc's MatSOR, nothing is factored: each sweep is one triangular
-    solve with D/omega + L or D/omega + U, whose entries set-up reads
-    straight from A, by SuperLU's kernel `gstrs` (the one
-    `scipy.sparse.linalg.spsolve_triangular` calls), scaled as that
-    function scales them.  The CSR arrays of a triangle T are the CSC
-    arrays of its transpose, so `gstrs` solves (LU)^T x = b with U the
-    strict lower triangle and L the identity (forward), or L the upper
-    triangle and U empty (backward).  Each triangle's columns are divided
-    by D/omega, which makes its diagonal 1, and x is divided by D/omega
-    after the solve."""
+    As PETSc's MatSOR, nothing is factored: each sweep is one call of
+    SuperLU's triangular solve `gstrs` (the kernel
+    `scipy.sparse.linalg.spsolve_triangular` calls) on triangles read
+    straight off A's CSR arrays, with their columns divided by D/omega.
+    Those are the CSC arrays of the transposed triangles, so
+    `gstrs("T", L, U)` solves (LU)^T x = b: a forward solve with U^T,
+    then a backward one with L^T.  U is the forward triangle
+    D/omega + (strict lower part of A) without its diagonal; L is the
+    backward triangle D/omega + (strict upper part), or the identity for
+    a forward sweep, and its diagonal, exactly 1.0, serves both.  So a
+    symmetric sweep runs both solves with no rescaling between them, and
+    one scaling by omega (2 - omega) (D/omega)^-1 follows, as MatSOR's
+    SOR_SYMMETRIC_SWEEP; a forward sweep is scaled by (D/omega)^-1."""
 
     type_name = "sor"
 
@@ -243,46 +240,47 @@ class SORPC(Preconditioner):
         self.symmetric = symmetric
 
     def _set_up(self, op):
-        """The `gstrs` arguments of both sweeps, read off A with one mask
-        over its column indices against the row ids.  `_nonzero_diagonal`
-        has checked that A stores every diagonal entry, so in sorted rows
-        it is each row's first entry of the upper triangle."""
+        """The `gstrs` arguments of the sweep, read off A.  Each row's
+        diagonal is found with one comparison of its column indices
+        against the row ids: `_nonzero_diagonal` has checked that A stores
+        it, so a canonical row holds it once, between its strict lower
+        triangle and the rest of its upper one, and both triangles' row
+        pointers follow from its position."""
         A = _assembled(op, self).tocsr()
         if not A.has_canonical_format:
             A = A.copy()
             A.sum_duplicates()
         self.A = A if self.its > 1 else None  # only a repeated sweep reads A
-        n = A.shape[0]
-        self._dw = _nonzero_diagonal(A, self) / self.omega
-        self._inv = 1.0 / self._dw
+        n, w = A.shape[0], self.omega
+        inv = 1.0 / (_nonzero_diagonal(A, self) / w)
         row = np.repeat(np.arange(n, dtype=A.indices.dtype),
                         np.diff(A.indptr))
+        diag = np.flatnonzero(A.indices == row)
+        lptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+        np.cumsum(diag - A.indptr[:-1], out=lptr[1:])
         lower = A.indices < row
-        ldata, lind, lptr = _triangle(A, lower, self)
-        udata, uind, uptr = _triangle(A, ~lower, self)
-        udata[uptr[:-1]] = self._dw
-        ldata *= self._inv[lind]
-        udata *= self._inv[uind]
-        ids = np.arange(n + 1, dtype=np.intc)
-        self._fwd = (n, n, np.ones(n), ids[:-1], ids,
-                     n, len(ldata), ldata, lind, lptr)
-        self._bwd = (n, len(udata), udata, uind, uptr,
-                     n, 0, np.empty(0), ids[:0], np.zeros(n + 1, np.intc))
+        lind = A.indices[lower]
+        U = (n, len(lind), A.data[lower] * inv[lind], _intc(lind, self),
+             _intc(lptr, self))
+        if self.symmetric:
+            uind = A.indices[~lower]
+            udata = A.data[~lower] * inv[uind]
+            uptr = A.indptr - lptr
+            udata[uptr[:-1]] = 1.0
+            L = (n, len(uind), udata, _intc(uind, self), _intc(uptr, self))
+            self._scale = inv * (w * (2.0 - w))
+        else:
+            ids = np.arange(n + 1, dtype=np.intc)
+            L = (n, n, np.ones(n), ids[:-1], ids)
+            self._scale = inv
+        self._args = L + U
 
-    def _solve(self, sweep, b):
-        """x with T x = b for the triangle T of `sweep` (`_fwd`, `_bwd`)."""
-        x, info = _gstrs("T", *sweep, b)
+    def _sweep(self, r):
+        x, info = _gstrs("T", *self._args, r)
         if info:
             raise SingularFactor(f"{self.name}: SuperLU's triangular solve "
                                  f"failed (info={info})")
-        return x * self._inv
-
-    def _sweep(self, r):
-        w = self.omega
-        y = self._solve(self._fwd, r)
-        if self.symmetric:
-            return w * (2.0 - w) * self._solve(self._bwd, self._dw * y)
-        return y
+        return x * self._scale
 
     def apply(self, r):
         z = self._sweep(r)

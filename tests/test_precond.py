@@ -108,7 +108,11 @@ class TestAlgebraic:
         # the sweeps solve with D/omega + L and D/omega + U built by
         # splitting A: bitwise as the public spsolve_triangular solves
         # them, which pins SORPC's use of SuperLU's private kernel to it,
-        # and to rounding as their splu factors do
+        # and to rounding as their splu factors do.  A forward sweep is
+        # pinned to one non-unit solve of D/omega + L, a symmetric one to
+        # the two unit-diagonal solves of its single `gstrs` call: each
+        # triangle with its columns divided by D/omega (times the same
+        # 1 / (D/omega) the sweep computes), one scaling after them
         def triangle(lower):
             return sp.diags(d / omega) + (sp.tril(A, k=-1) if lower
                                           else sp.triu(A, k=1))
@@ -117,19 +121,28 @@ class TestAlgebraic:
             T = triangle(lower).tocsr()
             return lambda b: spla.spsolve_triangular(T, b, lower=lower)
 
+        def solve_unit(lower):
+            T = ((sp.tril(A, k=-1) if lower else sp.triu(A, k=1))
+                 @ sp.diags(1.0 / (d / omega))).tocsr()
+            return lambda b: spla.spsolve_triangular(T, b, lower=lower,
+                                                     unit_diagonal=True)
+
         def solve_factored(lower):
             return spla.splu(triangle(lower).tocsc(), permc_spec="NATURAL",
                              options={"SymmetricMode": False}).solve
 
-        def sweeps(fwd, bwd):
-            def sweep(r):
-                if symmetric:
-                    return omega * (2.0 - omega) * bwd((d / omega) * fwd(r))
-                return fwd(r)
+        def sweeps(sweep):
             z = sweep(r)
             for _ in range(its - 1):
                 z = z + sweep(r - A @ z)
             return z
+
+        def ssor(fwd, bwd):
+            return lambda r: omega * (2.0 - omega) * bwd((d / omega) * fwd(r))
+
+        def unit_ssor(fwd, bwd):
+            return lambda r: (1.0 / (d / omega) * (omega * (2.0 - omega))
+                              * bwd(fwd(r)))
 
         V = build_space(build_unit_square(5), 2)
         wind = ImplicitOperator(
@@ -142,11 +155,15 @@ class TestAlgebraic:
             d = A.diagonal()
             got = SORPC(omega=omega, its=its,
                         symmetric=symmetric).set_up(op).apply(r)
-            assert np.array_equal(got, sweeps(solve_triangular(True),
-                                              solve_triangular(False)))
+            if symmetric:
+                pin = unit_ssor(solve_unit(True), solve_unit(False))
+                factored = ssor(solve_factored(True), solve_factored(False))
+            else:
+                pin, factored = solve_triangular(True), solve_factored(True)
+            assert np.array_equal(got, sweeps(pin))
             # normwise: entry by entry, a second sweep's small entries
             # differ by up to 3e-13 of themselves
-            ref = sweeps(solve_factored(True), solve_factored(False))
+            ref = sweeps(factored)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_sor_factors_nothing(self, monkeypatch):
@@ -203,6 +220,24 @@ class TestAlgebraic:
         with pytest.raises(precond.SingularFactor,
                            match=r"pc sor \(-fieldsplit_0_\): .*info=1"):
             pc.apply(b)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("its", [1, 2])
+    def test_sor_sweep_is_one_kernel_call(self, monkeypatch, symmetric,
+                                          its):
+        # each sweep, forward or symmetric, is one call of SuperLU's
+        # triangular solve: a symmetric one solves both triangles in it
+        A, b, _ = _poisson()
+        pc = SORPC(its=its, symmetric=symmetric).set_up(A.assemble())
+        gstrs, calls = precond._gstrs, []
+
+        def counted(*args):
+            calls.append(args)
+            return gstrs(*args)
+
+        monkeypatch.setattr(precond, "_gstrs", counted)
+        assert np.all(np.isfinite(pc.apply(b)))
+        assert len(calls) == its
 
     def test_sor_invalid_omega(self):
         with pytest.raises(ValueError):
