@@ -1,8 +1,10 @@
 """Krylov and stationary iterative solvers with a preconditioner slot.
 
 Every solve starts from x = 0: its first residual is b itself, at no
-operator apply.  Left Richardson takes the norm of z = M^-1 r and steps
-with that z; right Richardson applies M^-1 in its step only.  GMRES (and
+operator apply.  Every method but `preonly` tests that norm at iteration
+0: a NaN raises `DivergedNaN`, and a norm within `atol` ends the solve
+there.  Left Richardson takes the norm of z = M^-1 r and steps with that
+z; right Richardson applies M^-1 in its step only.  GMRES (and
 FGMRES, the same method on the right) ends, as PETSc's KSPGMRES does, as
 soon as a cycle's least-squares estimate |g_k| of the residual norm meets
 the tolerance, and reports that estimate.  It computes b - A x (and M^-1
@@ -156,6 +158,15 @@ class KSP:
                 f"{self.prefix or 'ksp'}: non-finite residual at iteration {it}",
                 SolveReport(False, "diverged_nan", it, rnorm))
 
+    def _start(self, rnorm):
+        """NaN-check and monitor the first residual norm; return the solve's
+        tolerance, or None when the norm already meets `atol`, as PETSc's
+        KSPConvergedDefault decides at iteration 0."""
+        self._check_nan(rnorm, 0)
+        self._monitor(0, rnorm)
+        return (None if rnorm <= self.atol
+                else max(self.rtol * rnorm, self.atol))
+
     def _finish(self, x, converged, reason, it, rnorm):
         report = SolveReport(converged, reason, it, rnorm)
         if not converged and self.error_if_not_converged:
@@ -184,9 +195,10 @@ class KSP:
         x = np.zeros_like(b)
         r = b
         z = self._apply_pc(r) if left else None
-        rnorm0 = rnorm = np.linalg.norm(z if left else r)
-        self._monitor(0, rnorm)
-        tol = max(self.rtol * rnorm0, self.atol)
+        rnorm = np.linalg.norm(z if left else r)
+        tol = self._start(rnorm)
+        if tol is None:
+            return self._finish(x, True, "atol", 0, rnorm)
         for it in range(1, self.max_it + 1):
             x = x + (z if left else self._apply_pc(r))
             r = b - self._apply_op(A, x)
@@ -203,10 +215,9 @@ class KSP:
         r = b
         z = self._apply_pc(r)
         rz = np.dot(r, z)
-        rnorm0 = rnorm = np.sqrt(abs(rz))
-        self._monitor(0, rnorm)
-        tol = max(self.rtol * rnorm0, self.atol)
-        if rnorm0 <= self.atol:
+        rnorm = np.sqrt(abs(rz))
+        tol = self._start(rnorm)
+        if tol is None:
             return self._finish(x, True, "atol", 0, rnorm)
         p = z
         for it in range(1, self.max_it + 1):
@@ -242,11 +253,9 @@ class KSP:
         x = np.zeros_like(b)
         r = self._apply_pc(b) if left else b
         beta = np.linalg.norm(r)
-        self._check_nan(beta, 0)
-        self._monitor(0, beta)
-        if beta <= self.atol:
+        tol = self._start(beta)
+        if tol is None:
             return self._finish(x, True, "atol", 0, beta)
-        tol = max(self.rtol * beta, self.atol)
         total_it = 0
         while True:
             # b, or the residual a cycle cut at `restart` or `max_it` left,

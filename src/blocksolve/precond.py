@@ -678,44 +678,36 @@ class _PatchGroup(namedtuple("_PatchGroup", "dofs pair_row cell loc")):
 
     def blocks(self, E):
         """(rows, blocks) for each chunk of patches, summed from the element
-        matrices E (`Form.block_local_matrices`): a unit, a pair or, when E
-        couples no components, a (pair, component), adds the entries
-        between its local dofs in the patch, and only those, in one
-        bincount.  The index arithmetic is int32 when every entry of E has
-        an int32 offset, as `Form.assemble` chooses its index type."""
+        matrices E (`Form.block_local_matrices`): each local dof i in the
+        patch of a unit, a pair or, when E couples no components, a (pair,
+        component), adds row i of the unit's element matrix at the columns
+        in the patch, in one bincount.  The index arithmetic is int32 when
+        every entry of E has an int32 offset, as `Form.assemble` does."""
         k, m = self.dofs.shape
         K, nn = E.shape[1], E.shape[3]
+        per = K * nn                   # local dofs of a unit
         itype = (np.int32 if E.size <= np.iinfo(np.int32).max
                  else np.int64)
+        # offset in E of each column of an element-matrix row
+        col = (np.arange(K, dtype=itype)[:, None] * (nn * nn)
+               + np.arange(nn, dtype=itype)).ravel()
         step = max(1, _PATCH_CHUNK // (m * m))
         for s in range(0, k, step):
             rows = slice(s, min(s + step, k))
             p0, p1 = np.searchsorted(self.pair_row, (s, rows.stop))
-            loc = self.loc[p0:p1]
-            # items: the local dofs in the patch, by pair, component, node
-            item = np.flatnonzero(loc >= 0).astype(itype)
-            place = loc.ravel().take(item)
-            pair, local = np.divmod(item, loc.shape[1] * nn)
-            comp, node = np.divmod(local, nn)
-            per = nn if K == 1 else loc.shape[1] * nn   # local dofs a unit
-            n = np.bincount(item // per,
-                            minlength=loc.size // per).astype(itype)
-            reps = np.repeat(n, n)        # entries in an item's row
-            # an item's row repeats it; col[e] is the column item of entry e
-            col = np.repeat(np.repeat(np.cumsum(n, dtype=itype) - n, n)
-                            - (np.cumsum(reps, dtype=itype) - reps), reps)
-            col += np.arange(len(col), dtype=itype)
-            # row of each item in the (len*m, m) stack of the chunk's blocks
-            row = ((self.pair_row[p0:p1] - s) * m)[pair] + place
-            tgt = np.repeat(row * m, reps) + place[col]
-            comp *= K > 1
-            cell = self.cell[p0:p1].astype(itype)
-            src = ((cell * (K * K * nn * nn))[pair]
-                   + (comp * K * nn + node) * nn)
-            vals = E.ravel()[np.repeat(src, reps)
-                             + (comp * nn * nn + node)[col]]
-            yield rows, np.bincount(tgt, vals, minlength=(rows.stop - s)
-                                    * m * m).reshape(-1, m, m)
+            place = self.loc[p0:p1].reshape(-1, per)
+            item = np.flatnonzero(place >= 0).astype(itype)
+            unit, i = np.divmod(item, per)
+            pair = unit // (self.loc.shape[1] // K)   # units per pair
+            row = (self.pair_row[p0:p1] - s).take(pair) * m + place.take(item)
+            src = (self.cell[p0:p1].astype(itype).take(pair) * (per * per)
+                   + (i // nn * K * nn + i % nn) * nn)
+            place = place.take(unit, axis=0)
+            keep = place >= 0
+            yield rows, np.bincount(
+                ((row * m)[:, None] + place)[keep],
+                E.ravel().take((src[:, None] + col)[keep]),
+                minlength=(rows.stop - s) * m * m).reshape(-1, m, m)
 
 
 class SchwarzPC(Preconditioner):

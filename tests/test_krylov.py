@@ -242,6 +242,27 @@ def test_richardson_applies_each_operator_once_per_residual(side,
     assert A.applies == 3
 
 
+@pytest.mark.parametrize("b", ["zero", "nan"])
+@pytest.mark.parametrize("ksp_type", ["cg", "gmres", "fgmres", "richardson"])
+def test_first_residual_is_tested_at_iteration_0(ksp_type, b):
+    # from x = 0 the first residual is b: a zero b meets atol and a NaN b
+    # diverges before any operator apply; only a finite norm is printed
+    A = Counting(_spd(12, seed=5).A)
+    lines = []
+    ksp = KSP(ksp_type, pc=JacobiPC().set_up(A), monitor=lines.append)
+    if b == "nan":
+        with pytest.raises(DivergedNaN, match="at iteration 0$") as err:
+            ksp.solve(A, np.full(12, np.nan))
+        rep = err.value.report
+        assert rep.reason == "diverged_nan" and lines == []
+    else:
+        _, rep = ksp.solve(A, np.zeros(12))
+        assert rep.converged and rep.reason == "atol"
+        assert lines == ["  0 KSP Residual norm 0.000000000000e+00"]
+    assert rep.iterations == 0
+    assert A.applies == 0
+
+
 def _nested(inner, n=15, seed=9):
     """Outer GMRES on A preconditioned by `inner(A)` (a KSP) on a counting
     copy of A; returns the counting operator and the outer report."""

@@ -1,6 +1,7 @@
 """Each script in scripts/ runs at its smallest size and prints its CSV
 header and one row, so a change to the library API cannot break them
-unnoticed."""
+unnoticed.  Beside the 3D run of rb_scaling.py, the same tree is checked in
+process on the unit cube against criterion 7's bounds."""
 
 import os
 import subprocess
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from blocksolve.options import OptionsDB
+from blocksolve.problems import ConvectionConfig, run_convection
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +49,17 @@ def test_rb_scaling_runs_in_3d():
     n, dofs, *_ = _run("rb_scaling.py", ["--dim", "3", "--ns", "2"],
                        SMALLEST["rb_scaling.py"][1])
     assert (n, dofs) == ("2", str(3 * 125 + 27 + 27))
+
+
+def test_rb_iterative_newton_and_outer_work_flat_in_3d():
+    # criterion 7's bounds on the unit cube at n = 2, 3 and 4: at most 5
+    # Newton steps each, and outer iterations per step at n=4 at most 1.5
+    # times those at n=2
+    per_step = {}
+    for n in (2, 3, 4):
+        db = OptionsDB().parse_file(str(ROOT / "configs"
+                                        / "rb-iterative.opts"))
+        rep = run_convection(ConvectionConfig(n=n, dim=3), db)["report"]
+        assert rep.converged and rep.iterations <= 5, (n, rep.iterations)
+        per_step[n] = rep.linear_iterations / rep.iterations
+    assert per_step[4] <= 1.5 * per_step[2], per_step
